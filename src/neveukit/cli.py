@@ -97,9 +97,16 @@ def _tol_overrides(args):
     return tol
 
 
+def _emit(report, fmt, path):
+    try:
+        emit(report, fmt, path)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _emit_or_print(report, args):
     if args.out:
-        emit(report, args.format, args.out)
+        _emit(report, args.format, args.out)
     elif args.format == "report-json":
         sys.stdout.write(json.dumps(report.data, sort_keys=True, indent=2) + "\n")
     else:
@@ -119,7 +126,7 @@ def _run_scenario_command(args):
     scenario = load_scenario(args.scenario)
     if args.command in TASK_COMMANDS:
         scenario = replace(scenario, tasks=[args.command])
-    schedule = _schedule_from_nmax(args.n_max) if args.n_max else None
+    schedule = _schedule_from_nmax(args.n_max) if args.n_max is not None else None
     report = run(
         scenario, seed=args.seed, tolerances=_tol_overrides(args), schedule=schedule
     )
@@ -159,7 +166,7 @@ def _run_gallery_command(args):
                     "spectrum-csv": ".spectrum.csv",
                 }[args.format]
                 out = os.path.join(args.out, f"{sc.name}{suffix}")
-                emit(report, args.format, out)
+                _emit(report, args.format, out)
                 line += f" -> {out}"
         print(line)
     return worst

@@ -13,10 +13,12 @@ per-axis Cesaro means,
 
     A_a = prod_i (1/a) sum_{k<a} Gamma_i^k,
 
-which costs O(d a) map applications instead of a^d.  Summation order is
-fixed (ascending k, then ascending axis) so results are bitwise
-reproducible.  A brute-force cross-check over small boxes lives in the
-test-suite.
+so :func:`average` costs O(d a) matvecs instead of a^d map applications,
+and :func:`average_super` builds each per-axis sum of powers by binary
+doubling in O(d log a) D x D products.  Summation order is fixed (ascending
+k for the matvecs, the bits of a for the doubling, then ascending axis) so
+results are bitwise reproducible.  Brute-force cross-checks over small
+boxes and against the literal sums live in the test-suite.
 """
 
 from __future__ import annotations
@@ -144,6 +146,12 @@ class SemigroupAction:
     contractions).  Structural checks run at construction and are stored,
     not raised: operations that need a property guard on it explicitly, so
     that a scenario with a broken action still produces a report.
+
+    Work derived from the action alone is cached on the instance: the other
+    picture (:meth:`dual`), the Lamperti reports, and the validated mean
+    ergodic projection per ``tol_fixed`` (``_mean_projections``, filled by
+    :func:`neveukit.neveu.mean_ergodic_projection`).  The generators are not
+    meant to change after construction.
     """
 
     def __init__(self, algebra, picture, scheme, generators, _skip_checks=False):
@@ -155,6 +163,7 @@ class SemigroupAction:
         self.checks = {}
         self._dual = None
         self._lamperti = None
+        self._mean_projections = {}
 
         if scheme.kind == "r-plus-cube":
             mats = []
@@ -372,25 +381,32 @@ def _axis_cesaro_vec(action, axis, v, a):
     return acc / (2 * a + 1)
 
 
-def _axis_cesaro_mat(action, axis, m, a):
-    if action.scheme.kind == "zplus-box":
-        s = action.generators[axis].matrix
-        acc = m.copy()
-        cur = m
-        for _ in range(a - 1):
-            cur = s @ cur
-            acc += cur
-        return acc / a
+def _power_sum(s, n):
+    """(sum_{k<n} S^k, S^n) for a square matrix S and n >= 1, by doubling.
+
+    Reads the bits of n from the top: a 0 bit doubles m (the sum becomes
+    (1 + S^m) sum_{k<m} S^k), a 1 bit doubles and then appends S^m.  That
+    takes O(log n) matrix products instead of the n - 1 of the literal sum.
+    """
+    total = np.eye(s.shape[0], dtype=complex)
+    power = s
+    for bit in bin(int(n))[3:]:
+        total = total + power @ total
+        power = power @ power
+        if bit == "1":
+            total = total + power
+            power = s @ power
+    return total, power
+
+
+def _axis_cesaro_super(action, axis, a):
+    """The per-axis Cesaro mean as a matrix: (1/|window|) sum of window powers."""
     s = action.generators[axis].matrix
-    sinv = action.inverses[axis]
-    cur = m
-    for _ in range(a):
-        cur = sinv @ cur
-    acc = cur.copy()
-    for _ in range(2 * a):
-        cur = s @ cur
-        acc += cur
-    return acc / (2 * a + 1)
+    if action.scheme.kind == "zplus-box":
+        return _power_sum(s, a)[0] / a
+    # z-symmetric-box: sum_{-a <= k <= a} S^k = S^{-a} sum_{k <= 2a} S^k
+    back = np.linalg.matrix_power(action.inverses[axis], a)
+    return back @ _power_sum(s, 2 * a + 1)[0] / (2 * a + 1)
 
 
 def average(action, x, a):
@@ -432,9 +448,9 @@ def average_super(action, a, steps=None):
     if action.scheme.kind == "finite-group":
         mat = sum(s.matrix for s in action.generators) / action.scheme.order
         return SuperOperator(action.algebra, mat, source="composite")
-    m = np.eye(action.algebra.dim, dtype=complex)
-    for axis in range(action.scheme.d):
-        m = _axis_cesaro_mat(action, axis, m, a)
+    m = _axis_cesaro_super(action, 0, a)
+    for axis in range(1, action.scheme.d):
+        m = _axis_cesaro_super(action, axis, a) @ m
     return SuperOperator(action.algebra, m, source="composite")
 
 

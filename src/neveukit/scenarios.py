@@ -18,6 +18,7 @@ Formats understood by :func:`emit`:
 
 from __future__ import annotations
 
+import cmath
 import importlib.resources
 import json
 import os
@@ -95,14 +96,18 @@ def _schema():
 
 def _decode_complex(v, where):
     if isinstance(v, (int, float)):
-        return complex(v)
-    if (
+        z = complex(v)
+    elif (
         isinstance(v, list)
         and len(v) == 2
         and all(isinstance(t, (int, float)) for t in v)
     ):
-        return complex(v[0], v[1])
-    raise ScenarioError(f"{where}: expected a number or [re, im] pair, got {v!r}")
+        z = complex(v[0], v[1])
+    else:
+        raise ScenarioError(f"{where}: expected a number or [re, im] pair, got {v!r}")
+    if not cmath.isfinite(z):
+        raise ScenarioError(f"{where}: entry must be finite, got {v!r}")
+    return z
 
 
 def _decode_matrix(rows, where):
@@ -146,7 +151,7 @@ def _encode_complex(z):
 
 def _encode_matrix(m):
     m = np.asarray(m, dtype=complex)
-    return [[_encode_complex(v) for v in row] for row in m]
+    return np.stack((m.real, m.imag), -1).tolist()
 
 
 def _encode_element(x):
@@ -270,8 +275,8 @@ def scenario_from_dict(doc, origin="<dict>"):
 
     tolerances = {**DEFAULT_TOLERANCES, **doc.get("tolerances", {})}
     schedule = list(doc.get("schedule", DEFAULT_SCHEDULE))
-    if schedule != sorted(schedule):
-        raise ScenarioError(f"{origin}: schedule must be ascending")
+    if any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise ScenarioError(f"{origin}: schedule must be strictly ascending")
     return Scenario(
         name=doc["name"],
         raw=doc,
@@ -317,8 +322,11 @@ class Report:
 
     def canonical_bytes(self):
         """Deterministic serialisation; wall-clock timing is excluded."""
-        doc = json.loads(json.dumps(self.data))
-        doc.get("meta", {}).pop("wall_clock_s", None)
+        doc = dict(self.data)
+        if isinstance(doc.get("meta"), dict):
+            doc["meta"] = {
+                k: v for k, v in doc["meta"].items() if k != "wall_clock_s"
+            }
         return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
 
 
@@ -353,25 +361,29 @@ def _spectrum_payload(action):
 
 
 def _certificate_payload(cert):
-    return {
-        "schedule": list(cert.schedule),
-        "rows": cert.rows,
-        "n0": cert.n0,
-        "verdict": cert.verdict,
-    }
+    return _plain(
+        {
+            "schedule": cert.schedule,
+            "rows": cert.rows,
+            "n0": cert.n0,
+            "verdict": cert.verdict,
+        }
+    )
 
 
 def _bau_payload(cert):
-    return {
-        "schedule": list(cert.schedule),
-        "theta": cert.theta,
-        "excluded_mass": cert.excluded_mass,
-        "witness_ranks": list(cert.e.ranks),
-        "tail": [[a, v] for a, v in cert.tail],
-        "final": cert.final,
-        "slope": cert.slope,
-        "verdict": cert.verdict,
-    }
+    return _plain(
+        {
+            "schedule": cert.schedule,
+            "theta": cert.theta,
+            "excluded_mass": cert.excluded_mass,
+            "witness_ranks": cert.e.ranks,
+            "tail": cert.tail,
+            "final": cert.final,
+            "slope": cert.slope,
+            "verdict": cert.verdict,
+        }
+    )
 
 
 def _run_decompose(scenario, seed, tolerances, schedule, results, verdicts):
@@ -384,16 +396,16 @@ def _run_decompose(scenario, seed, tolerances, schedule, results, verdicts):
     )
     results["decompose"] = {
         "e1": _encode_element(dec.e1),
-        "e1_ranks": list(dec.e1.ranks),
+        "e1_ranks": _plain(dec.e1.ranks),
         "e2": _encode_element(dec.e2),
-        "e2_ranks": list(dec.e2.ranks),
+        "e2_ranks": _plain(dec.e2.ranks),
         "invariant_density": (
             None if dec.invariant_density is None
             else _encode_element(dec.invariant_density)
         ),
-        "decay": [[a, n] for a, n in dec.decay],
-        "slope": dec.slope,
-        "verdicts": dict(dec.verdicts),
+        "decay": _plain(dec.decay),
+        "slope": _plain(dec.slope),
+        "verdicts": _plain(dec.verdicts),
         "detail": _plain(dec.detail),
     }
     verdicts["decompose"] = "pass" if dec.overall else "fail"
@@ -465,11 +477,11 @@ def _run_stochastic(scenario, seed, tolerances, schedule, results, verdicts, dec
     )
     results["stochastic"] = {
         "xbar": _encode_element(rep.xbar),
-        "burn_in": rep.burn_in,
+        "burn_in": _plain(rep.burn_in),
         "rows": _plain(rep.rows),
         "bau": _bau_payload(rep.bau),
         "measure": _certificate_payload(rep.measure),
-        "verdicts": dict(rep.verdicts),
+        "verdicts": _plain(rep.verdicts),
         "detail": _plain(rep.detail),
     }
     verdicts["stochastic"] = "pass" if rep.passed else "fail"
@@ -491,7 +503,11 @@ def _run_gallery_item(scenario, results, verdicts):
 
 
 def _plain(obj):
-    """Recursively convert numpy scalars/arrays for JSON serialisation."""
+    """Recursively convert numpy scalars/arrays for JSON serialisation.
+
+    Task payloads apply this to their small fields only; encoded matrices
+    are plain lists of floats already and are not walked again.
+    """
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -561,7 +577,7 @@ def run(scenario, seed=None, tolerances=None, schedule=None):
         "seed": eff_seed,
         "tolerances": _plain(eff_tol),
         "schedule": eff_schedule,
-        "results": _plain(results),
+        "results": results,
         "verdicts": verdicts,
         "meta": {"wall_clock_s": time.perf_counter() - t0},
     }

@@ -263,6 +263,83 @@ def test_average_super_agrees_with_average():
         assert op_norm(s(x) - average(action, x, a)) <= 1e-12
 
 
+MULTI = TracialAlgebra([3, 2, 1], [0.125, 0.25, 0.375])
+POWER_SUM_INDICES = (1, 2, 3, 7, 16, 63, 64)
+
+
+def random_channel(algebra, rng, n_kraus=3):
+    """A random Heisenberg channel with Kraus ops c G_j M^{-1/2}, M = sum G_j* G_j.
+
+    c^2 = 0.99 keeps sum K*K = 0.99 visibly below 1, clear of rounding in
+    the subunitality check.
+    """
+    gs = [
+        [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for n in algebra.blocks]
+        for _ in range(n_kraus)
+    ]
+    ops = [[] for _ in gs]
+    for b in range(algebra.n_blocks):
+        m = sum(g[b].conj().T @ g[b] for g in gs)
+        lam, v = np.linalg.eigh(m)
+        inv_sqrt = v @ np.diag(lam ** -0.5) @ v.conj().T
+        for op, g in zip(ops, gs):
+            op.append(np.sqrt(0.99) * g[b] @ inv_sqrt)
+    return from_kraus(algebra, ops)
+
+
+def random_block_unitary(algebra, rng):
+    mats = []
+    for n in algebra.blocks:
+        q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        mats.append(q * (np.diag(r) / abs(np.diag(r))))
+    return mats
+
+
+def literal_average_super(action, a):
+    """The per-axis Cesaro sums term by term: the reference for the doubling."""
+    m = np.eye(action.algebra.dim, dtype=complex)
+    for axis, gen in enumerate(action.generators):
+        s = gen.matrix
+        if action.scheme.kind == "zplus-box":
+            cur, count = m, a
+        else:
+            cur, count = m, 2 * a + 1
+            for _ in range(a):
+                cur = action.inverses[axis] @ cur
+        acc = cur.copy()
+        for _ in range(count - 1):
+            cur = s @ cur
+            acc += cur
+        m = acc / count
+    return m
+
+
+def assert_matches_literal(action):
+    for a in POWER_SUM_INDICES:
+        ref = literal_average_super(action, a)
+        got = average_super(action, a).matrix
+        assert np.linalg.norm(got - ref, 2) <= 1e-12 * np.linalg.norm(ref, 2), a
+
+
+def test_doubled_power_sums_match_literal_multiblock_zplus_line():
+    s = random_channel(MULTI, np.random.default_rng(21))
+    assert_matches_literal(zplus_action(s))
+
+
+def test_doubled_power_sums_match_literal_multiblock_zplus_square():
+    s = random_channel(MULTI, np.random.default_rng(22))
+    # a channel and its square commute
+    s2 = s @ s
+    assert_matches_literal(zplus_action(s, s2))
+
+
+def test_doubled_power_sums_match_literal_multiblock_z_symmetric():
+    u = random_block_unitary(MULTI, np.random.default_rng(23))
+    scheme = FolnerScheme("z-symmetric-box", d=1)
+    action = SemigroupAction(MULTI, "heisenberg", scheme, [from_conjugation(MULTI, u)])
+    assert_matches_literal(action)
+
+
 def test_average_index_validation():
     action = zplus_action(amplitude_damping(M2, 0.5))
     rng = np.random.default_rng(2)

@@ -95,9 +95,27 @@ def test_kernel_row_sum_error_names_row():
 
 
 def test_schedule_must_be_ascending():
+    # a repeated point is rejected too: schedules are strictly ascending
+    for schedule in ([1, 4, 2], [1, 1, 2, 4]):
+        doc = base_doc()
+        doc["schedule"] = schedule
+        with pytest.raises(ScenarioError, match="ascending|increasing"):
+            scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_nonfinite_entries_rejected_with_json_path(bad):
     doc = base_doc()
-    doc["schedule"] = [1, 4, 2]
-    with pytest.raises(ScenarioError, match="ascending|increasing"):
+    doc["algebra"] = {"blocks": [1, 1], "weights": [0.5, 0.5], "normalized": True}
+    doc["action"]["generators"] = [
+        {"source": "classical-kernel", "payload": {"kernel": [[bad, 0.0], [0.0, 1.0]]}}
+    ]
+    with pytest.raises(ScenarioError, match=r"action\.generators\[0\]\.kernel\[0\]\[0\]: .*finite"):
+        scenario_from_dict(doc)
+    # the imaginary half of a [re, im] pair is checked as well
+    doc = base_doc()
+    doc["action"]["generators"][0]["payload"]["operators"][1][0][1][0] = [0.0, bad]
+    with pytest.raises(ScenarioError, match=r"operators\[1\]\.block0\[1\]\[0\]: .*finite"):
         scenario_from_dict(doc)
 
 
@@ -156,6 +174,27 @@ def test_run_produces_passing_report():
     assert dec["e1_ranks"] == [1]
     assert dec["e2_ranks"] == [1]
     assert report.data["scenario_name"] == "damping-test"
+
+
+def test_decompose_mean_certify_share_one_schrodinger_projection(monkeypatch):
+    import scipy.linalg
+
+    doc = base_doc()
+    doc["tasks"] = ["decompose", "mean", "certify"]
+    sc = scenario_from_dict(doc)
+    calls = []
+    schur = scipy.linalg.schur
+
+    def counting_schur(*args, **kwargs):
+        calls.append(1)
+        return schur(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
+    report = run(sc)
+    assert report.passed
+    # one Schur form per picture for the single generator: mean runs on the
+    # Heisenberg action, decompose and certify share the Schroedinger one
+    assert len(calls) == 2
 
 
 def test_run_is_deterministic_modulo_wall_clock():
@@ -319,11 +358,20 @@ def test_gallery_scenarios_all_validate():
         assert sc.tasks
 
 
+def _canonical_by_round_trip(report):
+    """The canonical form built by a JSON round trip, the reference."""
+    doc = json.loads(json.dumps(report.data))
+    doc.get("meta", {}).pop("wall_clock_s", None)
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+
+
 def test_gallery_runs_end_to_end():
     # every shipped fixture must produce an all-pass report
     for sc in gallery():
         report = run(sc)
         assert report.passed, (sc.name, report.verdicts)
+        assert report.canonical_bytes() == _canonical_by_round_trip(report), sc.name
+        assert "wall_clock_s" in report.data["meta"]
 
 
 def test_gallery_zplus2_generators_commute():
@@ -384,6 +432,23 @@ def test_cli_n_max_replaces_schedule(tmp_path, capsys):
     assert code == 0
     out = json.loads(capsys.readouterr().out)
     assert out["schedule"] == [1, 2, 4, 8, 16, 32, 64, 100]
+
+
+def test_cli_n_max_zero_exits_two(tmp_path, capsys):
+    path = write_doc(tmp_path, base_doc())
+    code = main(["decompose", "--scenario", path, "--n-max", "0"])
+    assert code == 2
+    assert "--n-max must be >= 1" in capsys.readouterr().err
+
+
+def test_cli_out_into_missing_directory_exits_two(tmp_path, capsys):
+    path = write_doc(tmp_path, base_doc())
+    out = tmp_path / "missing" / "r.json"
+    code = main(["run", "--scenario", path, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {out}" in err
+    assert "Traceback" not in err
 
 
 def test_cli_n_max_too_short_to_certify_fails_honestly(tmp_path, capsys):

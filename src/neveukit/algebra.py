@@ -94,6 +94,10 @@ class TracialAlgebra:
         self.dim = sum(n * n for n in blocks)
         offs = np.cumsum([0] + [n * n for n in blocks])
         self._offsets = tuple(int(o) for o in offs)
+        # The trace weight of each vec coordinate: tau(x y) pairs vec
+        # entries of one block with that block's weight.
+        self.weight_vec = np.repeat(weights, [n * n for n in blocks])
+        self.weight_vec.flags.writeable = False
 
     # -- equality is structural so that serialisation round-trips compare --
 

@@ -10,7 +10,6 @@ shipped scenarios.  Exit codes: 0 all verdicts pass, 1 some verdict failed,
 from __future__ import annotations
 
 import argparse
-import json
 import shutil
 import sys
 from dataclasses import replace
@@ -21,6 +20,7 @@ from .scenarios import (
     gallery,
     gallery_names,
     load_scenario,
+    render,
     run,
 )
 
@@ -107,19 +107,8 @@ def _emit(report, fmt, path):
 def _emit_or_print(report, args):
     if args.out:
         _emit(report, args.format, args.out)
-    elif args.format == "report-json":
-        sys.stdout.write(json.dumps(report.data, sort_keys=True, indent=2) + "\n")
     else:
-        import tempfile, os
-
-        fd, tmp = tempfile.mkstemp(suffix=".csv")
-        os.close(fd)
-        try:
-            emit(report, args.format, tmp)
-            with open(tmp, "r", encoding="utf-8") as fh:
-                sys.stdout.write(fh.read())
-        finally:
-            os.unlink(tmp)
+        sys.stdout.write(render(report, args.format))
 
 
 def _run_scenario_command(args):

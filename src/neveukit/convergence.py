@@ -38,7 +38,13 @@ from .algebra import (
 )
 from .dynamics import average
 from .maps import CheckReport, PreconditionError
-from .neveu import mean_ergodic_projection, neveu_decompose
+from .neveu import (
+    DEFAULT_SCHEDULE,
+    SLOPE_WINDOW,
+    mean_ergodic_projection,
+    neveu_decompose,
+    tail_decay_verdict,
+)
 
 __all__ = [
     "MeasureCertificate",
@@ -56,34 +62,76 @@ __all__ = [
 
 SUPPORT_LEAK_TOL = 1e-8
 DECAY_TOL = 1e-6
-SLOPE_THRESHOLD = -0.9
-SLOPE_WINDOW = 5
 CROSS_TERM_SLACK = 1e-10
 CORNER_COMPAT_TOL = 1e-9
 
 
 def _corner_basis(algebra, within):
-    """Per-block orthonormal column bases of the range of ``within``.
+    """Per-block orthonormal column bases of the range of ``within``, and
+    the complement of ``within``.
 
-    ``None`` means the whole algebra.  Restricting the spectral calculus to
-    this basis keeps certificate projections exactly inside the corner the
-    data lives in, so they add cleanly to the complementary corner.
+    ``None`` means the whole algebra (no complement).  Restricting the
+    spectral calculus to this basis keeps certificate projections exactly
+    inside the corner the data lives in, so they add cleanly to the
+    complementary corner.
     """
     if within is None:
-        return [np.eye(n) for n in algebra.blocks]
+        return [np.eye(n) for n in algebra.blocks], None
     cols = []
     for m in within.block_mats:
         lam, v = np.linalg.eigh((m + m.conj().T) / 2.0)
         cols.append(v[:, lam >= 0.5])
-    return cols
+    return cols, within.complement()
 
 
-def _check_support(deviation, within, scale):
-    leak = op_norm(deviation - within @ deviation @ within)
-    if leak > SUPPORT_LEAK_TOL * max(1.0, scale):
-        raise ValueError(
-            f"sequence is not supported in the given corner (leak {leak:.3e})"
-        )
+def _corner_eigh(basis, x):
+    """Per-block ``(lam, v, base)``: eigenpairs of x compressed onto the basis."""
+    eigs = []
+    for base, m in zip(basis, x.block_mats):
+        comp = base.conj().T @ m @ base
+        lam, v = np.linalg.eigh((comp + comp.conj().T) / 2.0)
+        eigs.append((lam, v, base))
+    return eigs
+
+
+def _corner_projection(algebra, eigs, keeps, outside):
+    """``(active, e)``: the projection onto the kept corner eigenvectors, and
+    the same glued to the complementary corner ``outside`` (if any)."""
+    kept_cols = [
+        [base @ v[:, k] for k in range(lam.size) if keep[k]]
+        for (lam, v, base), keep in zip(eigs, keeps)
+    ]
+    active = Projection.from_eigvecs(algebra, kept_cols)
+    if outside is None:
+        return active, active
+    e = Projection(
+        algebra, [p + q for p, q in zip(active.block_mats, outside.block_mats)]
+    )
+    return active, e
+
+
+def _deviations(sequence, limit, schedule, within):
+    """``(algebra, schedule, [X_a - limit])`` of a certificate's input.
+
+    The schedule defaults to 1, 2, ...; with ``within`` given, every
+    deviation must be supported in that corner.
+    """
+    sequence = list(sequence)
+    if not sequence:
+        raise ValueError("empty sequence")
+    schedule = list(schedule if schedule is not None else range(1, len(sequence) + 1))
+    if len(schedule) != len(sequence):
+        raise ValueError("schedule and sequence lengths differ")
+    scale = max([op_norm(x) for x in sequence] + [op_norm(limit), 1.0])
+    deviations = [x - limit for x in sequence]
+    if within is not None:
+        for d in deviations:
+            leak = op_norm(d - within @ d @ within)
+            if leak > SUPPORT_LEAK_TOL * max(1.0, scale):
+                raise ValueError(
+                    f"sequence is not supported in the given corner (leak {leak:.3e})"
+                )
+    return sequence[0].algebra, schedule, deviations
 
 
 @dataclass
@@ -120,39 +168,17 @@ def measure_certify(sequence, limit, eps, schedule=None, delta_tol=1e-6, within=
     """
     if eps <= 0:
         raise ValueError("eps must be > 0")
-    sequence = list(sequence)
-    if not sequence:
-        raise ValueError("empty sequence")
-    algebra = sequence[0].algebra
-    schedule = list(schedule if schedule is not None else range(1, len(sequence) + 1))
-    if len(schedule) != len(sequence):
-        raise ValueError("schedule and sequence lengths differ")
-    basis = _corner_basis(algebra, within)
-    outside = None if within is None else within.complement()
-    scale = max([op_norm(x) for x in sequence] + [op_norm(limit), 1.0])
+    algebra, schedule, deviations = _deviations(sequence, limit, schedule, within)
+    basis, outside = _corner_basis(algebra, within)
 
     rows, witnesses, actives = [], [], []
-    for a, x in zip(schedule, sequence):
-        d = x - limit
-        if within is not None:
-            _check_support(d, within, scale)
-        f = abs_op(d)
+    for a, d in zip(schedule, deviations):
+        eigs = _corner_eigh(basis, abs_op(d))
+        keeps = [lam < eps - BOUNDARY_SNAP for lam, _, _ in eigs]
         delta = 0.0
-        kept_cols = []
-        for w, base, m in zip(algebra.weights, basis, f.block_mats):
-            comp = base.conj().T @ m @ base
-            lam, v = np.linalg.eigh((comp + comp.conj().T) / 2.0)
-            keep = lam < eps - BOUNDARY_SNAP
+        for w, keep in zip(algebra.weights, keeps):
             delta += w * float(np.sum(~keep))
-            kept_cols.append([base @ v[:, k] for k in range(lam.size) if keep[k]])
-        active = Projection.from_eigvecs(algebra, kept_cols)
-        if outside is None:
-            e = active
-        else:
-            e = Projection(
-                algebra,
-                [p + q for p, q in zip(active.block_mats, outside.block_mats)],
-            )
+        active, e = _corner_projection(algebra, eigs, keeps, outside)
         corner = float(op_norm(e @ d @ e))
         rows.append(
             {"a": a, "delta": float(delta), "rank_kept": e.rank, "corner_norm": corner}
@@ -220,39 +246,23 @@ def bau_certify(
     stays within delta_budget.  Tail suprema sup_{b >= a} ||e (X_b - X) e||
     are reported per schedule point; the verdict passes iff the final
     supremum is at most decay_tol or the tail-window log-log slope is at
-    most -0.9 (the suprema are non-increasing by construction).
+    most -0.9 (:func:`neveukit.neveu.tail_decay_verdict`; its non-increasing
+    test always holds here, since suprema over shrinking tails cannot grow).
 
     ``within`` has the same corner semantics as in :func:`measure_certify`;
     ``e_active`` is the part of e inside the corner.
     """
     if delta_budget <= 0:
         raise ValueError("delta budget must be > 0; the certificate is infeasible")
-    sequence = list(sequence)
-    if not sequence:
-        raise ValueError("empty sequence")
-    if not 0 <= n0 < len(sequence):
+    algebra, schedule, deviations = _deviations(sequence, limit, schedule, within)
+    if not 0 <= n0 < len(deviations):
         raise ValueError("n0 must index into the sequence")
-    algebra = sequence[0].algebra
-    schedule = list(schedule if schedule is not None else range(1, len(sequence) + 1))
-    if len(schedule) != len(sequence):
-        raise ValueError("schedule and sequence lengths differ")
-    scale = max([op_norm(x) for x in sequence] + [op_norm(limit), 1.0])
-
-    deviations = [x - limit for x in sequence]
-    if within is not None:
-        for d in deviations:
-            _check_support(d, within, scale)
     s = algebra.zero()
     for k in range(n0, len(deviations)):
         s = s + abs_op(deviations[k]) * (2.0 ** -(k - n0))
 
-    basis = _corner_basis(algebra, within)
-    outside = None if within is None else within.complement()
-    comp_eigs = []
-    for base, m in zip(basis, s.block_mats):
-        comp = base.conj().T @ m @ base
-        lam, v = np.linalg.eigh((comp + comp.conj().T) / 2.0)
-        comp_eigs.append((lam, v, base))
+    basis, outside = _corner_basis(algebra, within)
+    comp_eigs = _corner_eigh(basis, s)
     all_lams = np.concatenate([lam for lam, _, _ in comp_eigs]) if comp_eigs else np.array([])
     candidates = sorted(set([0.0] + [float(t) for t in all_lams]))
     theta = None
@@ -265,18 +275,8 @@ def bau_certify(
         if mass <= delta_budget:
             theta, excluded = cand, mass
             break
-    kept_cols = []
-    for lam, v, base in comp_eigs:
-        keep = lam <= theta + BOUNDARY_SNAP
-        kept_cols.append([base @ v[:, k] for k in range(lam.size) if keep[k]])
-    e_active = Projection.from_eigvecs(algebra, kept_cols)
-    if outside is None:
-        e = e_active
-    else:
-        e = Projection(
-            algebra,
-            [p + q for p, q in zip(e_active.block_mats, outside.block_mats)],
-        )
+    keeps = [lam <= theta + BOUNDARY_SNAP for lam, _, _ in comp_eigs]
+    e_active, e = _corner_projection(algebra, comp_eigs, keeps, outside)
 
     corner = [float(op_norm(e @ d @ e)) for d in deviations]
     sup = 0.0
@@ -286,18 +286,7 @@ def bau_certify(
         sups[i] = sup
     tail = [(schedule[i], sups[i]) for i in range(n0, len(corner))]
     final = tail[-1][1]
-    positive = [(a, v) for a, v in tail[-window:] if v > 0.0]
-    slope = None
-    if len(positive) >= 2:
-        la = np.log([a for a, _ in positive])
-        lv = np.log([v for _, v in positive])
-        slope = float(np.polyfit(la, lv, 1)[0])
-    if final <= decay_tol:
-        verdict = "pass"
-    elif slope is not None and slope <= SLOPE_THRESHOLD:
-        verdict = "pass"
-    else:
-        verdict = "fail"
+    slope, _, verdict = tail_decay_verdict(tail, decay_tol, window)
     detail = {"corner_norms": corner, "candidates_tried": len(candidates)}
     return BauCertificate(
         schedule,
@@ -371,7 +360,7 @@ def stochastic_run(
         raise ValueError("x must be positive for the stochastic certificate")
     if delta <= 0 or eps <= 0:
         raise ValueError("eps and delta must be > 0")
-    schedule = list(schedule if schedule is not None else (1, 2, 4, 8, 16, 32, 64))
+    schedule = list(schedule if schedule is not None else DEFAULT_SCHEDULE)
     if decomposition is None:
         decomposition = neveu_decompose(action, schedule=schedule, seed=seed)
     e1, e2 = decomposition.e1, decomposition.e2
@@ -538,40 +527,29 @@ def _orbit_vectors(action, x, a):
     v = x.vec()
     kind = action.scheme.kind
     if kind == "finite-group":
-        return [s.matrix @ v for s in action.generators]
+        return [m @ v for m in action.matrices]
     if kind == "r-plus-cube":
         times = np.linspace(0.0, float(a), 17)
         cols = [v]
-        for L in action.flow_generators:
+        for L in action.matrices:
             flows = [scipy.linalg.expm(t * L) for t in times]
             cols = [f @ c for c in cols for f in flows]
         return cols
     a = int(a)
     if a < 1:
         raise ValueError("a must be >= 1")
-    if kind == "z-symmetric-box":
-        cols = [v]
-        for axis in range(action.scheme.d):
-            s, sinv = action.generators[axis].matrix, action.inverses[axis]
-            new = []
-            for c in cols:
-                cur = c
-                for _ in range(a):
-                    cur = sinv @ cur
-                new.append(cur)
-                for _ in range(2 * a):
-                    cur = s @ cur
-                    new.append(cur)
-            cols = new
-        return cols
+    # per axis the window starts at -back and takes a + back unit steps
+    back = a if kind == "z-symmetric-box" else 0
     cols = [v]
     for axis in range(action.scheme.d):
-        s = action.generators[axis].matrix
+        s = action.matrices[axis]
         new = []
         for c in cols:
             cur = c
+            for _ in range(back):
+                cur = action.inverses[axis] @ cur
             new.append(cur)
-            for _ in range(a):
+            for _ in range(a + back):
                 cur = s @ cur
                 new.append(cur)
         cols = new
@@ -632,12 +610,7 @@ def convex_hull_residual(
         projection = mean_ergodic_projection(action)
     target = projection(x)
     cols = _orbit_vectors(action, x, a)
-    wvec = np.empty(algebra.dim)
-    off = 0
-    for n, wt in zip(algebra.blocks, algebra.weights):
-        wvec[off : off + n * n] = wt
-        off += n * n
-    sw = np.sqrt(wvec)
+    sw = np.sqrt(algebra.weight_vec)
     m = np.column_stack(cols) * sw[:, None]
     b = target.vec() * sw
     mr = np.vstack([m.real, m.imag])

@@ -147,6 +147,9 @@ class SemigroupAction:
     not raised: operations that need a property guard on it explicitly, so
     that a scenario with a broken action still produces a report.
 
+    ``matrices`` holds the generator matrices: the flow generators L_i of an
+    ``r-plus-cube`` scheme, the superoperator matrices of the maps otherwise.
+
     Work derived from the action alone is cached on the instance: the other
     picture (:meth:`dual`), the Lamperti reports, and the validated mean
     ergodic projection per ``tol_fixed`` (``_mean_projections``, filled by
@@ -178,6 +181,7 @@ class SemigroupAction:
                 raise ValueError(f"need {scheme.d} flow generators, got {len(mats)}")
             self.generators = None
             self.flow_generators = tuple(mats)
+            self.matrices = self.flow_generators
             if not _skip_checks:
                 self.checks["commuting"] = check_commuting(self.flow_generators)
             self.inverses = None
@@ -192,6 +196,7 @@ class SemigroupAction:
             raise ValueError(f"need {expected} generator maps, got {len(gens)}")
         self.generators = tuple(gens)
         self.flow_generators = None
+        self.matrices = tuple(s.matrix for s in gens)
 
         self.inverses = None
         if scheme.kind == "z-symmetric-box":
@@ -359,26 +364,22 @@ def _dual_matrix(algebra, mat):
 
 
 def _axis_cesaro_vec(action, axis, v, a):
-    """(1/a) sum over the axis Foelner window of powers applied to v."""
-    if action.scheme.kind == "zplus-box":
-        s = action.generators[axis].matrix
-        acc = v.copy()
-        cur = v
-        for _ in range(a - 1):
-            cur = s @ cur
-            acc += cur
-        return acc / a
-    # z-symmetric-box: k from -a to a ascending
-    s = action.generators[axis].matrix
-    sinv = action.inverses[axis]
+    """(1/|window|) sum over the axis Foelner window of powers applied to v.
+
+    The window is k = 0..a-1 (zplus-box) or k = -a..a (z-symmetric-box),
+    summed in ascending k.
+    """
+    back = a if action.scheme.kind == "z-symmetric-box" else 0
+    size = 2 * a + 1 if back else a
+    s = action.matrices[axis]
     cur = v
-    for _ in range(a):
-        cur = sinv @ cur
+    for _ in range(back):
+        cur = action.inverses[axis] @ cur
     acc = cur.copy()
-    for _ in range(2 * a):
+    for _ in range(size - 1):
         cur = s @ cur
         acc += cur
-    return acc / (2 * a + 1)
+    return acc / size
 
 
 def _power_sum(s, n):

@@ -177,28 +177,25 @@ def _composable(att_a, att_b, drop=()):
 # the weighted-trace pairing and duality
 # ---------------------------------------------------------------------------
 
-_PAIRING_CACHE = {}
+_TRANSPOSE_PERMS = {}
 
 
-def _pairing_data(algebra):
-    """Transpose permutation and weight vector of the bilinear trace pairing.
+def _transpose_perm(blocks):
+    """The per-block matrix transpose as a permutation of vec coordinates.
 
     In vec coordinates the pairing is tau(x y) = vec(x)^T G vec(y) with
-    G[u, v] = w(u) [v = perm(u)], perm the per-block matrix transpose.
+    G[u, v] = w(u) [v = perm(u)], w the algebra's ``weight_vec``.
     """
-    key = (algebra.blocks, algebra.weights)
-    if key not in _PAIRING_CACHE:
-        perm = np.empty(algebra.dim, dtype=int)
-        wvec = np.empty(algebra.dim, dtype=float)
+    if blocks not in _TRANSPOSE_PERMS:
+        perm = np.empty(sum(n * n for n in blocks), dtype=int)
         off = 0
-        for n, w in zip(algebra.blocks, algebra.weights):
+        for n in blocks:
             for q in range(n):
                 for p in range(n):
                     perm[off + q * n + p] = off + p * n + q
-            wvec[off : off + n * n] = w
             off += n * n
-        _PAIRING_CACHE[key] = (perm, wvec)
-    return _PAIRING_CACHE[key]
+        _TRANSPOSE_PERMS[blocks] = perm
+    return _TRANSPOSE_PERMS[blocks]
 
 
 def pairing(x, y):
@@ -213,7 +210,7 @@ def dual(s):
     permutation; for block-mixing maps (classical kernels on non-uniform
     weights) the weight ratio enters entrywise.
     """
-    perm, w = _pairing_data(s.algebra)
+    perm, w = _transpose_perm(s.algebra.blocks), s.algebra.weight_vec
     t = s.matrix[np.ix_(perm, perm)].T
     mat = t * (w[np.newaxis, :] / w[:, np.newaxis])
     att = {}

@@ -51,6 +51,8 @@ __all__ = [
     "invariant_state",
     "neveu_decompose",
     "weakly_wandering_certificate",
+    "tail_decay_verdict",
+    "reference_density",
     "inf_profile",
     "wandering_sum",
 ]
@@ -71,14 +73,14 @@ class MeanErgodicValidationError(ArithmeticError):
 
 
 def _stacked_generator_matrices(action):
+    mats = action.matrices
     if action.scheme.kind == "r-plus-cube":
-        return list(action.flow_generators)
-    eye = np.eye(action.algebra.dim)
+        return list(mats)
     if action.scheme.kind == "finite-group":
-        return [s.matrix - eye for s in action.generators[1:]] or [
-            action.generators[0].matrix - eye
-        ]
-    return [s.matrix - eye for s in action.generators]
+        # element 0 is the identity; a trivial group keeps it
+        mats = mats[1:] or mats
+    eye = np.eye(action.algebra.dim)
+    return [m - eye for m in mats]
 
 
 def fixed_space(action, tol=FIXED_SVD_TOL):
@@ -96,22 +98,13 @@ def fixed_space(action, tol=FIXED_SVD_TOL):
     null = vh[rank:].conj().T
     if null.shape[1] == 0:
         return []
-    w = _weight_vector(action.algebra)
+    w = action.algebra.weight_vec
     gram = null.conj().T @ (w[:, None] * null)
     chol = np.linalg.cholesky(gram)
     ortho = scipy.linalg.solve_triangular(
         chol.conj().T, null.conj().T, lower=False
     ).conj().T
     return [action.algebra.from_vec(ortho[:, k]) for k in range(ortho.shape[1])]
-
-
-def _weight_vector(algebra):
-    w = np.empty(algebra.dim)
-    off = 0
-    for n, wt in zip(algebra.blocks, algebra.weights):
-        w[off : off + n * n] = wt
-        off += n * n
-    return w
 
 
 def _cluster_projector(mat, center, tol):
@@ -127,15 +120,15 @@ def _cluster_projector(mat, center, tol):
     )
     k = int(sdim)
     if k == 0:
-        return np.zeros((dim, dim), dtype=complex), 0
+        return np.zeros((dim, dim), dtype=complex)
     if k == dim:
-        return np.eye(dim, dtype=complex), dim
+        return np.eye(dim, dtype=complex)
     t11, t12, t22 = t[:k, :k], t[:k, k:], t[k:, k:]
     y = scipy.linalg.solve_sylvester(t11, -t22, t12)
     inner = np.zeros((dim, dim), dtype=complex)
     inner[:k, :k] = np.eye(k)
     inner[:k, k:] = y
-    return q @ inner @ q.conj().T, k
+    return q @ inner @ q.conj().T
 
 
 @dataclass(frozen=True)
@@ -174,44 +167,27 @@ def mean_ergodic_projection(action, tol_fixed=1e-9):
     continuous = action.scheme.kind == "r-plus-cube"
     if action.scheme.kind == "finite-group":
         e = average_super(action, 1).matrix
-        ranks = [int(round(np.trace(e).real))]
     else:
         e = np.eye(dim, dtype=complex)
-        ranks = []
-        mats = (
-            action.flow_generators
-            if continuous
-            else [s.matrix for s in action.generators]
-        )
         center = 0.0 if continuous else 1.0
-        for m in mats:
-            p, k = _cluster_projector(m, center, tol_fixed)
-            ranks.append(k)
-            e = p @ e
+        for m in action.matrices:
+            e = _cluster_projector(m, center, tol_fixed) @ e
 
     residuals = {"idempotency": float(np.linalg.norm(e @ e - e, 2))}
     inv = 0.0
-    if continuous:
-        for L in action.flow_generators:
-            scale = max(1.0, np.linalg.norm(L, 2))
+    for m in action.matrices:
+        if continuous:
+            scale = max(1.0, np.linalg.norm(m, 2))
             inv = max(
                 inv,
-                np.linalg.norm(L @ e, 2) / scale,
-                np.linalg.norm(e @ L, 2) / scale,
+                np.linalg.norm(m @ e, 2) / scale,
+                np.linalg.norm(e @ m, 2) / scale,
             )
-    elif action.scheme.kind == "finite-group":
-        for s in action.generators:
+        else:
             inv = max(
                 inv,
-                np.linalg.norm(s.matrix @ e - e, 2),
-                np.linalg.norm(e @ s.matrix - e, 2),
-            )
-    else:
-        for s in action.generators:
-            inv = max(
-                inv,
-                np.linalg.norm(s.matrix @ e - e, 2),
-                np.linalg.norm(e @ s.matrix - e, 2),
+                np.linalg.norm(m @ e - e, 2),
+                np.linalg.norm(e @ m - e, 2),
             )
     residuals["invariance"] = float(inv)
     bad = {k: v for k, v in residuals.items() if v > PROJECTION_RESIDUAL_TOL}
@@ -240,6 +216,12 @@ def mean_ergodic_projection(action, tol_fixed=1e-9):
     return memo[tol_fixed]
 
 
+def reference_density(algebra):
+    """The normalised identity 1 / tau(1), the default faithful density."""
+    one = algebra.identity()
+    return one * (1.0 / trace(one).real)
+
+
 def invariant_state(action, phi0=None, projection=None):
     """Invariant density E_*(phi0)/tau(E_*(phi0)), or None when none exists.
 
@@ -251,7 +233,7 @@ def invariant_state(action, phi0=None, projection=None):
     schr = action.to_picture("schrodinger")
     algebra = schr.algebra
     if phi0 is None:
-        phi0 = algebra.identity() * (1.0 / trace(algebra.identity()).real)
+        phi0 = reference_density(algebra)
     if not phi0.is_positive():
         raise ValueError("phi0 must be positive")
     min_eig = min(np.linalg.eigvalsh(m).min() for m in phi0.block_mats)
@@ -275,7 +257,7 @@ def invariant_state(action, phi0=None, projection=None):
 def _invariance_defect(schr, y):
     dev = 0.0
     if schr.scheme.kind == "r-plus-cube":
-        for L in schr.flow_generators:
+        for L in schr.matrices:
             scale = max(1.0, np.linalg.norm(L, 2))
             dev = max(dev, trace_norm(schr.algebra.from_vec(L @ y.vec())) / scale)
         return dev
@@ -299,24 +281,16 @@ class WanderingCertificate:
         return self.verdict == "pass"
 
 
-def weakly_wandering_certificate(
-    action, x, schedule=None, decay_tol=1e-6, window=SLOPE_WINDOW
-):
-    """Certify decay of the operator-norm averages of x along the schedule.
+def tail_decay_verdict(points, decay_tol, window=SLOPE_WINDOW):
+    """Decay verdict of a schedule of ``(a, norm)`` points.
 
     Pass iff the final norm is at or below decay_tol, or the log-log slope
-    fitted over the last ``window`` schedule points is at most -0.9 with the
-    norms non-increasing there.  The slope is fitted on the tail window, not
-    the full range, because early preasymptotic points flatten the fit.
+    fitted over the positive points of the last ``window`` points is at most
+    SLOPE_THRESHOLD with the norms non-increasing there (up to 1e-12).  The
+    slope is fitted on the tail window, not the full range, because early
+    preasymptotic points flatten the fit.  Returns ``(slope, nonincreasing,
+    verdict)``; the slope is None with fewer than two positive tail points.
     """
-    heis = action.to_picture("heisenberg")
-    schedule = list(schedule if schedule is not None else DEFAULT_SCHEDULE)
-    if not schedule or any(a < 1 for a in schedule):
-        raise ValueError("schedule must be nonempty with entries >= 1")
-    if op_norm(x) == 0.0:
-        return WanderingCertificate([], 0.0, None, "pass", {"note": "zero element"})
-    points = [(a, float(op_norm(average(heis, x, a)))) for a in schedule]
-    final = points[-1][1]
     tail = points[-window:]
     slope = None
     positive = [(a, n) for a, n in tail if n > 0.0]
@@ -327,14 +301,32 @@ def weakly_wandering_certificate(
     nonincreasing = all(
         tail[i + 1][1] <= tail[i][1] + 1e-12 for i in range(len(tail) - 1)
     )
-    if final <= decay_tol:
+    if points[-1][1] <= decay_tol:
         verdict = "pass"
     elif slope is not None and slope <= SLOPE_THRESHOLD and nonincreasing:
         verdict = "pass"
     else:
         verdict = "fail"
+    return slope, nonincreasing, verdict
+
+
+def weakly_wandering_certificate(
+    action, x, schedule=None, decay_tol=1e-6, window=SLOPE_WINDOW
+):
+    """Certify decay of the operator-norm averages of x along the schedule.
+
+    The verdict is :func:`tail_decay_verdict` of the points ``(a, ||A_a(x)||)``.
+    """
+    heis = action.to_picture("heisenberg")
+    schedule = list(schedule if schedule is not None else DEFAULT_SCHEDULE)
+    if not schedule or any(a < 1 for a in schedule):
+        raise ValueError("schedule must be nonempty with entries >= 1")
+    if op_norm(x) == 0.0:
+        return WanderingCertificate([], 0.0, None, "pass", {"note": "zero element"})
+    points = [(a, float(op_norm(average(heis, x, a)))) for a in schedule]
+    slope, nonincreasing, verdict = tail_decay_verdict(points, decay_tol, window)
     detail = {"nonincreasing_tail": nonincreasing, "window": window}
-    return WanderingCertificate(points, final, slope, verdict, detail)
+    return WanderingCertificate(points, points[-1][1], slope, verdict, detail)
 
 
 @dataclass

@@ -6,9 +6,11 @@ is enforced on load.  Running a scenario produces a :class:`Report` whose
 payload is plain JSON: matrices appear as nested lists with complex scalars
 encoded ``[re, im]``.  Reports are deterministic for a fixed scenario and
 seed up to the wall-clock field, which :meth:`Report.canonical_bytes`
-excludes; emitted files are written atomically (temp file then rename).
+excludes.  :func:`render` turns a report into the text of one format, and
+:func:`emit` writes that text to a file atomically (temp file then rename);
+the command line prints the same text when no output file is given.
 
-Formats understood by :func:`emit`:
+Formats understood by :func:`render` and :func:`emit`:
 
 * ``report-json``   the full report
 * ``decay-csv``     the decay schedule of the decomposition task
@@ -30,7 +32,7 @@ import jsonschema
 import numpy as np
 
 from . import neveu
-from .algebra import TracialAlgebra, op_norm, trace
+from .algebra import TracialAlgebra, op_norm
 from .convergence import bau_certify, measure_certify, stochastic_run
 from .dynamics import FolnerScheme, SemigroupAction, average
 from .maps import (
@@ -49,6 +51,7 @@ __all__ = [
     "load_scenario",
     "scenario_from_dict",
     "run",
+    "render",
     "emit",
     "load_report",
     "gallery",
@@ -56,7 +59,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = "1.0"
-DEFAULT_SCHEDULE = [1, 2, 4, 8, 16, 32, 64]
 DEFAULT_TOLERANCES = {
     "eps": 0.25,
     "delta": 0.1,
@@ -274,7 +276,7 @@ def scenario_from_dict(doc, origin="<dict>"):
         raise ScenarioError(f"{origin}: action: {exc}") from exc
 
     tolerances = {**DEFAULT_TOLERANCES, **doc.get("tolerances", {})}
-    schedule = list(doc.get("schedule", DEFAULT_SCHEDULE))
+    schedule = list(doc.get("schedule", neveu.DEFAULT_SCHEDULE))
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ScenarioError(f"{origin}: schedule must be strictly ascending")
     return Scenario(
@@ -348,12 +350,7 @@ def load_report(path):
 
 def _spectrum_payload(action):
     out = []
-    mats = (
-        action.flow_generators
-        if action.scheme.kind == "r-plus-cube"
-        else [s.matrix for s in action.generators]
-    )
-    for m in mats:
+    for m in action.matrices:
         lam = np.linalg.eigvals(m)
         lam = sorted(lam, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
         out.append([_encode_complex(z) for z in lam])
@@ -427,14 +424,9 @@ def _run_mean(scenario, tolerances, results, verdicts):
     return proj
 
 
-def _reference_density(algebra):
-    one = algebra.identity()
-    return one * (1.0 / trace(one).real)
-
-
 def _run_certify(scenario, tolerances, schedule, results, verdicts):
     schr = scenario.action.to_picture("schrodinger")
-    phi0 = _reference_density(scenario.algebra)
+    phi0 = neveu.reference_density(scenario.algebra)
     proj = neveu.mean_ergodic_projection(schr, tol_fixed=tolerances["tol_fixed"])
     target = proj(phi0)
     target = (target + target.H) * 0.5
@@ -464,7 +456,7 @@ def _run_certify(scenario, tolerances, schedule, results, verdicts):
 
 def _run_stochastic(scenario, seed, tolerances, schedule, results, verdicts, dec):
     schr = scenario.action.to_picture("schrodinger")
-    phi0 = _reference_density(scenario.algebra)
+    phi0 = neveu.reference_density(scenario.algebra)
     rep = stochastic_run(
         schr,
         phi0,
@@ -612,10 +604,10 @@ def _atomic_write(path, text):
         raise
 
 
-def emit(report, fmt, out_path):
-    """Write the report in the requested format, atomically.
+def render(report, fmt):
+    """The report as text in the requested format.
 
-    CSV numbers carry 17 significant digits; all files use LF endings.
+    CSV numbers carry 17 significant digits; lines end in LF.
     """
     if fmt == "report-json":
         text = json.dumps(report.data, sort_keys=True, indent=2) + "\n"
@@ -640,7 +632,12 @@ def emit(report, fmt, out_path):
         text = "\n".join(lines) + "\n"
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    _atomic_write(out_path, text)
+    return text
+
+
+def emit(report, fmt, out_path):
+    """Write :func:`render` of the report to ``out_path``, atomically."""
+    _atomic_write(out_path, render(report, fmt))
     return out_path
 
 

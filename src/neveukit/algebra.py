@@ -23,6 +23,7 @@ All functions are pure and operators are treated as immutable.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -64,7 +65,7 @@ class TracialAlgebra:
     """A direct sum of full matrix blocks with a weighted trace.
 
     :param blocks: block sizes ``n_i >= 1``.
-    :param weights: strictly positive trace weights ``w_i``; defaults to the
+    :param weights: finite, strictly positive trace weights ``w_i``; defaults to the
         uniform normalised choice ``w_i = 1 / sum_j n_j``.
     :param normalized: if given, assert that ``sum_i w_i n_i == 1`` matches.
     """
@@ -81,8 +82,8 @@ class TracialAlgebra:
             weights = tuple(float(w) for w in weights)
         if len(weights) != len(blocks):
             raise ValueError("one weight per block required")
-        if any(w <= 0 for w in weights):
-            raise ValueError(f"trace weights must be > 0, got {weights}")
+        if not all(math.isfinite(w) and w > 0 for w in weights):
+            raise ValueError(f"trace weights must be finite and > 0, got {weights}")
         mass = sum(w * n for w, n in zip(weights, blocks))
         is_normalized = abs(mass - 1.0) <= 1e-12
         if normalized is True and not is_normalized:

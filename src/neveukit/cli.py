@@ -10,8 +10,10 @@ shipped scenarios.  Exit codes: 0 all verdicts pass, 1 some verdict failed,
 from __future__ import annotations
 
 import argparse
+import math
 import shutil
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 from .scenarios import (
@@ -90,18 +92,29 @@ def _schedule_from_nmax(n_max):
 
 def _tol_overrides(args):
     tol = {}
-    if getattr(args, "tol_fixed", None) is not None:
-        tol["tol_fixed"] = args.tol_fixed
-    if getattr(args, "decay_tol", None) is not None:
-        tol["decay_tol"] = args.decay_tol
+    for key in ("tol_fixed", "decay_tol"):
+        value = getattr(args, key, None)
+        if value is None:
+            continue
+        if not math.isfinite(value):
+            flag = "--" + key.replace("_", "-")
+            raise ScenarioError(f"{flag} must be finite, got {value!r}")
+        tol[key] = value
     return tol
 
 
-def _emit(report, fmt, path):
+@contextmanager
+def _writing(path):
+    """Turn an OSError while writing ``path`` into a located usage error."""
     try:
-        emit(report, fmt, path)
+        yield
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _emit(report, fmt, path):
+    with _writing(path):
+        emit(report, fmt, path)
 
 
 def _emit_or_print(report, args):
@@ -128,7 +141,8 @@ def _run_gallery_command(args):
     import os
 
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
+        with _writing(args.out):
+            os.makedirs(args.out, exist_ok=True)
     scenarios = gallery()
     worst = 0
     for sc in scenarios:
@@ -139,7 +153,7 @@ def _run_gallery_command(args):
         if args.out and not args.run:
             src = importlib.resources.files("neveukit") / "data" / f"{sc.name}.scn"
             dst = os.path.join(args.out, f"{sc.name}.scn")
-            with importlib.resources.as_file(src) as fh:
+            with importlib.resources.as_file(src) as fh, _writing(dst):
                 shutil.copyfile(fh, dst)
             line += f" -> {dst}"
         if args.run:

@@ -58,6 +58,9 @@ def test_nonpositive_weight_rejected():
         TracialAlgebra([2], [0.0])
     with pytest.raises(ValueError):
         TracialAlgebra([2], [-1.0])
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            TracialAlgebra([2, 1], [0.25, bad])
 
 
 def test_block_shape_mismatch_rejected():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neveukit.algebra import Operator, TracialAlgebra, op_norm, trace
 from neveukit.maps import (
@@ -333,3 +335,34 @@ def test_composition_operator():
     rng = np.random.default_rng(5)
     x = random_op(M2, rng)
     assert op_norm(t(x) - s(s(x))) <= 1e-12
+
+
+def _random_operator(algebra, rng):
+    d = algebra.dim
+    return algebra.from_vec(rng.standard_normal(d) + 1j * rng.standard_normal(d))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    blocks=st.lists(
+        st.tuples(st.integers(1, 3), st.floats(0.05, 2.0)), min_size=2, max_size=4
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dual_pairing_and_involution_on_weighted_blocks(blocks, seed):
+    """tau(dual(S)(x) y) = tau(x S(y)) and dual(dual(S)) = S for a random
+    block-mixing S on a multi-block algebra with non-uniform weights."""
+    algebra = TracialAlgebra([n for n, _ in blocks], [w for _, w in blocks])
+    rng = np.random.default_rng(seed)
+    d = algebra.dim
+    s = SuperOperator(algebra, rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    x, y = _random_operator(algebra, rng), _random_operator(algebra, rng)
+    lhs = trace(dual(s)(x) @ y)
+    rhs = trace(x @ s(y))
+    # every term of either side is bounded by max(w) / min(w) times the norms
+    w = np.array(algebra.weights)
+    scale = (w.max() / w.min()) * w.max() * np.linalg.norm(s.matrix) * np.linalg.norm(
+        x.vec()
+    ) * np.linalg.norm(y.vec())
+    assert abs(lhs - rhs) <= 1e-12 * scale
+    np.testing.assert_allclose(dual(dual(s)).matrix, s.matrix, rtol=1e-13, atol=0)

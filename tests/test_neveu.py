@@ -19,6 +19,8 @@ from neveukit.neveu import (
     mean_ergodic_projection,
     neveu_decompose,
     wandering_sum,
+    SLOPE_THRESHOLD,
+    tail_decay_verdict,
     weakly_wandering_certificate,
 )
 
@@ -374,3 +376,32 @@ def test_wandering_sum_validation():
         wandering_sum([p11], weights=[0.5, 0.5])
     with pytest.raises(ValueError):
         wandering_sum([E11])
+
+
+SCHEDULE = (1, 2, 4, 8, 16, 32, 64)
+
+
+@pytest.mark.parametrize(
+    "points, slope_steep, nonincreasing, verdict",
+    [
+        # the final norm at decay_tol passes although the tail rises
+        ([(1, 1.0), (2, 2.0), (4, 1e-6)], True, False, "pass"),
+        # fewer than two positive points: no slope to certify
+        ([(1, 0.5)], None, True, "fail"),
+        ([(1, 0.0), (2, 0.0), (4, 0.0), (8, 0.0), (16, 0.5)], None, False, "fail"),
+        # a slope above -0.9 on a non-increasing tail
+        ([(a, a**-0.5) for a in SCHEDULE], False, True, "fail"),
+        # a steep fit on a tail that rises at its last point
+        ([(1, 1.0), (2, 0.5), (4, 0.25), (8, 0.125), (16, 0.0625), (32, 0.02), (64, 0.021)],
+         True, False, "fail"),
+        # the C/a rate passes
+        ([(a, 1.0 / a) for a in SCHEDULE], True, True, "pass"),
+    ],
+)
+def test_tail_decay_verdict_edge_cases(points, slope_steep, nonincreasing, verdict):
+    slope, mono, got = tail_decay_verdict(points, decay_tol=1e-6)
+    assert (got, mono) == (verdict, nonincreasing)
+    if slope_steep is None:
+        assert slope is None
+    else:
+        assert (slope <= SLOPE_THRESHOLD) == slope_steep

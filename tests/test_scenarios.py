@@ -117,6 +117,17 @@ def test_nonfinite_entries_rejected_with_json_path(bad):
     doc["action"]["generators"][0]["payload"]["operators"][1][0][1][0] = [0.0, bad]
     with pytest.raises(ScenarioError, match=r"operators\[1\]\.block0\[1\]\[0\]: .*finite"):
         scenario_from_dict(doc)
+    # tolerances and trace weights: the schema rejects -inf, NaN and +inf
+    # are caught after it (a weight even when "normalized" is not declared)
+    for key in ("eps", "decay_tol"):
+        doc = base_doc()
+        doc["tolerances"] = {key: bad}
+        with pytest.raises(ScenarioError, match=rf"tolerances[./]{key}"):
+            scenario_from_dict(doc)
+    doc = base_doc()
+    doc["algebra"] = {"blocks": [2], "weights": [bad]}
+    with pytest.raises(ScenarioError, match="algebra.*(finite|minimum)"):
+        scenario_from_dict(doc)
 
 
 def test_unnormalized_weights_rejected():
@@ -449,6 +460,27 @@ def test_cli_out_into_missing_directory_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"cannot write {out}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--tol-fixed", "--decay-tol"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_nonfinite_tolerance_exits_two(tmp_path, capsys, flag, value):
+    path = write_doc(tmp_path, base_doc())
+    code = main(["decompose", "--scenario", path, flag, value])
+    assert code == 2
+    assert f"{flag} must be finite" in capsys.readouterr().err
+
+
+def test_cli_gallery_out_onto_a_file_exits_two(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    for extra in ([], ["--run"]):
+        code = main(["gallery", "--out", str(out), *extra])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {out}" in err
+        assert "Traceback" not in err
+    assert out.read_text() == "not a directory\n"
 
 
 def test_cli_n_max_too_short_to_certify_fails_honestly(tmp_path, capsys):

@@ -112,14 +112,10 @@ def _writing(path):
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _emit(report, fmt, path):
-    with _writing(path):
-        emit(report, fmt, path)
-
-
 def _emit_or_print(report, args):
     if args.out:
-        _emit(report, args.format, args.out)
+        with _writing(args.out):
+            emit(report, args.format, args.out)
     else:
         sys.stdout.write(render(report, args.format))
 
@@ -169,7 +165,8 @@ def _run_gallery_command(args):
                     "spectrum-csv": ".spectrum.csv",
                 }[args.format]
                 out = os.path.join(args.out, f"{sc.name}{suffix}")
-                _emit(report, args.format, out)
+                with _writing(out):
+                    emit(report, args.format, out)
                 line += f" -> {out}"
         print(line)
     return worst

@@ -279,7 +279,9 @@ def scenario_from_dict(doc, origin="<dict>"):
     for key, value in tolerances.items():
         # the schema's exclusiveMinimum lets NaN and Infinity through
         if not cmath.isfinite(value):
-            raise ScenarioError(f"{origin}: tolerances.{key}: must be finite, got {value!r}")
+            raise ScenarioError(
+                f"{origin}: tolerances.{key}: must be finite, got {value!r}"
+            )
     schedule = list(doc.get("schedule", neveu.DEFAULT_SCHEDULE))
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ScenarioError(f"{origin}: schedule must be strictly ascending")

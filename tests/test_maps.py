@@ -337,11 +337,6 @@ def test_composition_operator():
     assert op_norm(t(x) - s(s(x))) <= 1e-12
 
 
-def _random_operator(algebra, rng):
-    d = algebra.dim
-    return algebra.from_vec(rng.standard_normal(d) + 1j * rng.standard_normal(d))
-
-
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     blocks=st.lists(
@@ -355,14 +350,14 @@ def test_dual_pairing_and_involution_on_weighted_blocks(blocks, seed):
     algebra = TracialAlgebra([n for n, _ in blocks], [w for _, w in blocks])
     rng = np.random.default_rng(seed)
     d = algebra.dim
-    s = SuperOperator(algebra, rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-    x, y = _random_operator(algebra, rng), _random_operator(algebra, rng)
+    mat = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    s = SuperOperator(algebra, mat)
+    x, y = random_op(algebra, rng), random_op(algebra, rng)
     lhs = trace(dual(s)(x) @ y)
     rhs = trace(x @ s(y))
-    # every term of either side is bounded by max(w) / min(w) times the norms
+    # each side is a sum of terms w_u w_v / w_u' S[.,.] x_. y_., bounded by
+    # max(w)^2 / min(w) times the Frobenius norms
     w = np.array(algebra.weights)
-    scale = (w.max() / w.min()) * w.max() * np.linalg.norm(s.matrix) * np.linalg.norm(
-        x.vec()
-    ) * np.linalg.norm(y.vec())
-    assert abs(lhs - rhs) <= 1e-12 * scale
+    norms = np.linalg.norm(mat) * np.linalg.norm(x.vec()) * np.linalg.norm(y.vec())
+    assert abs(lhs - rhs) <= 1e-12 * (w.max() ** 2 / w.min()) * norms
     np.testing.assert_allclose(dual(dual(s)).matrix, s.matrix, rtol=1e-13, atol=0)

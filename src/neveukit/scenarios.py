@@ -27,6 +27,8 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import jsonschema
 import numpy as np
@@ -215,6 +217,17 @@ def _build_generator(algebra, picture, idx, spec):
         raise ScenarioError(f"{where}: {exc}") from exc
 
 
+def _finite_tolerances(tolerances, origin):
+    """The tolerances, after checking that every value is finite."""
+    for key, value in tolerances.items():
+        # the schema's exclusiveMinimum lets NaN and Infinity through
+        if not cmath.isfinite(value):
+            raise ScenarioError(
+                f"{origin}: tolerances.{key}: must be finite, got {value!r}"
+            )
+    return tolerances
+
+
 def scenario_from_dict(doc, origin="<dict>"):
     """Validate a scenario document and build its objects."""
     validator = jsonschema.Draft202012Validator(_schema())
@@ -275,13 +288,9 @@ def scenario_from_dict(doc, origin="<dict>"):
     except ValueError as exc:
         raise ScenarioError(f"{origin}: action: {exc}") from exc
 
-    tolerances = {**DEFAULT_TOLERANCES, **doc.get("tolerances", {})}
-    for key, value in tolerances.items():
-        # the schema's exclusiveMinimum lets NaN and Infinity through
-        if not cmath.isfinite(value):
-            raise ScenarioError(
-                f"{origin}: tolerances.{key}: must be finite, got {value!r}"
-            )
+    tolerances = _finite_tolerances(
+        {**DEFAULT_TOLERANCES, **doc.get("tolerances", {})}, origin
+    )
     schedule = list(doc.get("schedule", neveu.DEFAULT_SCHEDULE))
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ScenarioError(f"{origin}: schedule must be strictly ascending")
@@ -524,11 +533,14 @@ def run(scenario, seed=None, tolerances=None, schedule=None):
 
     A failing task (including precondition violations such as
     non-commuting generators) is recorded with its error and a "fail"
-    verdict; remaining tasks still run.
+    verdict; remaining tasks still run.  A non-finite tolerance override
+    raises :class:`ScenarioError` before any task runs.
     """
     t0 = time.perf_counter()
     eff_seed = scenario.seed if seed is None else int(seed)
-    eff_tol = {**scenario.tolerances, **(tolerances or {})}
+    eff_tol = _finite_tolerances(
+        {**scenario.tolerances, **(tolerances or {})}, scenario.name
+    )
     eff_schedule = list(schedule) if schedule is not None else list(scenario.schedule)
 
     results = {}
@@ -597,6 +609,60 @@ def _fmt(x):
     return f"{float(x):.17g}"
 
 
+def _write_json(o, ind, parts):
+    """Append ``json.dumps(o, sort_keys=True, indent=2)`` to ``parts``.
+
+    ``ind`` is the line break and indentation of the line ``o`` starts on.
+    The stdlib encoder runs in pure Python whenever ``indent`` is set.  Here
+    a list of ``[float, float]`` pairs, the row of an encoded matrix, is
+    checked and formatted by C-level calls: one ``%`` template over
+    ``float.__repr__``.  Strings go through the C string encoder and every
+    other scalar through ``json.dumps``.
+    """
+    if isinstance(o, str):
+        parts.append(encode_basestring_ascii(o))
+    elif isinstance(o, dict):
+        if not o:
+            parts.append("{}")
+            return
+        inner, sep = ind + "  ", "{"
+        for k, v in sorted(o.items()):
+            if not isinstance(k, str):
+                if not (k is None or isinstance(k, (int, float))):
+                    raise TypeError(
+                        f"keys must be str, int, float, bool or None, "
+                        f"not {type(k).__name__}"
+                    )
+                k = json.dumps(k)
+            parts.append(f"{sep}{inner}{encode_basestring_ascii(k)}: ")
+            _write_json(v, inner, parts)
+            sep = ","
+        parts.append(ind + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            parts.append("[]")
+            return
+        inner = ind + "  "
+        if set(map(type, o)) == {list} and set(map(len, o)) == {2}:
+            flat = list(chain.from_iterable(o))
+            if set(map(type, flat)) == {float}:
+                pair = f"[{inner}  %s,{inner}  %s{inner}]"
+                template = f"[{inner}{f',{inner}'.join([pair] * len(o))}{ind}]"
+                text = template % tuple(map(float.__repr__, flat))
+                if "n" in text:  # nan or inf: redo with the JSON spellings
+                    text = template % tuple(map(json.dumps, flat))
+                parts.append(text)
+                return
+        sep = "["
+        for v in o:
+            parts.append(sep + inner)
+            _write_json(v, inner, parts)
+            sep = ","
+        parts.append(ind + "]")
+    else:
+        parts.append(json.dumps(o))
+
+
 def _atomic_write(path, text):
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
@@ -613,10 +679,15 @@ def _atomic_write(path, text):
 def render(report, fmt):
     """The report as text in the requested format.
 
-    CSV numbers carry 17 significant digits; lines end in LF.
+    The report-json bytes equal ``json.dumps(report.data, sort_keys=True,
+    indent=2)`` plus a final newline.  CSV numbers carry 17 significant
+    digits; lines end in LF.
     """
     if fmt == "report-json":
-        text = json.dumps(report.data, sort_keys=True, indent=2) + "\n"
+        parts = []
+        _write_json(report.data, "\n", parts)
+        parts.append("\n")
+        text = "".join(parts)
     elif fmt == "decay-csv":
         dec = report.data.get("results", {}).get("decompose")
         if dec is None or "decay" not in dec:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from neveukit import neveu
 from neveukit.algebra import (
     Projection,
     TracialAlgebra,
@@ -134,6 +137,73 @@ def test_mean_projection_requires_commuting_generators():
     action = zplus_action(amplitude_damping(M2, 0.5), swap)
     with pytest.raises(PreconditionError):
         mean_ergodic_projection(action)
+
+
+def random_block_channel(algebra, rng):
+    """x -> (1/4) sum_j U_j* x U_j over four random signed permutation
+    unitaries with entries in {1, -1, i, -i}, so sum K*K = 1 exactly."""
+    ops = []
+    for _ in range(4):
+        blocks = []
+        for n in algebra.blocks:
+            phases = rng.choice(np.array([1.0, -1.0, 1j, -1j]), size=n)
+            blocks.append(0.5 * np.eye(n)[rng.permutation(n)] * phases)
+        ops.append(blocks)
+    return from_kraus(algebra, ops)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    blocks=st.lists(
+        st.tuples(st.integers(1, 3), st.floats(0.05, 2.0)), min_size=2, max_size=3
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["heisenberg", "schrodinger", "two-generators", "flow"]),
+)
+def test_mean_projection_residuals_bound_spectral_norms(blocks, seed, kind):
+    """The reported residuals are at least the spectral norms of the same
+    matrices, on multi-block algebras with non-uniform weights."""
+    algebra = TracialAlgebra([n for n, _ in blocks], [w for _, w in blocks])
+    s = random_block_channel(algebra, np.random.default_rng(seed))
+    if kind == "flow":
+        flow = FolnerScheme("r-plus-cube", d=1)
+        action = SemigroupAction(
+            algebra, "heisenberg", flow, [s.matrix - np.eye(algebra.dim)]
+        )
+    elif kind == "two-generators":
+        action = zplus_action(s, s @ s)
+    else:
+        action = zplus_action(s).to_picture(kind)
+    proj = mean_ergodic_projection(action)
+    e = proj.superop.matrix
+    idempotency = np.linalg.norm(e @ e - e, 2)
+    invariance = 0.0
+    for m in action.matrices:
+        if kind == "flow":
+            scale = max(1.0, np.linalg.norm(m, 2))
+            pair = (np.linalg.norm(m @ e, 2) / scale, np.linalg.norm(e @ m, 2) / scale)
+        else:
+            pair = (np.linalg.norm(m @ e - e, 2), np.linalg.norm(e @ m - e, 2))
+        invariance = max(invariance, *pair)
+    # the factor covers rounding in the two norm computations, where the
+    # residual matrix has rank one and both norms are equal
+    slack = 1.0 - 1e-13
+    assert proj.residuals["idempotency"] >= idempotency * slack
+    assert proj.residuals["invariance"] >= invariance * slack
+
+
+def test_mean_projection_validation_catches_1e8_perturbation(monkeypatch):
+    exact = neveu._cluster_projector
+    noise = np.random.default_rng(11).standard_normal((4, 4))
+    noise *= 1e-8 / np.linalg.norm(noise, 2)
+
+    def perturbed(mat, center, tol):
+        return exact(mat, center, tol) + noise
+
+    monkeypatch.setattr(neveu, "_cluster_projector", perturbed)
+    # a fresh action: the projection of AD may already be memoised
+    with pytest.raises(MeanErgodicValidationError, match="residuals"):
+        mean_ergodic_projection(zplus_action(amplitude_damping(M2, 0.5)))
 
 
 def test_mean_projection_finite_group():

@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neveukit.cli import main
 from neveukit.scenarios import (
@@ -15,6 +17,7 @@ from neveukit.scenarios import (
     gallery_names,
     load_report,
     load_scenario,
+    render,
     run,
     scenario_from_dict,
 )
@@ -208,6 +211,22 @@ def test_decompose_mean_certify_share_one_schrodinger_projection(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"decay_tol": float("nan"), "eps": float("nan")}, "eps"),
+        ({"tol_fixed": float("inf")}, "tol_fixed"),
+        ({"delta": float("-inf")}, "delta"),
+    ],
+)
+def test_run_rejects_nonfinite_tolerance_overrides(overrides, key):
+    sc = next(s for s in gallery() if s.name == "amplitude-damping")
+    with pytest.raises(
+        ScenarioError, match=f"amplitude-damping: tolerances.{key}: must be finite"
+    ):
+        run(sc, tolerances=overrides)
+
+
 def test_run_is_deterministic_modulo_wall_clock():
     sc = scenario_from_dict(base_doc())
     r1 = run(sc)
@@ -328,6 +347,43 @@ def test_emit_leaves_no_temp_files(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json"]
 
 
+_EDGE_FLOATS = st.sampled_from(
+    [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e300, 0.1]
+)
+_FLOATS = st.floats() | _EDGE_FLOATS
+_TEXT = st.text() | st.sampled_from(
+    ['say "hi"', "back\\slash", "\x00\x1f\n\t", "é \U0001f600"]
+)
+_SCALARS = st.none() | st.booleans() | st.integers() | _FLOATS | _TEXT
+_PAIR = st.tuples(_FLOATS, _FLOATS).map(list)
+_LEAVES = (
+    _SCALARS
+    # an encoded matrix row: [float, float] pairs
+    | st.lists(_PAIR, max_size=4)
+    # mixed rows: pairs among shorter or longer lists and scalars
+    | st.lists(
+        _PAIR | st.lists(_FLOATS | st.integers(), max_size=3) | _SCALARS, max_size=4
+    )
+    # pairs holding an int
+    | st.lists(st.tuples(st.integers(), _FLOATS).map(list), min_size=1, max_size=3)
+)
+_DOCS = st.recursive(
+    _LEAVES,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=3).map(tuple)
+    | st.dictionaries(_TEXT, kids, max_size=4)
+    | st.dictionaries(st.integers(), kids, max_size=3),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(doc=_DOCS)
+def test_report_json_equals_stdlib_indented_dump(doc):
+    expected = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert render(Report(doc), "report-json") == expected
+
+
 def test_emit_unknown_format():
     report = run(scenario_from_dict(base_doc()))
     with pytest.raises(ValueError, match="format"):
@@ -382,6 +438,8 @@ def test_gallery_runs_end_to_end():
         report = run(sc)
         assert report.passed, (sc.name, report.verdicts)
         assert report.canonical_bytes() == _canonical_by_round_trip(report), sc.name
+        expected = json.dumps(report.data, sort_keys=True, indent=2) + "\n"
+        assert render(report, "report-json") == expected, sc.name
         assert "wall_clock_s" in report.data["meta"]
 
 

@@ -12,7 +12,7 @@ from neveukit import (
     FolnerScheme,
     SemigroupAction,
     TracialAlgebra,
-    continuous_average,
+    average,
     neveu_decompose,
     trace,
 )
@@ -42,7 +42,7 @@ def main():
 
     print("   t    avg excited population   closed form")
     for t in (0.5, 1.0, 2.0, 4.0, 8.0):
-        avg = continuous_average(action, rho, t)
+        avg = average(action, rho, t)
         got = trace(avg @ excited).real
         want = p1 * (1.0 - np.exp(-gamma * t)) / (gamma * t)
         print(f"{t:5.1f}   {got:.12f}        {want:.12f}")

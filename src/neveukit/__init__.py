@@ -37,10 +37,8 @@ from .dynamics import (
     SemigroupAction,
     average,
     average_super,
-    continuous_average,
     folner_ratio,
     folner_set,
-    orbit_average_vector,
 )
 from .neveu import (
     MeanErgodicProjection,

@@ -10,6 +10,7 @@ shipped scenarios.  Exit codes: 0 all verdicts pass, 1 some verdict failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import shutil
 import sys
@@ -52,7 +53,14 @@ def _add_common(p, need_scenario=True):
     )
 
 
+@functools.cache
 def build_parser():
+    """The parser tree, built once per process.
+
+    ``parse_args`` fills a fresh namespace on every call, so one parser
+    serves every ``main`` call; rebuilding it per call left a few hundred
+    objects of cyclic garbage behind.
+    """
     ap = argparse.ArgumentParser(
         prog="neveukit",
         description="Neveu decompositions and ergodic convergence certificates",
@@ -173,8 +181,7 @@ def _run_gallery_command(args):
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "gallery":
             return _run_gallery_command(args)

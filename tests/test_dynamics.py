@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neveukit.algebra import TracialAlgebra, op_norm, trace
 from neveukit.dynamics import (
@@ -9,11 +12,9 @@ from neveukit.dynamics import (
     SemigroupAction,
     average,
     average_super,
-    continuous_average,
     continuous_average_super,
     folner_ratio,
     folner_set,
-    orbit_average_vector,
 )
 from neveukit.maps import (
     PreconditionError,
@@ -406,43 +407,80 @@ def test_continuous_average_scalar_oracle():
     scheme = FolnerScheme("r-plus-cube", d=1)
     action = SemigroupAction(alg, "heisenberg", scheme, [np.array([[-1.0]])])
     x = alg.operator([[[1.0]]])
-    got = continuous_average(action, x, 2.0)
+    got = average(action, x, 2.0)
     want = (1.0 - np.exp(-2.0)) / 2.0
     assert op_norm(got) == pytest.approx(want, abs=1e-12)
     assert want == pytest.approx(0.43233235838169365)
 
 
-def test_continuous_average_identity_residual_recorded():
-    alg = TracialAlgebra.commutative([1.0, 1.0])
-    scheme = FolnerScheme("r-plus-cube", d=1)
-    L = np.diag([0.0, -1.0]).astype(complex)
-    action = SemigroupAction(alg, "heisenberg", scheme, [L])
-    info = {}
-    mat, details = continuous_average_super(action, 3.0, info=info)
-    assert details[0]["identity_residual"] <= 1e-9
+def lindbladian(algebra, rng):
+    """The matrix of x -> K* x K - (K*K x + x K*K)/2 for a random K."""
+    k = algebra.operator(
+        [
+            (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / n
+            for n in algebra.blocks
+        ]
+    )
+    kk = k.H @ k
+    cols = []
+    for e in np.eye(algebra.dim):
+        x = algebra.from_vec(e)
+        cols.append((k.H @ x @ k - (kk @ x + x @ kk) * 0.5).vec())
+    return np.column_stack(cols)
 
 
-def test_continuous_average_simpson_fallback_matches_eig():
-    # a defective generator forces quadrature; compare against a scalar case
+def test_continuous_average_jordan_block_closed_form():
+    # exp(tL) = exp(-t) [[1, t], [0, 1]] is defective; no fallback is needed
     alg = TracialAlgebra.commutative([1.0, 1.0])
     scheme = FolnerScheme("r-plus-cube", d=1)
-    # jordan block in the superoperator: defective, eig path unusable
     L = np.array([[-1.0, 1.0], [0.0, -1.0]])
     action = SemigroupAction(alg, "heisenberg", scheme, [L])
-    a = 2.0
-    mat, details = continuous_average_super(action, a)
-    # oracle by dense quadrature of expm
-    from scipy.linalg import expm
+    e2 = np.exp(-2.0)
+    want = np.array([[(1 - e2) / 2, (1 - 3 * e2) / 2], [0.0, (1 - e2) / 2]])
+    got = continuous_average_super(action, 2.0)
+    assert np.max(np.abs(got - want)) <= 1e-14
 
-    n = 4096
-    ts = np.linspace(0.0, a, n + 1)
-    vals = np.stack([expm(t * L) for t in ts])
-    weights = np.ones(n + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    oracle = (a / (3.0 * n)) * np.einsum("t,tij->ij", weights, vals) / a
-    assert np.max(np.abs(mat - oracle)) <= 1e-8
-    assert details[0]["method"].startswith("simpson")
+
+def test_continuous_average_satisfies_defining_identity():
+    # a L A_a = exp(aL) - 1, in the Schroedinger picture of a weighted
+    # two-block Lindbladian
+    alg = TracialAlgebra([2, 3], [0.3, 0.7])
+    heis = SemigroupAction(
+        alg,
+        "heisenberg",
+        FolnerScheme("r-plus-cube", d=1),
+        [lindbladian(alg, np.random.default_rng(5))],
+    )
+    action = heis.dual()
+    (L,) = action.flow_generators
+    for a in (0.5, 3.0, 16.0, 64.0):
+        got = a * L @ average_super(action, a).matrix
+        want = scipy.linalg.expm(a * L) - np.eye(alg.dim)
+        assert np.linalg.norm(got - want, 2) <= 1e-12 * a * np.linalg.norm(L, 2)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    blocks=st.lists(
+        st.tuples(st.integers(1, 3), st.floats(0.05, 2.0)), min_size=1, max_size=3
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    d=st.sampled_from([1, 2]),
+    a=st.floats(0.25, 64.0),
+)
+def test_flow_average_of_element_matches_averaging_operator(blocks, seed, d, a):
+    """average(x) integrates the flow on x alone; it must agree with the
+    averaging operator applied to x."""
+    algebra = TracialAlgebra([n for n, _ in blocks], [w for _, w in blocks])
+    rng = np.random.default_rng(seed)
+    L = lindbladian(algebra, rng)
+    # exp(L) is a unital CP map, so exp(L) - 1 is a Lindbladian commuting with L
+    gens = [L, scipy.linalg.expm(L) - np.eye(algebra.dim)][:d]
+    action = SemigroupAction(algebra, "heisenberg", FolnerScheme("r-plus-cube", d=d), gens)
+    x = algebra.random_hermitian(rng)
+    got = average(action, x, a).vec()
+    want = average_super(action, a)(x).vec()
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_continuous_average_two_axes_multiplies():
@@ -452,7 +490,7 @@ def test_continuous_average_two_axes_multiplies():
         alg, "heisenberg", scheme, [np.array([[-1.0]]), np.array([[-2.0]])]
     )
     x = alg.operator([[[1.0]]])
-    got = op_norm(continuous_average(action, x, 2.0))
+    got = op_norm(average(action, x, 2.0))
     want = ((1.0 - np.exp(-2.0)) / 2.0) * ((1.0 - np.exp(-4.0)) / 4.0)
     assert got == pytest.approx(want, abs=1e-12)
 
@@ -537,28 +575,3 @@ def test_lamperti_reports_reject_flows():
     action = SemigroupAction(alg, "heisenberg", scheme, [np.array([[-1.0]])])
     with pytest.raises(PreconditionError):
         action.lamperti_reports()
-
-
-# ---------------------------------------------------------------------------
-# vector orbit averages
-# ---------------------------------------------------------------------------
-
-
-def test_orbit_average_vector_identity():
-    xi = np.array([1.0, 2.0])
-    assert np.allclose(orbit_average_vector(np.eye(2), xi, 5), xi)
-
-
-def test_orbit_average_vector_sign_flip_cancels():
-    u = -np.eye(2)
-    xi = np.array([1.0, 0.0])
-    assert np.linalg.norm(orbit_average_vector(u, xi, 2)) <= 1e-15
-
-
-def test_orbit_average_vector_rotation_decay():
-    theta = 2.0 * np.pi / 8.0
-    u = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-    xi = np.array([1.0, 0.0])
-    # full period averages to zero, half period does not
-    assert np.linalg.norm(orbit_average_vector(u, xi, 8)) <= 1e-14
-    assert np.linalg.norm(orbit_average_vector(u, xi, 4)) > 0.1

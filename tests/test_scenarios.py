@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neveukit.cli import main
+from neveukit.cli import build_parser, main
 from neveukit.scenarios import (
     GALLERY_NAMES,
     Report,
@@ -566,6 +566,22 @@ def test_cli_seed_override_recorded(tmp_path, capsys):
     assert code == 0
     out = json.loads(capsys.readouterr().out)
     assert out["seed"] == 99
+
+
+def test_cli_successive_calls_share_no_options(tmp_path, capsys):
+    # main parses with one parser per process; a call's flags must not
+    # reach the next call
+    assert build_parser() is build_parser()
+    doc = base_doc()
+    path = write_doc(tmp_path, doc)
+    code = main(["decompose", "--scenario", path, "--seed", "99", "--n-max", "10"])
+    assert code == 1
+    first = json.loads(capsys.readouterr().out)
+    assert (first["seed"], first["schedule"]) == (99, [1, 2, 4, 8, 10])
+    assert main(["mean", "--scenario", path]) == 0
+    second = json.loads(capsys.readouterr().out)
+    assert (second["seed"], second["schedule"]) == (doc["seed"], doc["schedule"])
+    assert list(second["verdicts"]) == ["mean"]
 
 
 def test_cli_gallery_lists_names(capsys):

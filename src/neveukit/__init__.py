@@ -37,6 +37,7 @@ from .dynamics import (
     SemigroupAction,
     average,
     average_super,
+    averages,
     folner_ratio,
     folner_set,
 )

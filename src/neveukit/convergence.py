@@ -36,7 +36,7 @@ from .algebra import (
     trace,
     trace_norm,
 )
-from .dynamics import average
+from .dynamics import averages
 from .maps import CheckReport, PreconditionError
 from .neveu import (
     DEFAULT_SCHEDULE,
@@ -350,7 +350,8 @@ def stochastic_run(
         ||p A_a(x) q_a|| <= sqrt(eps (eps + ||p xbar p||)),
 
     which follows from Cauchy-Schwarz for the positive operator A_a(x); the
-    inequality is checked numerically row by row, not assumed.
+    inequality is checked numerically row by row, not assumed.  The schedule
+    must be strictly ascending; a missing ``decomposition`` is computed here.
     """
     if action.picture != "schrodinger":
         raise PreconditionError(
@@ -362,17 +363,19 @@ def stochastic_run(
         raise ValueError("eps and delta must be > 0")
     schedule = list(schedule if schedule is not None else DEFAULT_SCHEDULE)
     if decomposition is None:
-        decomposition = neveu_decompose(action, schedule=schedule, seed=seed)
+        decomposition = neveu_decompose(
+            action, schedule=schedule, seed=seed, decay_tol=decay_tol
+        )
     e1, e2 = decomposition.e1, decomposition.e2
     algebra = action.algebra
 
-    averages = [average(action, x, a) for a in schedule]
+    avgs = averages(action, x, schedule)
     xbar = algebra.from_vec(decomposition.projection_schrodinger.matrix @ x.vec())
     xbar = (xbar + xbar.H) * 0.5
     lim1 = e1 @ xbar @ e1
 
-    c1 = [e1 @ a @ e1 for a in averages]
-    c2 = [e2 @ a @ e2 for a in averages]
+    c1 = [e1 @ a @ e1 for a in avgs]
+    c2 = [e2 @ a @ e2 for a in avgs]
 
     bau = bau_certify(
         c1,
@@ -400,7 +403,7 @@ def stochastic_run(
         q = measure.witnesses_active[i]  # q_a inside e2
         r = p + q
         excluded = trace(algebra.identity() - r).real
-        cross_norm = float(op_norm(p @ averages[i] @ q))
+        cross_norm = float(op_norm(p @ avgs[i] @ q))
         bound = float(np.sqrt(eps * (eps + bound_base))) + CROSS_TERM_SLACK
         active = burn is not None and a >= burn
         row = {

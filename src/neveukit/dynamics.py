@@ -13,10 +13,13 @@ per-axis Cesaro means,
 
     A_a = prod_i (1/a) sum_{k<a} Gamma_i^k,
 
-so :func:`average` costs O(d a) matvecs instead of a^d map applications,
-and :func:`average_super` builds each per-axis sum of powers by binary
-doubling in O(d log a) D x D products.  Summation order is fixed (ascending
-k for the matvecs, the bits of a for the doubling, then ascending axis) so
+so :func:`averages` walks an ascending schedule with one running sum per
+axis: max(schedule) - 1 matvecs for d = 1 (63 on 1, 2, ..., 64, against 120
+for a fresh sum per point), twice that for z-symmetric windows.  For d >= 2
+only axis 0 is shared, as later axes act on a different vector per a.
+:func:`average_super` builds each per-axis sum of powers by binary doubling
+in O(d log a) D x D products.  Summation order is fixed (ascending k for the
+zplus matvecs, the bits of a for the doubling, then ascending axis) so
 results are bitwise reproducible.  Brute-force cross-checks over small
 boxes and against the literal sums live in the test-suite.
 
@@ -24,7 +27,7 @@ Flow averages factor the same way, A_a = prod_i (1/a) int_0^a exp(t L_i) dt,
 and each factor is one block exponential (C. F. Van Loan, "Computing
 integrals involving the matrix exponential", IEEE TAC 23(3), 1978): the
 top-right block of expm(a [[L_i, B], [0, 0]]) is int_0^a exp(t L_i) dt B.
-:func:`average` takes B = vec(x), a single column, and :func:`average_super`
+:func:`averages` takes B = vec(x), a single column, and :func:`average_super`
 takes B = 1.  ``scipy.linalg.expm`` handles defective generators directly,
 so no generator needs a fallback.
 """
@@ -54,6 +57,7 @@ __all__ = [
     "folner_set",
     "folner_ratio",
     "average",
+    "averages",
     "average_super",
 ]
 
@@ -153,11 +157,10 @@ class SemigroupAction:
     ``matrices`` holds the generator matrices: the flow generators L_i of an
     ``r-plus-cube`` scheme, the superoperator matrices of the maps otherwise.
 
-    Work derived from the action alone is cached on the instance: the other
-    picture (:meth:`dual`), the Lamperti reports, and the validated mean
-    ergodic projection per ``tol_fixed`` (``_mean_projections``, filled by
-    :func:`neveukit.neveu.mean_ergodic_projection`).  The generators are not
-    meant to change after construction.
+    Only the Lamperti reports are cached on the instance; :meth:`dual`
+    builds a new action on each call.  A scenario run shares its derived
+    work through a run context instead.  The generators are not meant to
+    change after construction.
     """
 
     def __init__(self, algebra, picture, scheme, generators, _skip_checks=False):
@@ -167,9 +170,8 @@ class SemigroupAction:
         self.picture = picture
         self.scheme = scheme
         self.checks = {}
-        self._dual = None
         self._lamperti = None
-        self._mean_projections = {}
+        self.inverses = None
 
         if scheme.kind == "r-plus-cube":
             mats = []
@@ -187,7 +189,6 @@ class SemigroupAction:
             self.matrices = self.flow_generators
             if not _skip_checks:
                 self.checks["commuting"] = check_commuting(self.flow_generators)
-            self.inverses = None
             return
 
         gens = list(generators)
@@ -201,7 +202,6 @@ class SemigroupAction:
         self.flow_generators = None
         self.matrices = tuple(s.matrix for s in gens)
 
-        self.inverses = None
         if scheme.kind == "z-symmetric-box":
             invs = []
             for s in gens:
@@ -275,34 +275,22 @@ class SemigroupAction:
     # -- pictures --------------------------------------------------------------
 
     def dual(self):
-        """The same dynamics in the other picture (cached)."""
-        if self._dual is None:
-            picture = "schrodinger" if self.picture == "heisenberg" else "heisenberg"
-            if self.scheme.kind == "r-plus-cube":
-                gens = [
-                    _dual_matrix(self.algebra, L) for L in self.flow_generators
-                ]
-                other = SemigroupAction(self.algebra, picture, self.scheme, gens)
-            elif self.scheme.kind == "finite-group":
-                # the adjoints form a representation of the opposite group
-                n = self.scheme.order
-                table_op = tuple(
-                    tuple(self.scheme.table[h][g] for h in range(n)) for g in range(n)
-                )
-                scheme = FolnerScheme("finite-group", order=n, table=table_op)
-                other = SemigroupAction(
-                    self.algebra, picture, scheme, [dual(s) for s in self.generators]
-                )
-            else:
-                other = SemigroupAction(
-                    self.algebra,
-                    picture,
-                    self.scheme,
-                    [dual(s) for s in self.generators],
-                )
-            other._dual = self
-            self._dual = other
-        return self._dual
+        """The same dynamics in the other picture, built anew on each call."""
+        picture = "schrodinger" if self.picture == "heisenberg" else "heisenberg"
+        if self.scheme.kind == "r-plus-cube":
+            gens = [dual(SuperOperator(self.algebra, L)).matrix for L in self.matrices]
+            return SemigroupAction(self.algebra, picture, self.scheme, gens)
+        scheme = self.scheme
+        if scheme.kind == "finite-group":
+            # the adjoints form a representation of the opposite group
+            n = scheme.order
+            table_op = tuple(
+                tuple(scheme.table[h][g] for h in range(n)) for g in range(n)
+            )
+            scheme = FolnerScheme("finite-group", order=n, table=table_op)
+        return SemigroupAction(
+            self.algebra, picture, scheme, [dual(s) for s in self.generators]
+        )
 
     def to_picture(self, picture):
         return self if picture == self.picture else self.dual()
@@ -340,33 +328,37 @@ class SemigroupAction:
         )
 
 
-def _dual_matrix(algebra, mat):
-    s = SuperOperator(algebra, mat)
-    return dual(s).matrix
-
-
 # ---------------------------------------------------------------------------
 # averages
 # ---------------------------------------------------------------------------
 
 
-def _axis_cesaro_vec(action, axis, v, a):
-    """(1/|window|) sum over the axis Foelner window of powers applied to v.
+def _ascending(schedule):
+    """The schedule as a list, checked nonempty and strictly ascending."""
+    schedule = list(schedule)
+    if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise ValueError("schedule must be nonempty and strictly ascending")
+    return schedule
 
-    The window is k = 0..a-1 (zplus-box) or k = -a..a (z-symmetric-box),
-    summed in ascending k.
-    """
-    back = a if action.scheme.kind == "z-symmetric-box" else 0
-    size = 2 * a + 1 if back else a
+
+def _cesaro_walk(action, axis, v, schedule):
+    """Per-axis Cesaro means of v for every a of an ascending schedule: one
+    running sum over k = 0..a-1 (zplus-box, ascending k) or k = -a..a
+    (z-symmetric-box, S^k v then S^-k v for k = 1, 2, ...)."""
+    symmetric = action.scheme.kind == "z-symmetric-box"
     s = action.matrices[axis]
-    cur = v
-    for _ in range(back):
-        cur = action.inverses[axis] @ cur
-    acc = cur.copy()
-    for _ in range(size - 1):
-        cur = s @ cur
-        acc += cur
-    return acc / size
+    acc, lo, hi, top = v.copy(), v, v, 0
+    means = []
+    for a in schedule:
+        while top < (a if symmetric else a - 1):
+            top += 1
+            hi = s @ hi
+            acc += hi
+            if symmetric:
+                lo = action.inverses[axis] @ lo
+                acc += lo
+        means.append(acc / (2 * a + 1 if symmetric else a))
+    return means
 
 
 def _power_sum(s, n):
@@ -398,30 +390,37 @@ def _axis_cesaro_super(action, axis, a):
 
 
 def average(action, x, a):
-    """The ergodic average A_a(x) over the scheme's Foelner set.
+    """The ergodic average A_a(x) over the scheme's Foelner set."""
+    return averages(action, x, [a])[0]
 
-    Box schemes use the commuting per-axis Cesaro product; finite groups
-    average all element maps; continuous cubes integrate the flow applied to
-    x alone, without forming the averaging operator.
+
+def averages(action, x, schedule):
+    """The ergodic averages A_a(x) for every a of a strictly ascending schedule.
+
+    Box schemes walk the per-axis Cesaro sums (only axis 0 is shared across
+    the schedule), finite groups average all element maps once, and cubes
+    integrate the flow applied to x alone, one exponential per axis and a.
     """
     if not isinstance(x, Operator) or x.algebra != action.algebra:
         raise ValueError("element is not in the action's algebra")
+    schedule = _ascending(schedule)
+    v = x.vec()
+    from_vec = action.algebra.from_vec
     if action.scheme.kind == "r-plus-cube":
-        return action.algebra.from_vec(_flow_average(action, x.vec()[:, None], a)[:, 0])
-    a = int(a)
-    if a < 1:
+        return [from_vec(_flow_average(action, v[:, None], a)[:, 0]) for a in schedule]
+    schedule = [int(a) for a in schedule]
+    if schedule[0] < 1:
         raise ValueError("Foelner index a must be >= 1")
     action.require_commuting()
     if action.scheme.kind == "finite-group":
         acc = np.zeros(action.algebra.dim, dtype=complex)
-        v = x.vec()
         for s in action.generators:
             acc += s.matrix @ v
-        return action.algebra.from_vec(acc / action.scheme.order)
-    v = x.vec()
-    for axis in range(action.scheme.d):
-        v = _axis_cesaro_vec(action, axis, v, a)
-    return action.algebra.from_vec(v)
+        return [from_vec(acc / action.scheme.order)] * len(schedule)
+    vecs = _cesaro_walk(action, 0, v, schedule)
+    for axis in range(1, action.scheme.d):
+        vecs = [_cesaro_walk(action, axis, w, [a])[0] for w, a in zip(vecs, schedule)]
+    return [from_vec(w) for w in vecs]
 
 
 def average_super(action, a):

@@ -17,9 +17,9 @@ The mean ergodic projection is computed spectrally (Schur form plus a
 Sylvester solve per generator, intersected across generators) and then
 cross-validated against Cesaro averages A_16 and A_64, built by doubling
 from the generator matrices and so independent of the Schur projector;
-disagreement raises instead of returning a silently wrong projector.  The
-validated projection is cached on the action per ``tol_fixed``, so the tasks
-of one scenario run share it.
+disagreement raises instead of returning a silently wrong projector.
+Nothing is cached on the action: callers that reuse a projection pass it on
+with ``projection=``, as the tasks of one scenario run do.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .algebra import (
     trace,
     trace_norm,
 )
-from .dynamics import average, average_super
+from .dynamics import _ascending, average_super, averages
 from .maps import SuperOperator, dual
 
 __all__ = [
@@ -158,14 +158,8 @@ def mean_ergodic_projection(action, tol_fixed=1e-9):
     flows ``||L E||``, ``||E L||`` over ``max(1, ||L||_2)``) are Frobenius
     norms, upper bounds on the spectral norm, checked against 1e-9; the
     cross-validation norms ``||A_a - E||`` stay spectral.
-
-    A validated result is memoised on the action, keyed by ``tol_fixed``,
-    and returned to later calls; a failed validation is not memoised.
     """
     action.require_commuting()
-    memo = action._mean_projections
-    if tol_fixed in memo:
-        return memo[tol_fixed]
     algebra = action.algebra
     dim = algebra.dim
     continuous = action.scheme.kind == "r-plus-cube"
@@ -219,8 +213,7 @@ def mean_ergodic_projection(action, tol_fixed=1e-9):
         )
     cross = {"norm_a16": n16, "norm_a64": n64, "envelope_a64": float(envelope)}
     sup = SuperOperator(algebra, e, source="mean-ergodic-projection")
-    memo[tol_fixed] = MeanErgodicProjection(sup, basis, residuals, cross, rank)
-    return memo[tol_fixed]
+    return MeanErgodicProjection(sup, basis, residuals, cross, rank)
 
 
 def reference_density(algebra):
@@ -322,15 +315,16 @@ def weakly_wandering_certificate(
 ):
     """Certify decay of the operator-norm averages of x along the schedule.
 
-    The verdict is :func:`tail_decay_verdict` of the points ``(a, ||A_a(x)||)``.
+    The verdict is :func:`tail_decay_verdict` of the points ``(a, ||A_a(x)||)``
+    along a strictly ascending schedule.
     """
-    heis = action.to_picture("heisenberg")
-    schedule = list(schedule if schedule is not None else DEFAULT_SCHEDULE)
-    if not schedule or any(a < 1 for a in schedule):
+    schedule = _ascending(schedule if schedule is not None else DEFAULT_SCHEDULE)
+    if schedule[0] < 1:
         raise ValueError("schedule must be nonempty with entries >= 1")
     if op_norm(x) == 0.0:
         return WanderingCertificate([], 0.0, None, "pass", {"note": "zero element"})
-    points = [(a, float(op_norm(average(heis, x, a)))) for a in schedule]
+    avgs = averages(action.to_picture("heisenberg"), x, schedule)
+    points = [(a, float(op_norm(y))) for a, y in zip(schedule, avgs)]
     slope, nonincreasing, verdict = tail_decay_verdict(points, decay_tol, window)
     detail = {"nonincreasing_tail": nonincreasing, "window": window}
     return WanderingCertificate(points, points[-1][1], slope, verdict, detail)
@@ -364,7 +358,7 @@ class NeveuDecomposition:
 
 
 def neveu_decompose(
-    action, schedule=None, seed=0, decay_tol=1e-6, tol_fixed=1e-9
+    action, schedule=None, seed=0, decay_tol=1e-6, tol_fixed=1e-9, projection=None
 ):
     """Split the algebra into the conservative and weakly wandering corners.
 
@@ -373,12 +367,13 @@ def neveu_decompose(
     e2 = 1 - e1, the wandering witness x0 = e2 with its finite-schedule decay
     certificate, and verdicts for decay, uniqueness under a second random
     faithful initial density, invariance, orthogonality, and agreement of the
-    weighted wandering sum with e2.
+    weighted wandering sum with e2.  ``projection`` is a precomputed mean
+    ergodic projection of the density picture, in place of ``tol_fixed``.
     """
     schr = action.to_picture("schrodinger")
     heis = action.to_picture("heisenberg")
     algebra = action.algebra
-    proj = mean_ergodic_projection(schr, tol_fixed=tol_fixed)
+    proj = projection or mean_ergodic_projection(schr, tol_fixed=tol_fixed)
     y = invariant_state(schr, projection=proj)
     detail = {
         "mean_residuals": proj.residuals,
@@ -467,10 +462,8 @@ def inf_profile(action, phi, p, a_max=64):
     a_max = int(a_max)
     if a_max < 1:
         raise ValueError("a_max must be >= 1")
-    values = []
-    for a in range(1, a_max + 1):
-        val = trace(phi @ average(heis, p, a)).real
-        values.append((a, float(val)))
+    avgs = averages(heis, p, range(1, a_max + 1))
+    values = [(a, float(trace(phi @ y).real)) for a, y in enumerate(avgs, 1)]
     min_value = min(v for _, v in values)
     argmin = next(a for a, v in values if v == min_value)
     return InfProfile(values, float(min_value), argmin)

@@ -27,6 +27,7 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
@@ -36,7 +37,7 @@ import numpy as np
 from . import neveu
 from .algebra import TracialAlgebra, op_norm
 from .convergence import bau_certify, measure_certify, stochastic_run
-from .dynamics import FolnerScheme, SemigroupAction, average
+from .dynamics import FolnerScheme, SemigroupAction, averages
 from .maps import (
     PreconditionError,
     dual,
@@ -179,38 +180,36 @@ class Scenario:
     seed: int
 
 
-def _build_generator(algebra, picture, idx, spec):
-    source, payload = spec["source"], spec["payload"]
-    where = f"action.generators[{idx}]"
+# the one key of each generator source's payload
+PAYLOAD_KEYS = {
+    "kraus": "operators",
+    "conjugation": "unitary",
+    "classical-kernel": "kernel",
+    "matrix": "matrix",
+    "flow-generator": "matrix",
+}
+
+
+def _build_generator(algebra, picture, where, source, value):
     try:
-        if source == "kraus":
-            if "operators" not in payload:
-                raise ScenarioError(f"{where}: kraus payload needs 'operators'")
-            ops = [
-                _decode_element(algebra, o, f"{where}.operators[{k}]")
-                for k, o in enumerate(payload["operators"])
-            ]
-            s = from_kraus(algebra, ops)
-            return dual(s) if picture == "schrodinger" else s
-        if source == "conjugation":
-            if "unitary" not in payload:
-                raise ScenarioError(f"{where}: conjugation payload needs 'unitary'")
-            u = _decode_element(algebra, payload["unitary"], f"{where}.unitary")
-            s = from_conjugation(algebra, u)
-            return dual(s) if picture == "schrodinger" else s
         if source == "classical-kernel":
-            if "kernel" not in payload:
-                raise ScenarioError(f"{where}: kernel payload needs 'kernel'")
-            kernel = _decode_matrix(payload["kernel"], f"{where}.kernel")
+            kernel = _decode_matrix(value, f"{where}.kernel")
             if np.abs(kernel.imag).max() > 0:
                 raise ScenarioError(f"{where}.kernel: kernel must be real")
             return from_classical(algebra, kernel.real)
-        if source == "matrix":
-            if "matrix" not in payload:
-                raise ScenarioError(f"{where}: matrix payload needs 'matrix'")
-            mat = _decode_matrix(payload["matrix"], f"{where}.matrix")
-            return from_matrix(algebra, mat)
-        raise ScenarioError(f"{where}: source {source!r} is not a map source")
+        if source in ("matrix", "flow-generator"):
+            mat = _decode_matrix(value, f"{where}.matrix")
+            return mat if source == "flow-generator" else from_matrix(algebra, mat)
+        if source == "kraus":
+            ops = [
+                _decode_element(algebra, o, f"{where}.operators[{k}]")
+                for k, o in enumerate(value)
+            ]
+            s = from_kraus(algebra, ops)
+        else:
+            u = _decode_element(algebra, value, f"{where}.unitary")
+            s = from_conjugation(algebra, u)
+        return dual(s) if picture == "schrodinger" else s
     except (ValueError, ArithmeticError) as exc:
         if isinstance(exc, ScenarioError):
             raise
@@ -262,27 +261,22 @@ def scenario_from_dict(doc, origin="<dict>"):
         raise ScenarioError(f"{origin}: scheme: {exc}") from exc
 
     picture = act["picture"]
-    if kind == "r-plus-cube":
-        gens = []
-        for idx, spec in enumerate(act["generators"]):
-            if spec["source"] != "flow-generator":
-                raise ScenarioError(
-                    f"{origin}: action.generators[{idx}]: r-plus-cube needs "
-                    f"flow-generator sources"
-                )
-            mat = _decode_matrix(
-                spec["payload"].get("matrix"), f"action.generators[{idx}].matrix"
+    gens = []
+    for idx, spec in enumerate(act["generators"]):
+        where = f"action.generators[{idx}]"
+        source, payload = spec["source"], spec["payload"]
+        key = PAYLOAD_KEYS[source]
+        if (source == "flow-generator") != (kind == "r-plus-cube"):
+            raise ScenarioError(
+                f"{origin}: {where}: r-plus-cube schemes take exactly the "
+                f"flow-generator sources"
             )
-            gens.append(mat)
-    else:
-        gens = []
-        for idx, spec in enumerate(act["generators"]):
-            if spec["source"] == "flow-generator":
-                raise ScenarioError(
-                    f"{origin}: action.generators[{idx}]: flow-generator sources "
-                    f"need an r-plus-cube scheme"
-                )
-            gens.append(_build_generator(algebra, picture, idx, spec))
+        if set(payload) != {key}:
+            raise ScenarioError(
+                f"{origin}: {where}.payload: a {source} payload has exactly the "
+                f"key {key!r}, got {sorted(payload)}"
+            )
+        gens.append(_build_generator(algebra, picture, where, source, payload[key]))
     try:
         action = SemigroupAction(algebra, picture, scheme, gens)
     except ValueError as exc:
@@ -313,7 +307,7 @@ def load_scenario(path):
             doc = json.load(fh)
     except OSError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"{path}: invalid JSON: {exc}") from exc
     return scenario_from_dict(doc, origin=str(path))
 
@@ -398,15 +392,49 @@ def _bau_payload(cert):
     )
 
 
-def _run_decompose(scenario, seed, tolerances, schedule, results, verdicts):
-    dec = neveu.neveu_decompose(
-        scenario.action,
-        schedule=schedule,
-        seed=seed,
-        decay_tol=tolerances["decay_tol"],
-        tol_fixed=tolerances["tol_fixed"],
-    )
-    results["decompose"] = {
+class _RunContext:
+    """The inputs and shared work of one run's tasks, computed on first use.
+
+    A piece whose computation raises is not kept, so each task that needs
+    it records the same error.
+    """
+
+    def __init__(self, scenario, seed, tolerances, schedule):
+        self.scenario = scenario
+        self.seed = seed
+        self.tolerances = tolerances
+        self.schedule = schedule
+        self.phi0 = neveu.reference_density(scenario.algebra)
+
+    @cached_property
+    def schr(self):
+        return self.scenario.action.to_picture("schrodinger")
+
+    @cached_property
+    def projection(self):
+        return neveu.mean_ergodic_projection(
+            self.schr, tol_fixed=self.tolerances["tol_fixed"]
+        )
+
+    @cached_property
+    def decomposition(self):
+        return neveu.neveu_decompose(
+            self.scenario.action,
+            schedule=self.schedule,
+            seed=self.seed,
+            decay_tol=self.tolerances["decay_tol"],
+            projection=self.projection,
+        )
+
+
+def _run_decompose(ctx, results):
+    dec = ctx.decomposition
+    if dec.invariant_density is not None:
+        lam = np.concatenate(
+            [np.linalg.eigvalsh(m) for m in dec.invariant_density.block_mats]
+        )
+        results["spectrum"]["invariant_density"] = [float(v) for v in sorted(lam)]
+    return {
         "e1": _encode_element(dec.e1),
         "e1_ranks": _plain(dec.e1.ranks),
         "e2": _encode_element(dec.e2),
@@ -419,70 +447,63 @@ def _run_decompose(scenario, seed, tolerances, schedule, results, verdicts):
         "slope": _plain(dec.slope),
         "verdicts": _plain(dec.verdicts),
         "detail": _plain(dec.detail),
-    }
-    verdicts["decompose"] = "pass" if dec.overall else "fail"
-    return dec
+    }, dec.overall
 
 
-def _run_mean(scenario, tolerances, results, verdicts):
-    proj = neveu.mean_ergodic_projection(
-        scenario.action, tol_fixed=tolerances["tol_fixed"]
-    )
-    results["mean"] = {
+def _run_mean(ctx, results):
+    action = ctx.scenario.action
+    if action.picture == "schrodinger":
+        proj = ctx.projection
+    else:
+        proj = neveu.mean_ergodic_projection(
+            action, tol_fixed=ctx.tolerances["tol_fixed"]
+        )
+    return {
         "rank": proj.rank,
         "residuals": _plain(proj.residuals),
         "cross_validation": _plain(proj.cross_validation),
         "fixed_basis": [_encode_element(b) for b in proj.fixed_basis],
         "projector": _encode_matrix(proj.superop.matrix),
-    }
-    verdicts["mean"] = "pass"
-    return proj
+    }, True
 
 
-def _run_certify(scenario, tolerances, schedule, results, verdicts):
-    schr = scenario.action.to_picture("schrodinger")
-    phi0 = neveu.reference_density(scenario.algebra)
-    proj = neveu.mean_ergodic_projection(schr, tol_fixed=tolerances["tol_fixed"])
-    target = proj(phi0)
+def _run_certify(ctx, results):
+    target = ctx.projection(ctx.phi0)
     target = (target + target.H) * 0.5
-    seq = [average(schr, phi0, a) for a in schedule]
+    seq = averages(ctx.schr, ctx.phi0, ctx.schedule)
     mc = measure_certify(
         seq,
         target,
-        tolerances["eps"],
-        schedule=schedule,
-        delta_tol=tolerances["delta_tol"],
+        ctx.tolerances["eps"],
+        schedule=ctx.schedule,
+        delta_tol=ctx.tolerances["delta_tol"],
     )
     bc = bau_certify(
         seq,
         target,
-        tolerances["delta"],
-        schedule=schedule,
-        decay_tol=tolerances["decay_tol"],
+        ctx.tolerances["delta"],
+        schedule=ctx.schedule,
+        decay_tol=ctx.tolerances["decay_tol"],
     )
-    results["certify"] = {
+    return {
         "measure": _certificate_payload(mc),
         "bau": _bau_payload(bc),
         "limit": _encode_element(target),
-    }
-    ok = mc.passed and bc.passed
-    verdicts["certify"] = "pass" if ok else "fail"
+    }, mc.passed and bc.passed
 
 
-def _run_stochastic(scenario, seed, tolerances, schedule, results, verdicts, dec):
-    schr = scenario.action.to_picture("schrodinger")
-    phi0 = neveu.reference_density(scenario.algebra)
+def _run_stochastic(ctx, results):
     rep = stochastic_run(
-        schr,
-        phi0,
-        schedule=schedule,
-        eps=tolerances["eps"],
-        delta=tolerances["delta"],
-        decomposition=dec,
-        seed=seed,
-        decay_tol=tolerances["decay_tol"],
+        ctx.schr,
+        ctx.phi0,
+        schedule=ctx.schedule,
+        eps=ctx.tolerances["eps"],
+        delta=ctx.tolerances["delta"],
+        decomposition=ctx.decomposition,
+        seed=ctx.seed,
+        decay_tol=ctx.tolerances["decay_tol"],
     )
-    results["stochastic"] = {
+    return {
         "xbar": _encode_element(rep.xbar),
         "burn_in": _plain(rep.burn_in),
         "rows": _plain(rep.rows),
@@ -490,23 +511,27 @@ def _run_stochastic(scenario, seed, tolerances, schedule, results, verdicts, dec
         "measure": _certificate_payload(rep.measure),
         "verdicts": _plain(rep.verdicts),
         "detail": _plain(rep.detail),
-    }
-    verdicts["stochastic"] = "pass" if rep.passed else "fail"
+    }, rep.passed
 
 
-def _run_gallery_item(scenario, results, verdicts):
-    if scenario.name not in GALLERY_NAMES:
-        results["gallery-item"] = {
-            "error": f"{scenario.name!r} is not a gallery scenario"
-        }
-        verdicts["gallery-item"] = "fail"
-        return
-    shipped = _gallery_doc(scenario.name)
-    same = json.dumps(shipped, sort_keys=True) == json.dumps(
-        scenario.raw, sort_keys=True
+def _run_gallery_item(ctx, results):
+    name = ctx.scenario.name
+    if name not in GALLERY_NAMES:
+        return {"error": f"{name!r} is not a gallery scenario"}, False
+    same = json.dumps(_gallery_doc(name), sort_keys=True) == json.dumps(
+        ctx.scenario.raw, sort_keys=True
     )
-    results["gallery-item"] = {"name": scenario.name, "matches_shipped": same}
-    verdicts["gallery-item"] = "pass" if same else "fail"
+    return {"name": name, "matches_shipped": same}, same
+
+
+# each task returns its payload and whether it passed
+_TASKS = {
+    "decompose": _run_decompose,
+    "mean": _run_mean,
+    "certify": _run_certify,
+    "stochastic": _run_stochastic,
+    "gallery-item": _run_gallery_item,
+}
 
 
 def _plain(obj):
@@ -533,8 +558,10 @@ def run(scenario, seed=None, tolerances=None, schedule=None):
 
     A failing task (including precondition violations such as
     non-commuting generators) is recorded with its error and a "fail"
-    verdict; remaining tasks still run.  A non-finite tolerance override
-    raises :class:`ScenarioError` before any task runs.
+    verdict; remaining tasks still run.  The tasks share one run context,
+    so the projection and the decomposition are computed at most once.  A
+    non-finite tolerance override raises :class:`ScenarioError` before any
+    task runs.
     """
     t0 = time.perf_counter()
     eff_seed = scenario.seed if seed is None else int(seed)
@@ -543,38 +570,15 @@ def run(scenario, seed=None, tolerances=None, schedule=None):
     )
     eff_schedule = list(schedule) if schedule is not None else list(scenario.schedule)
 
-    results = {}
+    ctx = _RunContext(scenario, eff_seed, eff_tol, eff_schedule)
+    results = {"spectrum": {"generators": _spectrum_payload(scenario.action)}}
     verdicts = {}
-    results["spectrum"] = {"generators": _spectrum_payload(scenario.action)}
-    dec = None
     for task in scenario.tasks:
         try:
-            if task == "decompose":
-                dec = _run_decompose(
-                    scenario, eff_seed, eff_tol, eff_schedule, results, verdicts
-                )
-                if dec.invariant_density is not None:
-                    lam = np.concatenate(
-                        [
-                            np.linalg.eigvalsh(m)
-                            for m in dec.invariant_density.block_mats
-                        ]
-                    )
-                    results["spectrum"]["invariant_density"] = [
-                        float(v) for v in sorted(lam)
-                    ]
-            elif task == "mean":
-                _run_mean(scenario, eff_tol, results, verdicts)
-            elif task == "certify":
-                _run_certify(scenario, eff_tol, eff_schedule, results, verdicts)
-            elif task == "stochastic":
-                _run_stochastic(
-                    scenario, eff_seed, eff_tol, eff_schedule, results, verdicts, dec
-                )
-            elif task == "gallery-item":
-                _run_gallery_item(scenario, results, verdicts)
-            else:
+            if task not in _TASKS:
                 raise ScenarioError(f"unknown task {task!r}")
+            results[task], passed = _TASKS[task](ctx, results)
+            verdicts[task] = "pass" if passed else "fail"
         except (ValueError, ArithmeticError, PreconditionError) as exc:
             results[task] = {"error": str(exc), "error_type": type(exc).__name__}
             verdicts[task] = "fail"

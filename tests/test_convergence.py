@@ -322,6 +322,30 @@ def test_stochastic_accepts_precomputed_decomposition():
     assert rep.passed
 
 
+@pytest.mark.parametrize("schedule", [[4, 2], [1, 2, 2, 4]])
+def test_stochastic_rejects_a_schedule_that_is_not_strictly_ascending(schedule):
+    schr = AD.dual()
+    with pytest.raises(ValueError, match="ascending"):
+        stochastic_run(schr, M2.identity(), schedule=schedule)
+    dec = neveu_decompose(schr)
+    with pytest.raises(ValueError, match="ascending"):
+        stochastic_run(schr, M2.identity(), schedule=schedule, decomposition=dec)
+
+
+def test_stochastic_own_decomposition_uses_its_decay_tol(monkeypatch):
+    from neveukit import convergence
+
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs)
+        return neveu_decompose(*args, **kwargs)
+
+    monkeypatch.setattr(convergence, "neveu_decompose", spy)
+    stochastic_run(AD.dual(), M2.identity(), decay_tol=1e-3)
+    assert [kw["decay_tol"] for kw in seen] == [1e-3]
+
+
 # ---------------------------------------------------------------------------
 # corner compatibility
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from neveukit.dynamics import (
     SemigroupAction,
     average,
     average_super,
+    averages,
     continuous_average_super,
     folner_ratio,
     folner_set,
@@ -349,6 +350,88 @@ def test_average_index_validation():
         average(action, x, 0)
 
 
+def literal_averages(action, x, schedule):
+    """A_a(x) point by point, each window summed afresh: the reference for
+    the schedule walk of :func:`averages`."""
+    kind, dim = action.scheme.kind, action.algebra.dim
+    out = []
+    for a in schedule:
+        v = x.vec()
+        if kind == "finite-group":
+            v = sum(m @ v for m in action.matrices) / action.scheme.order
+        elif kind == "r-plus-cube":
+            for L in action.matrices:
+                aug = np.zeros((dim + 1, dim + 1), dtype=complex)
+                aug[:dim, :dim], aug[:dim, dim] = L, v
+                v = scipy.linalg.expm(a * aug)[:dim, dim] / a
+        else:
+            for axis, s in enumerate(action.matrices):
+                back = a if kind == "z-symmetric-box" else 0
+                size = 2 * a + 1 if back else a
+                cur = v
+                for _ in range(back):
+                    cur = action.inverses[axis] @ cur
+                acc = cur.copy()
+                for _ in range(size - 1):
+                    cur = s @ cur
+                    acc += cur
+                v = acc / size
+        out.append(v)
+    return out
+
+
+def flow_action(algebra, rng):
+    L = lindbladian(algebra, rng)
+    return SemigroupAction(algebra, "heisenberg", FolnerScheme("r-plus-cube"), [L])
+
+
+def walk_actions():
+    rng = np.random.default_rng(31)
+    s = random_channel(MULTI, rng)
+    cycle = from_conjugation(MULTI, random_block_unitary(MULTI, rng))
+    group = FolnerScheme("finite-group", order=2, table=((0, 1), (1, 0)))
+    swap = from_conjugation(M2, [np.array([[0.0, 1.0], [1.0, 0.0]])])
+    from neveukit.maps import SuperOperator
+
+    return {
+        "zplus-d1": zplus_action(s),
+        "zplus-d2": zplus_action(s, s @ s),
+        "z-symmetric": SemigroupAction(
+            MULTI, "heisenberg", FolnerScheme("z-symmetric-box"), [cycle]
+        ),
+        "finite-group": SemigroupAction(
+            M2, "heisenberg", group, [SuperOperator.identity(M2), swap]
+        ),
+        "r-plus-cube": flow_action(TracialAlgebra([2, 1], [0.25, 0.5]), rng),
+    }
+
+
+@pytest.mark.parametrize("schedule", [[1], [3, 7, 64], [1, 2, 4, 8, 16, 32, 64]])
+@pytest.mark.parametrize(
+    "name", ["zplus-d1", "zplus-d2", "z-symmetric", "finite-group", "r-plus-cube"]
+)
+def test_averages_walk_matches_literal_per_point_sums(name, schedule):
+    action = walk_actions()[name]
+    x = action.algebra.random_hermitian(np.random.default_rng(32))
+    got = [y.vec() for y in averages(action, x, schedule)]
+    want = literal_averages(action, x, schedule)
+    assert len(got) == len(schedule)
+    for g, w in zip(got, want):
+        if name == "zplus-d1":
+            # same matvecs in the same order: bitwise equal
+            assert np.array_equal(g, w)
+        else:
+            assert np.linalg.norm(g - w) <= 1e-13 * np.linalg.norm(w)
+
+
+@pytest.mark.parametrize("schedule", [[2, 1], [1, 1], [1, 4, 4, 8], []])
+def test_averages_reject_a_schedule_that_is_not_strictly_ascending(schedule):
+    action = zplus_action(amplitude_damping(M2, 0.5))
+    x = random_herm(M2, np.random.default_rng(5))
+    with pytest.raises(ValueError, match="ascending"):
+        averages(action, x, schedule)
+
+
 # ---------------------------------------------------------------------------
 # averages: invariants
 # ---------------------------------------------------------------------------
@@ -504,7 +587,10 @@ def test_dual_roundtrip_and_pairing():
     action = zplus_action(amplitude_damping(M2, 0.5))
     d_action = action.dual()
     assert d_action.picture == "schrodinger"
-    assert d_action.dual() is action
+    # dual() builds a new action each call; the round trip gives the same maps
+    back = d_action.dual()
+    assert back.picture == "heisenberg"
+    assert np.max(np.abs(back.matrices[0] - action.matrices[0])) <= 1e-14
     rng = np.random.default_rng(21)
     x, y = random_herm(M2, rng), random_herm(M2, rng)
     a = 6
@@ -524,7 +610,9 @@ def test_dual_of_average_super_is_average_of_dual():
 def test_to_picture():
     action = zplus_action(amplitude_damping(M2, 0.5))
     assert action.to_picture("heisenberg") is action
-    assert action.to_picture("schrodinger") is action.dual()
+    schr = action.to_picture("schrodinger")
+    assert schr.picture == "schrodinger"
+    assert np.array_equal(schr.matrices[0], action.dual().matrices[0])
 
 
 def test_finite_group_dual_uses_opposite_table():

@@ -292,6 +292,11 @@ def test_certificate_schedule_validation():
         weakly_wandering_certificate(AD, E11, schedule=[])
     with pytest.raises(ValueError):
         weakly_wandering_certificate(AD, E11, schedule=[0, 1])
+    # the schedule is checked before a zero element returns early
+    for x in (E11, M2.zero()):
+        for schedule in ([2, 1], [1, 2, 2, 4]):
+            with pytest.raises(ValueError, match="ascending"):
+                weakly_wandering_certificate(AD, x, schedule=schedule)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 import os
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from neveukit.cli import build_parser, main
 from neveukit.scenarios import (
     GALLERY_NAMES,
+    PAYLOAD_KEYS,
     Report,
     ScenarioError,
     emit,
@@ -176,6 +178,38 @@ def test_flow_generator_requires_continuous_scheme():
         scenario_from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"operatorz": [[[[1.0, 0.0]]]]},
+        {"operators": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]],
+         "operatorz": []},
+    ],
+)
+def test_payload_takes_exactly_its_source_key(tmp_path, capsys, payload):
+    doc = base_doc()
+    doc["action"]["generators"][0]["payload"] = payload
+    with pytest.raises(ScenarioError, match=r"action\.generators\[0\]\.payload"):
+        scenario_from_dict(doc)
+    assert main(["run", "--scenario", write_doc(tmp_path, doc)]) == 2
+    assert "action.generators[0].payload" in capsys.readouterr().err
+
+
+def test_shipped_scenarios_use_one_payload_key_per_generator():
+    for sc in gallery():
+        for spec in sc.raw["action"]["generators"]:
+            assert set(spec["payload"]) == {PAYLOAD_KEYS[spec["source"]]}
+
+
+def test_cli_scenario_not_utf8_exits_two_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "latin1.scn"
+    path.write_bytes(b'{"name": "caf\xe9\xff"}')
+    assert main(["run", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # running
 # ---------------------------------------------------------------------------
@@ -209,6 +243,34 @@ def test_decompose_mean_certify_share_one_schrodinger_projection(monkeypatch):
     # one Schur form per picture for the single generator: mean runs on the
     # Heisenberg action, decompose and certify share the Schroedinger one
     assert len(calls) == 2
+
+
+def near_degenerate_kernel_doc(tasks):
+    """A two-state kernel whose second eigenvalue 1 - 1e-7 lies within a
+    tol_fixed of 1e-6 of 1, so the mean projection fails its residuals."""
+    eps = 5e-8
+    doc = base_doc()
+    doc["algebra"] = {"blocks": [1, 1], "weights": [0.5, 0.5], "normalized": True}
+    doc["action"]["generators"] = [
+        {
+            "source": "classical-kernel",
+            "payload": {"kernel": [[1 - eps, eps], [eps, 1 - eps]]},
+        }
+    ]
+    doc["tasks"] = tasks
+    doc["tolerances"] = {"tol_fixed": 1e-6}
+    return doc
+
+
+@pytest.mark.parametrize(
+    "tasks", [["stochastic"], ["decompose", "stochastic"], ["mean", "stochastic"]]
+)
+def test_stochastic_uses_the_scenario_tol_fixed(tasks):
+    report = run(scenario_from_dict(near_degenerate_kernel_doc(tasks)))
+    errors = {report.data["results"][t]["error"] for t in tasks}
+    assert set(report.verdicts.values()) == {"fail"}
+    assert len(errors) == 1
+    assert "projector residuals above 1e-9" in errors.pop()
 
 
 @pytest.mark.parametrize(
@@ -611,3 +673,21 @@ def test_cli_stochastic_subcommand(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert "stochastic" in out["results"]
     assert out["verdicts"]["stochastic"] == "pass"
+
+
+@pytest.mark.parametrize("name", GALLERY_NAMES)
+def test_cli_run_leaves_no_cyclic_garbage(tmp_path, capsys, name):
+    main(["gallery", "--out", str(tmp_path)])
+    path = str(tmp_path / f"{name}.scn")
+    main(["run", "--scenario", path])  # first calls fill import-time caches
+    gc.collect()
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        main(["run", "--scenario", path])
+        gc.collect()
+        cyclic = len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert cyclic == 0

@@ -77,10 +77,7 @@ def _corner_basis(algebra, within):
     """
     if within is None:
         return [np.eye(n) for n in algebra.blocks], None
-    cols = []
-    for m in within.block_mats:
-        lam, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-        cols.append(v[:, lam >= 0.5])
+    cols = [v[:, lam >= 0.5] for lam, v in within.eigh()]
     return cols, within.complement()
 
 

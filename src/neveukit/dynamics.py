@@ -163,7 +163,7 @@ class SemigroupAction:
     change after construction.
     """
 
-    def __init__(self, algebra, picture, scheme, generators, _skip_checks=False):
+    def __init__(self, algebra, picture, scheme, generators):
         if picture not in ("heisenberg", "schrodinger"):
             raise ValueError(f"unknown picture {picture!r}")
         self.algebra = algebra
@@ -187,8 +187,7 @@ class SemigroupAction:
             self.generators = None
             self.flow_generators = tuple(mats)
             self.matrices = self.flow_generators
-            if not _skip_checks:
-                self.checks["commuting"] = check_commuting(self.flow_generators)
+            self.checks["commuting"] = check_commuting(self.flow_generators)
             return
 
         gens = list(generators)
@@ -214,8 +213,6 @@ class SemigroupAction:
                 invs.append(inv)
             self.inverses = tuple(invs)
 
-        if _skip_checks:
-            return
         if scheme.kind == "finite-group":
             self.checks["representation"] = self._check_representation()
         else:

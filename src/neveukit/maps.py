@@ -261,7 +261,7 @@ def from_kraus(algebra, kraus_ops):
     one = algebra.identity()
     lam1 = sum((k.H @ k for k in ops), algebra.zero())
     if not order_leq(lam1, one):
-        dev = max(np.linalg.eigvalsh(m).max() for m in lam1.block_mats)
+        dev = max(lam.max() for lam, _ in lam1.eigh())
         raise ValueError(
             f"subunitality violation: largest eigenvalue of sum K*K is {dev:.6g} > 1"
         )
@@ -475,15 +475,14 @@ def _split_pairs(algebra, rng):
     from .algebra import spectral_projection
 
     h = algebra.random_hermitian(rng)
-    lo = min(np.linalg.eigvalsh(m).min() for m in h.block_mats)
-    hi = max(np.linalg.eigvalsh(m).max() for m in h.block_mats)
+    lo = min(lam.min() for lam, _ in h.eigh())
+    hi = max(lam.max() for lam, _ in h.eigh())
     t = float(rng.uniform(lo, hi))
     p = spectral_projection(h, (t, None))
     yield p, p.complement()
     g = algebra.random_hermitian(rng)
     mins = []
-    for b, m in enumerate(g.block_mats):
-        _, V = np.linalg.eigh(m)
+    for b, (_, V) in enumerate(g.eigh()):
         for k in range(V.shape[1]):
             mats = [np.zeros((n, n), dtype=complex) for n in algebra.blocks]
             mats[b] = np.outer(V[:, k], V[:, k].conj())

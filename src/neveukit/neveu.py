@@ -230,13 +230,17 @@ def invariant_state(action, phi0=None, projection=None):
     given in the observable picture).  The returned Y is tau-normalised and
     its invariance under every generator is verified to 1e-9 in trace norm.
     """
-    schr = action.to_picture("schrodinger")
-    algebra = schr.algebra
+    return _invariant_density(action.to_picture("schrodinger"), phi0, projection)[0]
+
+
+def _invariant_density(schr, phi0, projection):
+    """``(Y, defect)``: the density of :func:`invariant_state` on the density
+    picture ``schr`` with its invariance defect, or ``(None, 0.0)``."""
     if phi0 is None:
-        phi0 = reference_density(algebra)
+        phi0 = reference_density(schr.algebra)
     if not phi0.is_positive():
         raise ValueError("phi0 must be positive")
-    min_eig = min(np.linalg.eigvalsh(m).min() for m in phi0.block_mats)
+    min_eig = min(lam.min() for lam, _ in phi0.eigh())
     if min_eig <= ABSENCE_TOL:
         raise ValueError("phi0 must be faithful (strictly positive)")
     if projection is None:
@@ -244,14 +248,14 @@ def invariant_state(action, phi0=None, projection=None):
     y0 = projection(phi0)
     mass = trace(y0).real
     if mass <= ABSENCE_TOL:
-        return None
+        return None, 0.0
     y = (y0 + y0.H) * 0.5 * (1.0 / mass)
     dev = _invariance_defect(schr, y)
     if dev > INVARIANCE_TOL * max(1.0, trace_norm(y)):
         raise ArithmeticError(
             f"candidate density is not invariant: defect {dev:.3e}"
         )
-    return y
+    return y, dev
 
 
 def _invariance_defect(schr, y):
@@ -374,7 +378,7 @@ def neveu_decompose(
     heis = action.to_picture("heisenberg")
     algebra = action.algebra
     proj = projection or mean_ergodic_projection(schr, tol_fixed=tol_fixed)
-    y = invariant_state(schr, projection=proj)
+    y, inv_defect = _invariant_density(schr, None, proj)
     detail = {
         "mean_residuals": proj.residuals,
         "cross_validation": proj.cross_validation,
@@ -383,10 +387,8 @@ def neveu_decompose(
 
     if y is None:
         e1 = Projection(algebra, algebra.zero().block_mats)
-        inv_defect = 0.0
     else:
         e1 = support(y)
-        inv_defect = _invariance_defect(schr, y)
     e2 = e1.complement()
     x0 = e2
     detail["invariance_defect"] = float(inv_defect)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neveukit.algebra import (
     Operator,
@@ -14,6 +16,8 @@ from neveukit.algebra import (
     support,
     trace,
     trace_norm,
+    POSITIVE_RTOL,
+    SUPPORT_RTOL,
 )
 
 M2 = TracialAlgebra.full_matrix(2)
@@ -68,6 +72,24 @@ def test_block_shape_mismatch_rejected():
         M2.operator([np.eye(3)])
     with pytest.raises(ValueError):
         Operator(M2, [np.eye(2), np.eye(2)])
+
+
+def test_algebra_equality_is_exact_transitive_and_agrees_with_hash():
+    # weights one to a few ulps apart around 0.1234567890123445
+    w = 0.1234567890123445
+    ws = [w, w + 6e-16, w + 12e-16]
+    algs = [TracialAlgebra([2], [v]) for v in ws]
+    for a in algs:
+        for b in algs:
+            if a == b:
+                assert hash(a) == hash(b)
+                assert len({a, b}) == 1
+            for c in algs:
+                if a == b and b == c:
+                    assert a == c
+    twin = TracialAlgebra([2], [w])
+    assert twin == algs[0] and hash(twin) == hash(algs[0])
+    assert len({twin, algs[0]}) == 1
 
 
 def test_mixed_algebra_arithmetic_rejected():
@@ -283,3 +305,136 @@ def test_projection_lattice_basics():
     assert trace(p).real == pytest.approx(2 / 3)
     assert trace(q).real == pytest.approx(1 / 3)
     assert op_norm(p @ q) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# the shared spectral data: properties over block structures and weights
+# ---------------------------------------------------------------------------
+
+BLOCK_SPECS = st.lists(
+    st.tuples(st.integers(1, 4), st.floats(0.05, 2.0)), min_size=1, max_size=3
+)
+
+
+def _algebra(blocks):
+    return TracialAlgebra([n for n, _ in blocks], [w for _, w in blocks])
+
+
+def _random_block(rng, n, cols):
+    return rng.standard_normal((n, cols)) + 1j * rng.standard_normal((n, cols))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    blocks=BLOCK_SPECS,
+    seed=st.integers(0, 2**32 - 1),
+    log_scale=st.floats(-3.0, 3.0),
+)
+def test_support_of_rank_deficient_positive(blocks, seed, log_scale):
+    """s x = x, s is idempotent, and rank s counts the eigenvalues above
+    theta = 1e-10 max(lambda_max, 1), against a dense per-block oracle."""
+    algebra = _algebra(blocks)
+    rng = np.random.default_rng(seed)
+    mats, planted = [], 0
+    for n in algebra.blocks:
+        r = int(rng.integers(0, n))  # strictly rank-deficient
+        g = _random_block(rng, n, r)
+        mats.append(10.0**log_scale * (g @ g.conj().T))
+        planted += r
+    x = algebra.operator(mats)
+    s = support(x)
+    scale = max(op_norm(x), 1.0)
+    assert op_norm(s @ x - x) <= 1e-9 * scale
+    assert op_norm(s @ s - s) <= 1e-12
+    lam = np.concatenate([np.linalg.eigvalsh(m) for m in mats])
+    theta = SUPPORT_RTOL * max(lam.max(), 1.0)
+    assert s.rank == int(np.sum(lam > theta)) == planted
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(blocks=BLOCK_SPECS, seed=st.integers(0, 2**32 - 1), hermitian=st.booleans())
+def test_spectral_functions_match_dense_per_block_oracle(blocks, seed, hermitian):
+    """trace_norm, abs_op, spectral_decompose and is_positive, all reading one
+    cached eigendecomposition, against SVD / eigvalsh of each block."""
+    algebra = _algebra(blocks)
+    rng = np.random.default_rng(seed)
+    mats = [_random_block(rng, n, n) for n in algebra.blocks]
+    if hermitian:
+        mats = [(m + m.conj().T) / 2.0 for m in mats]
+    x = algebra.operator(mats)
+    norm = op_norm(x)
+
+    svs = [np.linalg.svd(m, compute_uv=False) for m in mats]
+    expected = sum(w * s.sum() for w, s in zip(algebra.weights, svs))
+    assert trace_norm(x) == pytest.approx(expected, rel=1e-12)
+
+    a = abs_op(x)
+    for m, am in zip(mats, a.block_mats):
+        _, s, vh = np.linalg.svd(m)
+        oracle = (vh.conj().T * s) @ vh
+        assert np.linalg.norm(am - oracle, 2) <= 1e-12 * max(norm, 1.0)
+    assert a.is_positive()
+
+    assert x.is_hermitian() == hermitian
+    if not hermitian:
+        assert not x.is_positive()
+        with pytest.raises(ValueError):
+            spectral_decompose(x)
+        return
+    lo = min(np.linalg.eigvalsh(m).min() for m in mats)
+    assert x.is_positive() == (lo >= -POSITIVE_RTOL * norm)
+    pairs = spectral_decompose(x)
+    total = sum((lam * p for lam, p in pairs), algebra.zero())
+    assert op_norm(total - x) <= 1e-10 * max(norm, 1.0)
+    ones = sum((p for _, p in pairs), algebra.zero())
+    assert op_norm(ones - algebra.identity()) <= 1e-12
+    # the positive branch: a shift past the oracle's minimum eigenvalue
+    shifted = x + (abs(lo) + 1.0) * algebra.identity()
+    assert shifted.is_positive()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(blocks=BLOCK_SPECS, seed=st.integers(0, 2**32 - 1))
+def test_spectral_results_do_not_depend_on_call_order(blocks, seed):
+    """support after the other spectral queries equals support on a fresh
+    copy, bit for bit."""
+    algebra = _algebra(blocks)
+    rng = np.random.default_rng(seed)
+    mats = []
+    for n in algebra.blocks:
+        g = _random_block(rng, n, int(rng.integers(1, n + 1)))
+        mats.append(g @ g.conj().T)
+    used = algebra.operator([m.copy() for m in mats])
+    assert used.is_positive()
+    trace_norm(used)
+    abs_op(used)
+    distribution(used, 0.5)
+    spectral_decompose(used)
+    fresh = algebra.operator([m.copy() for m in mats])
+    for p, q in zip(support(used).block_mats, support(fresh).block_mats):
+        assert np.array_equal(p, q)
+
+
+def test_one_eigendecomposition_serves_every_spectral_query(monkeypatch):
+    """Every query on x reads x's cached decomposition: LAPACK sees each
+    hermitian block of x once (the projections built along the way are
+    new operators with their own decompositions)."""
+    alg = TracialAlgebra([3, 2, 1], [0.1, 0.2, 0.3])
+    x = alg.random_positive(np.random.default_rng(31))
+    parts = [(m + m.conj().T) / 2.0 for m in x.block_mats]
+    seen = []
+    original = np.linalg.eigh
+
+    def counting(m, *args, **kwargs):
+        seen.extend(i for i, h in enumerate(parts) if np.array_equal(m, h))
+        return original(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    support(x)
+    x.is_positive()
+    trace_norm(x)
+    abs_op(x)
+    distribution(x, 0.5)
+    spectral_decompose(x)
+    spectral_projection(x, (0.5, None))
+    assert sorted(seen) == list(range(alg.n_blocks))

@@ -347,6 +347,21 @@ def test_decompose_absence_of_invariant_state():
     assert dec.overall
 
 
+def test_decompose_computes_the_invariance_defect_once(monkeypatch):
+    """The defect checked by the invariant state is the one reported."""
+    calls = []
+    original = neveu._invariance_defect
+
+    def counting(schr, y):
+        calls.append(y)
+        return original(schr, y)
+
+    monkeypatch.setattr(neveu, "_invariance_defect", counting)
+    dec = neveu_decompose(AD)
+    assert len(calls) == 1
+    assert dec.detail["invariance_defect"] == original(AD.dual(), calls[0])
+
+
 def test_decompose_corners_are_complementary_projections():
     dec = neveu_decompose(AD)
     assert isinstance(dec.e1, Projection)

@@ -13,6 +13,7 @@ from .algebra import (
     abs_op,
     distribution,
     op_norm,
+    op_norms,
     order_leq,
     spectral_decompose,
     spectral_projection,

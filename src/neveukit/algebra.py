@@ -18,6 +18,12 @@ block-major, column-stacking per block, i.e.
 
 so that for a single block vec(A X B) = (B.T kron A) vec(X).
 
+Operator norms (:func:`op_norm`, :func:`op_norms`) are the exact largest
+singular value, never a bound.  :func:`op_norms` takes a whole list of
+operators with one batched ``np.linalg.norm(stack, 2, axis=(-2, -1))`` per
+block index; LAPACK still runs per matrix, so every value is bitwise equal to
+``np.linalg.norm(m, 2)`` of the block that attains it.
+
 All functions are pure and operators are treated as immutable.  Each
 ``Operator`` decomposes its hermitian part at most once (:meth:`Operator.eigh`)
 and every spectral function reads that cached decomposition, so the block
@@ -41,6 +47,7 @@ __all__ = [
     "trace",
     "trace_norm",
     "op_norm",
+    "op_norms",
     "abs_op",
     "spectral_decompose",
     "spectral_projection",
@@ -288,11 +295,13 @@ class Operator:
     # -- verified flags ----------------------------------------------------
 
     def is_hermitian(self):
+        """``||x - x*|| <= 1e-12 ||x||``; no norm is taken when x == x* exactly."""
         if "hermitian" not in self._flags:
-            dev = max(
-                np.linalg.norm(m - m.conj().T, 2) for m in self.block_mats
-            )
-            self._flags["hermitian"] = dev <= HERMITIAN_RTOL * op_norm(self) + 1e-30
+            if all(np.array_equal(m, m.conj().T) for m in self.block_mats):
+                self._flags["hermitian"] = True
+            else:
+                dev, norm = op_norms([self - self.H, self])
+                self._flags["hermitian"] = dev <= HERMITIAN_RTOL * norm + 1e-30
         return self._flags["hermitian"]
 
     def is_positive(self):
@@ -332,9 +341,12 @@ class Projection(Operator):
     def __init__(self, algebra, block_mats):
         super().__init__(algebra, block_mats)
         for m in self.block_mats:
-            if np.linalg.norm(m @ m - m, 2) > PROJECTION_TOL:
+            idem, adj = np.linalg.norm(
+                np.array([m @ m - m, m - m.conj().T]), 2, axis=(-2, -1)
+            )
+            if idem > PROJECTION_TOL:
                 raise ValueError("not idempotent within 1e-10")
-            if np.linalg.norm(m - m.conj().T, 2) > PROJECTION_TOL:
+            if adj > PROJECTION_TOL:
                 raise ValueError("not self-adjoint within 1e-10")
         ranks = []
         for ev, _ in self.eigh():
@@ -394,7 +406,25 @@ def trace_norm(x):
 
 def op_norm(x):
     """Operator norm: the largest singular value over all blocks."""
-    return float(max(np.linalg.norm(m, 2) for m in x.block_mats))
+    return op_norms([x])[0]
+
+
+def op_norms(xs):
+    """The operator norm of each of a list of operators on one algebra.
+
+    One ``np.linalg.norm(..., 2, axis=(-2, -1))`` per block index over the
+    stacked blocks, then a max over blocks; LAPACK runs per matrix, so each
+    value is bitwise the per-matrix ``np.linalg.norm(m, 2)``.
+    """
+    xs = list(xs)
+    first = xs[0].algebra if xs else None
+    if any(x.algebra is not first and x.algebra != first for x in xs):
+        raise ValueError("operators live in different algebras")
+    norms = None
+    for mats in zip(*(x.block_mats for x in xs)):
+        block = np.linalg.norm(np.array(mats), 2, axis=(-2, -1))
+        norms = block if norms is None else np.maximum(norms, block)
+    return [] if norms is None else norms.tolist()
 
 
 def abs_op(x):

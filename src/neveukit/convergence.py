@@ -33,6 +33,7 @@ from .algebra import (
     TracialAlgebra,
     abs_op,
     op_norm,
+    op_norms,
     trace,
     trace_norm,
 )
@@ -119,11 +120,10 @@ def _deviations(sequence, limit, schedule, within):
     schedule = list(schedule if schedule is not None else range(1, len(sequence) + 1))
     if len(schedule) != len(sequence):
         raise ValueError("schedule and sequence lengths differ")
-    scale = max([op_norm(x) for x in sequence] + [op_norm(limit), 1.0])
+    scale = max(op_norms(sequence + [limit]) + [1.0])
     deviations = [x - limit for x in sequence]
     if within is not None:
-        for d in deviations:
-            leak = op_norm(d - within @ d @ within)
+        for leak in op_norms([d - within @ d @ within for d in deviations]):
             if leak > SUPPORT_LEAK_TOL * max(1.0, scale):
                 raise ValueError(
                     f"sequence is not supported in the given corner (leak {leak:.3e})"
@@ -168,20 +168,22 @@ def measure_certify(sequence, limit, eps, schedule=None, delta_tol=1e-6, within=
     algebra, schedule, deviations = _deviations(sequence, limit, schedule, within)
     basis, outside = _corner_basis(algebra, within)
 
-    rows, witnesses, actives = [], [], []
-    for a, d in zip(schedule, deviations):
+    deltas, witnesses, actives = [], [], []
+    for d in deviations:
         eigs = _corner_eigh(basis, abs_op(d))
         keeps = [lam < eps - BOUNDARY_SNAP for lam, _, _ in eigs]
         delta = 0.0
         for w, keep in zip(algebra.weights, keeps):
             delta += w * float(np.sum(~keep))
         active, e = _corner_projection(algebra, eigs, keeps, outside)
-        corner = float(op_norm(e @ d @ e))
-        rows.append(
-            {"a": a, "delta": float(delta), "rank_kept": e.rank, "corner_norm": corner}
-        )
+        deltas.append(float(delta))
         witnesses.append(e)
         actives.append(active)
+    corners = op_norms([e @ d @ e for e, d in zip(witnesses, deviations)])
+    rows = [
+        {"a": a, "delta": delta, "rank_kept": e.rank, "corner_norm": corner}
+        for a, delta, e, corner in zip(schedule, deltas, witnesses, corners)
+    ]
 
     n0 = None
     for i in range(len(rows)):
@@ -275,7 +277,7 @@ def bau_certify(
     keeps = [lam <= theta + BOUNDARY_SNAP for lam, _, _ in comp_eigs]
     e_active, e = _corner_projection(algebra, comp_eigs, keeps, outside)
 
-    corner = [float(op_norm(e @ d @ e)) for d in deviations]
+    corner = op_norms([e @ d @ e for d in deviations])
     sup = 0.0
     sups = [0.0] * len(corner)
     for i in range(len(corner) - 1, n0 - 1, -1):
@@ -392,15 +394,16 @@ def stochastic_run(
     if burn_bau is not None and measure.n0 is not None:
         burn = max(burn_bau, measure.n0)
 
-    bound_base = float(op_norm(p @ xbar @ p))
+    actives = measure.witnesses_active  # q_a, inside e2
+    bound_base, *cross_norms = op_norms(
+        [p @ xbar @ p] + [p @ avg @ q for avg, q in zip(avgs, actives)]
+    )
     rows = []
     budget_ok = True
     cross_ok = True
-    for i, a in enumerate(schedule):
-        q = measure.witnesses_active[i]  # q_a inside e2
+    for a, q, cross_norm in zip(schedule, actives, cross_norms):
         r = p + q
         excluded = trace(algebra.identity() - r).real
-        cross_norm = float(op_norm(p @ avgs[i] @ q))
         bound = float(np.sqrt(eps * (eps + bound_base))) + CROSS_TERM_SLACK
         active = burn is not None and a >= burn
         row = {

@@ -18,10 +18,12 @@ axis: max(schedule) - 1 matvecs for d = 1 (63 on 1, 2, ..., 64, against 120
 for a fresh sum per point), twice that for z-symmetric windows.  For d >= 2
 only axis 0 is shared, as later axes act on a different vector per a.
 :func:`average_super` builds each per-axis sum of powers by binary doubling
-in O(d log a) D x D products.  Summation order is fixed (ascending k for the
-zplus matvecs, the bits of a for the doubling, then ascending axis) so
-results are bitwise reproducible.  Brute-force cross-checks over small
-boxes and against the literal sums live in the test-suite.
+in O(d log a) D x D products; on zplus-box one walk serves several sizes
+(A_16, then A_64 with two more doublings).  Summation order is fixed
+(ascending k for the zplus matvecs, the bits of a for the doubling, then
+ascending axis) so results are bitwise reproducible.  Brute-force
+cross-checks over small boxes and against the literal sums live in the
+test-suite.
 
 Flow averages factor the same way, A_a = prod_i (1/a) int_0^a exp(t L_i) dt,
 and each factor is one block exponential (C. F. Van Loan, "Computing
@@ -358,32 +360,47 @@ def _cesaro_walk(action, axis, v, schedule):
     return means
 
 
-def _power_sum(s, n):
-    """(sum_{k<n} S^k, S^n) for a square matrix S and n >= 1, by doubling.
+def _power_sums(s, ns):
+    """[sum_{k<n} S^k for n in ns] for a square matrix S, by one doubling walk.
 
     Reads the bits of n from the top: a 0 bit doubles m (the sum becomes
     (1 + S^m) sum_{k<m} S^k), a 1 bit doubles and then appends S^m.  That
     takes O(log n) matrix products instead of the n - 1 of the literal sum.
+    The binary digits of each n must begin with those of the n before it
+    (16 then 64), so each walk continues the last one and every sum is
+    bitwise the one a walk to n alone gives.
     """
     total = np.eye(s.shape[0], dtype=complex)
     power = s
-    for bit in bin(int(n))[3:]:
-        total = total + power @ total
-        power = power @ power
-        if bit == "1":
-            total = total + power
-            power = s @ power
-    return total, power
+    done = "1"
+    sums = []
+    for n in ns:
+        bits = bin(int(n))[2:]
+        if not bits.startswith(done):
+            raise ValueError(f"the bits of {n} do not extend those of {int(done, 2)}")
+        for bit in bits[len(done):]:
+            total = total + power @ total
+            power = power @ power
+            if bit == "1":
+                total = total + power
+                power = s @ power
+        done = bits
+        sums.append(total)
+    return sums
 
 
-def _axis_cesaro_super(action, axis, a):
-    """The per-axis Cesaro mean as a matrix: (1/|window|) sum of window powers."""
+def _axis_cesaro_supers(action, axis, sizes):
+    """The per-axis Cesaro means (1/|window|) sum of window powers, as
+    matrices, for each a in sizes; zplus-box walks one doubling for all."""
     s = action.generators[axis].matrix
     if action.scheme.kind == "zplus-box":
-        return _power_sum(s, a)[0] / a
+        return [t / a for t, a in zip(_power_sums(s, sizes), sizes)]
     # z-symmetric-box: sum_{-a <= k <= a} S^k = S^{-a} sum_{k <= 2a} S^k
-    back = np.linalg.matrix_power(action.inverses[axis], a)
-    return back @ _power_sum(s, 2 * a + 1)[0] / (2 * a + 1)
+    means = []
+    for a in sizes:
+        back = np.linalg.matrix_power(action.inverses[axis], a)
+        means.append(back @ _power_sums(s, [2 * a + 1])[0] / (2 * a + 1))
+    return means
 
 
 def average(action, x, a):
@@ -422,20 +439,34 @@ def averages(action, x, schedule):
 
 def average_super(action, a):
     """The averaging operator A_a as a SuperOperator (usable in either picture)."""
+    return SuperOperator(
+        action.algebra, _average_matrices(action, [a])[0], source="composite"
+    )
+
+
+def _average_matrices(action, sizes):
+    """The matrices of A_a for each a in sizes, each bitwise that of
+    :func:`average_super`.
+
+    On zplus-box one doubling walk per axis serves every size, so the binary
+    digits of each size must begin with those of the size before it.
+    """
     if action.scheme.kind == "r-plus-cube":
-        mat = continuous_average_super(action, a)
-        return SuperOperator(action.algebra, mat, source="composite")
-    a = int(a)
-    if a < 1:
+        return [continuous_average_super(action, a) for a in sizes]
+    sizes = [int(a) for a in sizes]
+    if min(sizes) < 1:
         raise ValueError("Foelner index a must be >= 1")
     action.require_commuting()
     if action.scheme.kind == "finite-group":
         mat = sum(s.matrix for s in action.generators) / action.scheme.order
-        return SuperOperator(action.algebra, mat, source="composite")
-    m = _axis_cesaro_super(action, 0, a)
+        return [mat] * len(sizes)
+    mats = _axis_cesaro_supers(action, 0, sizes)
     for axis in range(1, action.scheme.d):
-        m = _axis_cesaro_super(action, axis, a) @ m
-    return SuperOperator(action.algebra, m, source="composite")
+        mats = [
+            m_axis @ m
+            for m_axis, m in zip(_axis_cesaro_supers(action, axis, sizes), mats)
+        ]
+    return mats
 
 
 def _flow_average(action, b, a):

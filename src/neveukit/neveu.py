@@ -33,11 +33,12 @@ from .algebra import (
     Operator,
     Projection,
     op_norm,
+    op_norms,
     support,
     trace,
     trace_norm,
 )
-from .dynamics import _ascending, average_super, averages
+from .dynamics import _ascending, _average_matrices, average_super, averages
 from .maps import SuperOperator, dual
 
 __all__ = [
@@ -202,8 +203,9 @@ def mean_ergodic_projection(action, tol_fixed=1e-9):
             f"spectral rank {rank} != fixed-space dimension {len(basis)}"
         )
 
-    n16 = float(np.linalg.norm(average_super(action, 16).matrix - e, 2))
-    n64 = float(np.linalg.norm(average_super(action, 64).matrix - e, 2))
+    a16, a64 = _average_matrices(action, (16, 64))
+    n16 = float(np.linalg.norm(a16 - e, 2))
+    n64 = float(np.linalg.norm(a64 - e, 2))
     # a C/a Cesaro envelope calibrated at a = 16 must cover the a = 64 point
     envelope = 10.0 * (16.0 * n16) / 64.0 + PROJECTION_RESIDUAL_TOL
     if n64 > envelope:
@@ -328,7 +330,7 @@ def weakly_wandering_certificate(
     if op_norm(x) == 0.0:
         return WanderingCertificate([], 0.0, None, "pass", {"note": "zero element"})
     avgs = averages(action.to_picture("heisenberg"), x, schedule)
-    points = [(a, float(op_norm(y))) for a, y in zip(schedule, avgs)]
+    points = list(zip(schedule, op_norms(avgs)))
     slope, nonincreasing, verdict = tail_decay_verdict(points, decay_tol, window)
     detail = {"nonincreasing_tail": nonincreasing, "window": window}
     return WanderingCertificate(points, points[-1][1], slope, verdict, detail)

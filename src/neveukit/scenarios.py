@@ -23,6 +23,7 @@ from __future__ import annotations
 import cmath
 import importlib.resources
 import json
+import math
 import os
 import tempfile
 import time
@@ -620,8 +621,9 @@ def _write_json(o, ind, parts):
     The stdlib encoder runs in pure Python whenever ``indent`` is set.  Here
     a list of ``[float, float]`` pairs, the row of an encoded matrix, is
     checked and formatted by C-level calls: one ``%`` template over
-    ``float.__repr__``.  Strings go through the C string encoder and every
-    other scalar through ``json.dumps``.
+    ``float.__repr__``.  Strings go through the C string encoder; ``None``,
+    bools, ints and finite floats are spelled directly, as the stdlib spells
+    them, and every other scalar goes through ``json.dumps``.
     """
     if isinstance(o, str):
         parts.append(encode_basestring_ascii(o))
@@ -663,6 +665,16 @@ def _write_json(o, ind, parts):
             _write_json(v, inner, parts)
             sep = ","
         parts.append(ind + "]")
+    elif o is None:
+        parts.append("null")
+    elif o is True:
+        parts.append("true")
+    elif o is False:
+        parts.append("false")
+    elif type(o) is int:
+        parts.append(int.__repr__(o))
+    elif type(o) is float and math.isfinite(o):
+        parts.append(float.__repr__(o))
     else:
         parts.append(json.dumps(o))
 

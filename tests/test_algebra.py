@@ -10,6 +10,7 @@ from neveukit.algebra import (
     abs_op,
     distribution,
     op_norm,
+    op_norms,
     order_leq,
     spectral_decompose,
     spectral_projection,
@@ -438,3 +439,72 @@ def test_one_eigendecomposition_serves_every_spectral_query(monkeypatch):
     spectral_decompose(x)
     spectral_projection(x, (0.5, None))
     assert sorted(seen) == list(range(alg.n_blocks))
+
+
+# ---------------------------------------------------------------------------
+# batched spectral norms and the hermitian test
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    blocks=st.lists(
+        st.tuples(st.integers(1, 5), st.floats(0.05, 2.0)), min_size=1, max_size=3
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 6),
+)
+def test_op_norms_equal_per_block_spectral_norms_bitwise(blocks, seed, count):
+    """op_norms(xs)[i] is max_b np.linalg.norm(x_i,b, 2) to the last bit,
+    over scales 1e-12..1e3 mixed within one list, zero operators included."""
+    algebra = _algebra(blocks)
+    rng = np.random.default_rng(seed)
+    xs = []
+    for _ in range(count):
+        if rng.random() < 0.2:
+            xs.append(algebra.zero())
+            continue
+        scale = 10.0 ** rng.uniform(-12.0, 3.0)
+        xs.append(algebra.operator([scale * _random_block(rng, n, n) for n in algebra.blocks]))
+    want = [max(float(np.linalg.norm(m, 2)) for m in x.block_mats) for x in xs]
+    got = op_norms(xs)
+    assert got == want
+    assert all(type(v) is float for v in got)
+    assert [op_norm(x) for x in xs] == want
+    assert op_norms(xs[:1]) == want[:1]
+
+
+def test_op_norms_of_nothing_and_of_mixed_algebras():
+    assert op_norms([]) == []
+    with pytest.raises(ValueError, match="different algebras"):
+        op_norms([M2.identity(), TracialAlgebra.full_matrix(3).identity()])
+    with pytest.raises(ValueError, match="different algebras"):
+        op_norms([M2.identity(), M2.identity(), C3.identity()])
+
+
+def test_is_hermitian_decision_and_exact_fast_path(monkeypatch):
+    """A 1e-14 ||x|| anti-hermitian part passes the 1e-12 relative test and
+    1e-10 ||x|| fails it; an exactly hermitian operator takes no norm."""
+    alg = TracialAlgebra([3, 2], [0.1, 0.35])
+    rng = np.random.default_rng(8)
+    h = alg.random_hermitian(rng)
+    g = random_op(alg, rng)
+    k = g - g.H
+    k = (1.0 / op_norm(k)) * k
+    norm = op_norm(h)
+    assert (h + (1e-14 * norm) * k).is_hermitian()
+    assert not (h + (1e-10 * norm) * k).is_hermitian()
+
+    calls = []
+    original = np.linalg.norm
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting)
+    fresh = alg.operator([m.copy() for m in h.block_mats])
+    assert fresh.is_hermitian()
+    assert calls == []
+    assert not (h + (1e-10 * norm) * k).is_hermitian()
+    assert len(calls) == alg.n_blocks

@@ -1,7 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
-from neveukit.algebra import Projection, TracialAlgebra, op_norm, trace
+from neveukit.algebra import Operator, Projection, TracialAlgebra, op_norm, trace
 from neveukit.convergence import (
     HullConvergenceError,
     bau_certify,
@@ -19,7 +21,7 @@ from neveukit.maps import (
     from_conjugation,
     from_kraus,
 )
-from neveukit.neveu import neveu_decompose
+from neveukit.neveu import neveu_decompose, weakly_wandering_certificate
 
 M2 = TracialAlgebra.full_matrix(2)
 C3 = TracialAlgebra.commutative([1 / 3, 1 / 3, 1 / 3])
@@ -450,3 +452,55 @@ def test_hull_finite_group_residual_zero():
     )
     res = convex_hull_residual(action, E11, a=1)
     assert res.residual <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# schedule-wide norms are batched
+# ---------------------------------------------------------------------------
+
+# Each witness projection and each hermitian test takes its own norms when
+# the object is built; these two admission checks are not counted.
+ADMISSION_CODE = (Projection.__init__.__code__, Operator.is_hermitian.__code__)
+
+
+def certificate_norm_calls(monkeypatch, run):
+    """np.linalg.norm calls made by ``run()`` outside the admission checks."""
+    calls = []
+    original = np.linalg.norm
+
+    def counting(*args, **kwargs):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code not in ADMISSION_CODE:
+            frame = frame.f_back
+        if frame is None:
+            calls.append(1)
+        return original(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "norm", counting)
+        run()
+    return len(calls)
+
+
+def test_certificate_norm_calls_do_not_grow_with_the_schedule(monkeypatch):
+    alg = TracialAlgebra([2, 1], [0.25, 0.5])
+    rng = np.random.default_rng(12)
+    limit = alg.random_hermitian(rng)
+    schr = AD.dual()
+    dec = neveu_decompose(schr)
+    counts = {}
+    for n in (4, 16):
+        schedule = list(range(1, n + 1))
+        seq = [limit + (1.0 / a) * alg.random_hermitian(rng) for a in schedule]
+        runs = {
+            "measure": lambda: measure_certify(seq, limit, 0.3, schedule=schedule),
+            "bau": lambda: bau_certify(seq, limit, 0.2, schedule=schedule),
+            "stochastic": lambda: stochastic_run(
+                schr, M2.identity(), schedule=schedule, decomposition=dec
+            ),
+            "wandering": lambda: weakly_wandering_certificate(
+                AD, E11, schedule=schedule, window=3
+            ),
+        }
+        counts[n] = {k: certificate_norm_calls(monkeypatch, f) for k, f in runs.items()}
+    assert counts[4] == counts[16]

@@ -13,6 +13,7 @@ from neveukit.dynamics import (
     average,
     average_super,
     averages,
+    _power_sums,
     continuous_average_super,
     folner_ratio,
     folner_set,
@@ -663,3 +664,63 @@ def test_lamperti_reports_reject_flows():
     action = SemigroupAction(alg, "heisenberg", scheme, [np.array([[-1.0]])])
     with pytest.raises(PreconditionError):
         action.lamperti_reports()
+
+
+def single_walk_power_sum(s, n):
+    """sum_{k<n} S^k by a doubling walk to n alone: the reference for a walk
+    that continues through smaller sizes."""
+    total = np.eye(s.shape[0], dtype=complex)
+    power = s
+    for bit in bin(n)[3:]:
+        total = total + power @ total
+        power = power @ power
+        if bit == "1":
+            total = total + power
+            power = s @ power
+    return total
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_mean_projection_continues_the_a16_walk_to_a64(monkeypatch, d):
+    """On zplus-box the cross-validation takes A_16 and A_64 from one doubling
+    walk per axis, and its A_64 is bitwise the walk to 64 alone."""
+    from neveukit import dynamics, neveu
+
+    if d == 1:
+        action = zplus_action(amplitude_damping(M2, 0.5))
+    else:
+        s = random_channel(MULTI, np.random.default_rng(24))
+        action = zplus_action(s, s @ s)
+    walks, built = [], []
+    power_sums, average_matrices = dynamics._power_sums, neveu._average_matrices
+
+    def recording_walk(s, ns):
+        walks.append(list(ns))
+        return power_sums(s, ns)
+
+    def recording_averages(action, sizes):
+        built.append(average_matrices(action, sizes))
+        return built[-1]
+
+    monkeypatch.setattr(dynamics, "_power_sums", recording_walk)
+    monkeypatch.setattr(neveu, "_average_matrices", recording_averages)
+    proj = neveu.mean_ergodic_projection(action)
+    assert walks == [[16, 64]] * d
+    monkeypatch.undo()
+
+    (a16, a64), = built
+    for a, got in ((16, a16), (64, a64)):
+        want = single_walk_power_sum(action.generators[0].matrix, a) / a
+        for gen in action.generators[1:]:
+            want = (single_walk_power_sum(gen.matrix, a) / a) @ want
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, average_super(action, a).matrix)
+    assert proj.cross_validation["norm_a64"] == float(
+        np.linalg.norm(a64 - proj.superop.matrix, 2)
+    )
+
+
+def test_power_sums_need_extending_bits():
+    s = np.eye(2, dtype=complex)
+    with pytest.raises(ValueError, match="do not extend"):
+        _power_sums(s, [16, 40])

@@ -17,7 +17,10 @@ The mean ergodic projection is computed spectrally (Schur form plus a
 Sylvester solve per generator, intersected across generators) and then
 cross-validated against Cesaro averages A_16 and A_64, built by doubling
 from the generator matrices and so independent of the Schur projector;
-disagreement raises instead of returning a silently wrong projector.
+disagreement raises instead of returning a silently wrong projector.  E has
+rank r, the fixed-space dimension, and is also kept by its factors
+E(y) = sum_i tau(psi_i y) x_i over the fixed basis x_i and the dual basis
+psi_i = dual(E)(x_i*).
 Nothing is cached on the action: callers that reuse a projection pass it on
 with ``projection=``, as the tasks of one scenario run do.
 """
@@ -134,13 +137,26 @@ def _cluster_projector(mat, center, tol):
 
 @dataclass(frozen=True)
 class MeanErgodicProjection:
-    """Projector onto the fixed space along the averaged-to-zero complement."""
+    """Projector onto the fixed space along the averaged-to-zero complement.
+
+    E has finite rank r, the dimension of the fixed space, and factors as
+
+        E(y) = sum_i tau(psi_i y) x_i,
+
+    with x_i = ``fixed_basis[i]`` the tau-orthonormal fixed points and
+    psi_i = ``dual_basis[i]`` = dual(E)(x_i*), the functionals conserved by
+    the dual action: tau(psi_i x_j) = delta_ij.  In the density picture the
+    psi_i are conserved observables.  ``factor_residual`` is the Frobenius
+    norm of the difference between the factored and the dense E.
+    """
 
     superop: SuperOperator
     fixed_basis: list
+    dual_basis: list
     residuals: dict
     cross_validation: dict
     rank: int
+    factor_residual: float
 
     def __call__(self, x):
         return self.superop(x)
@@ -151,10 +167,12 @@ def mean_ergodic_projection(action, tol_fixed=1e-9):
 
     Per generator the eigenvalue cluster at 1 (at 0 for flow generators) is
     split off in Schur form; the commuting per-generator projectors are then
-    multiplied.  Three independent validations guard the result: idempotency
-    and generator invariance residuals, rank agreement with the SVD fixed
-    space, and an envelope test against the averages at a = 16, 64 (summed
-    by doubling from the generators, independently of the Schur form).
+    multiplied.  Four independent validations guard the result: idempotency
+    and generator invariance residuals, agreement of its range with the SVD
+    fixed space (in rank, then as subspaces through the factor residual
+    ``||X F - E||_F``), and an envelope test against the averages at
+    a = 16, 64 (summed by doubling from the generators, independently of the
+    Schur form).
     The residuals ``||E^2 - E||`` and ``||S E - E||``, ``||E S - E||`` (for
     flows ``||L E||``, ``||E L||`` over ``max(1, ||L||_2)``) are Frobenius
     norms, upper bounds on the spectral norm, checked against 1e-9; the
@@ -202,6 +220,23 @@ def mean_ergodic_projection(action, tol_fixed=1e-9):
         raise MeanErgodicValidationError(
             f"spectral rank {rank} != fixed-space dimension {len(basis)}"
         )
+    # E = X F with X the fixed basis as vec columns and F = X* W E, since
+    # X X* W is the tau-orthogonal projector onto the fixed space; this holds
+    # only when range(E) is that space, not merely of its dimension
+    w = algebra.weight_vec
+    x = np.array([b.vec() for b in basis], dtype=complex).reshape(rank, dim).T
+    f = x.conj().T @ (w[:, None] * e)
+    factor_residual = float(np.linalg.norm(x @ f - e, "fro"))
+    if factor_residual > PROJECTION_RESIDUAL_TOL:
+        raise MeanErgodicValidationError(
+            f"range of the projector is not the fixed space: "
+            f"||X F - E|| = {factor_residual:.3e}"
+        )
+    # tau(psi y) = F_i . vec(y) pairs psi's entry (p, q) with y's (q, p)
+    dual_basis = [
+        algebra.operator([m.T for m in algebra.from_vec(row / w).block_mats])
+        for row in f
+    ]
 
     a16, a64 = _average_matrices(action, (16, 64))
     n16 = float(np.linalg.norm(a16 - e, 2))
@@ -215,7 +250,9 @@ def mean_ergodic_projection(action, tol_fixed=1e-9):
         )
     cross = {"norm_a16": n16, "norm_a64": n64, "envelope_a64": float(envelope)}
     sup = SuperOperator(algebra, e, source="mean-ergodic-projection")
-    return MeanErgodicProjection(sup, basis, residuals, cross, rank)
+    return MeanErgodicProjection(
+        sup, basis, dual_basis, residuals, cross, rank, factor_residual
+    )
 
 
 def reference_density(algebra):
@@ -230,14 +267,25 @@ def invariant_state(action, phi0=None, projection=None):
     phi0 must be a faithful positive density; the default is the normalised
     identity.  Works in the density picture (the action is dualised if it was
     given in the observable picture).  The returned Y is tau-normalised and
-    its invariance under every generator is verified to 1e-9 in trace norm.
+    its invariance under every generator is verified to 1e-9 in trace norm;
+    a larger defect raises ``ArithmeticError``.
     """
-    return _invariant_density(action.to_picture("schrodinger"), phi0, projection)[0]
+    y, dev = _invariant_density(action.to_picture("schrodinger"), phi0, projection)
+    if y is not None and dev > _invariance_bound(y):
+        raise ArithmeticError(
+            f"candidate density is not invariant: defect {dev:.3e}"
+        )
+    return y
+
+
+def _invariance_bound(y):
+    return INVARIANCE_TOL * max(1.0, trace_norm(y))
 
 
 def _invariant_density(schr, phi0, projection):
-    """``(Y, defect)``: the density of :func:`invariant_state` on the density
-    picture ``schr`` with its invariance defect, or ``(None, 0.0)``."""
+    """``(Y, defect)``: the candidate density of :func:`invariant_state` on
+    the density picture ``schr`` with its invariance defect, unchecked, or
+    ``(None, 0.0)``."""
     if phi0 is None:
         phi0 = reference_density(schr.algebra)
     if not phi0.is_positive():
@@ -252,12 +300,7 @@ def _invariant_density(schr, phi0, projection):
     if mass <= ABSENCE_TOL:
         return None, 0.0
     y = (y0 + y0.H) * 0.5 * (1.0 / mass)
-    dev = _invariance_defect(schr, y)
-    if dev > INVARIANCE_TOL * max(1.0, trace_norm(y)):
-        raise ArithmeticError(
-            f"candidate density is not invariant: defect {dev:.3e}"
-        )
-    return y, dev
+    return y, _invariance_defect(schr, y)
 
 
 def _invariance_defect(schr, y):
@@ -373,13 +416,22 @@ def neveu_decompose(
     e2 = 1 - e1, the wandering witness x0 = e2 with its finite-schedule decay
     certificate, and verdicts for decay, uniqueness under a second random
     faithful initial density, invariance, orthogonality, and agreement of the
-    weighted wandering sum with e2.  ``projection`` is a precomputed mean
-    ergodic projection of the density picture, in place of ``tol_fixed``.
+    weighted wandering sum with e2.  A candidate density that is not
+    invariant is reported by the ``invariance`` verdict, not raised.
+    ``projection`` is a precomputed mean ergodic projection of the density
+    picture, in place of ``tol_fixed``.
     """
     schr = action.to_picture("schrodinger")
-    heis = action.to_picture("heisenberg")
-    algebra = action.algebra
     proj = projection or mean_ergodic_projection(schr, tol_fixed=tol_fixed)
+    return _decompose(
+        schr, action.to_picture("heisenberg"), proj, schedule, seed, decay_tol
+    )
+
+
+def _decompose(schr, heis, proj, schedule, seed, decay_tol):
+    """:func:`neveu_decompose` on both pictures of the action, given as
+    ``schr`` and ``heis``, with the density-picture projection ``proj``."""
+    algebra = schr.algebra
     y, inv_defect = _invariant_density(schr, None, proj)
     detail = {
         "mean_residuals": proj.residuals,
@@ -400,10 +452,8 @@ def neveu_decompose(
     )
 
     verdicts = {"decay": cert.verdict}
-    scale = max(1.0, trace_norm(y)) if y is not None else 1.0
-    verdicts["invariance"] = (
-        "pass" if inv_defect <= INVARIANCE_TOL * scale else "fail"
-    )
+    invariant = y is None or inv_defect <= _invariance_bound(y)
+    verdicts["invariance"] = "pass" if invariant else "fail"
 
     # a second faithful seed density must reproduce the same support
     rng = np.random.default_rng(seed)

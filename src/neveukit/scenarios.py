@@ -6,9 +6,15 @@ is enforced on load.  Running a scenario produces a :class:`Report` whose
 payload is plain JSON: matrices appear as nested lists with complex scalars
 encoded ``[re, im]``.  Reports are deterministic for a fixed scenario and
 seed up to the wall-clock field, which :meth:`Report.canonical_bytes`
-excludes.  :func:`render` turns a report into the text of one format, and
-:func:`emit` writes that text to a file atomically (temp file then rename);
-the command line prints the same text when no output file is given.
+excludes.  Report schema 1.1 writes the mean ergodic projection by its
+rank-r factors, E(y) = sum_i tau(psi_i y) x_i: ``results.mean.fixed_basis``
+holds the tau-orthonormal fixed points x_i and ``results.mean.dual_basis``
+the conserved functionals psi_i of the dual action (conserved observables
+when the scenario is in the density picture), with ``factor_residual`` the
+Frobenius gap between the factored and the dense E.  :func:`render` turns
+a report into the text of one format, and :func:`emit` writes that text to
+a file atomically (temp file then rename); the command line prints the same
+text when no output file is given.
 
 Formats understood by :func:`render` and :func:`emit`:
 
@@ -62,7 +68,7 @@ __all__ = [
     "gallery_names",
 ]
 
-SCHEMA_VERSION = "1.0"
+SCHEMA_VERSION = "1.1"
 DEFAULT_TOLERANCES = {
     "eps": 0.25,
     "delta": 0.1,
@@ -419,12 +425,15 @@ class _RunContext:
 
     @cached_property
     def decomposition(self):
-        return neveu.neveu_decompose(
-            self.scenario.action,
-            schedule=self.schedule,
-            seed=self.seed,
-            decay_tol=self.tolerances["decay_tol"],
-            projection=self.projection,
+        # the density picture is already at hand; neveu_decompose would
+        # build it again for a Heisenberg scenario
+        return neveu._decompose(
+            self.schr,
+            self.scenario.action.to_picture("heisenberg"),
+            self.projection,
+            self.schedule,
+            self.seed,
+            self.tolerances["decay_tol"],
         )
 
 
@@ -464,7 +473,8 @@ def _run_mean(ctx, results):
         "residuals": _plain(proj.residuals),
         "cross_validation": _plain(proj.cross_validation),
         "fixed_basis": [_encode_element(b) for b in proj.fixed_basis],
-        "projector": _encode_matrix(proj.superop.matrix),
+        "dual_basis": [_encode_element(p) for p in proj.dual_basis],
+        "factor_residual": proj.factor_residual,
     }, True
 
 

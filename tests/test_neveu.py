@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -192,6 +194,60 @@ def test_mean_projection_residuals_bound_spectral_norms(blocks, seed, kind):
     assert proj.residuals["invariance"] >= invariance * slack
 
 
+def pairing_rows(algebra, functionals):
+    """The rows of y -> tau(psi y) in vec coordinates, one per psi."""
+    units = [algebra.from_vec(u) for u in np.eye(algebra.dim)]
+    return np.array([[trace(psi @ u) for u in units] for psi in functionals])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    blocks=st.lists(
+        st.tuples(st.integers(1, 3), st.floats(0.05, 2.0)), min_size=2, max_size=3
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["heisenberg", "schrodinger", "flow"]),
+)
+def test_mean_projection_factors_rebuild_the_projector(blocks, seed, kind):
+    """E = sum_i x_i tau(psi_i .) with tau(psi_i x_j) = delta_ij, the x_i
+    fixed by the action and the psi_i fixed by its dual: so E is idempotent,
+    invariant, and of rank the fixed-space dimension."""
+    algebra = TracialAlgebra([n for n, _ in blocks], [w for _, w in blocks])
+    s = random_block_channel(algebra, np.random.default_rng(seed))
+    if kind == "flow":
+        flow = FolnerScheme("r-plus-cube", d=1)
+        action = SemigroupAction(
+            algebra, "heisenberg", flow, [s.matrix - np.eye(algebra.dim)]
+        )
+    else:
+        action = zplus_action(s).to_picture(kind)
+    proj = mean_ergodic_projection(action)
+    xs, psis = proj.fixed_basis, proj.dual_basis
+    assert len(xs) == len(psis) == proj.rank
+    x = np.array([b.vec() for b in xs]).reshape(proj.rank, algebra.dim).T
+    rebuilt = x @ pairing_rows(algebra, psis).reshape(proj.rank, algebra.dim)
+    assert np.linalg.norm(rebuilt - proj.superop.matrix, "fro") <= 1e-12
+    gram = np.array([[trace(psi @ b) for b in xs] for psi in psis])
+    assert np.abs(gram - np.eye(proj.rank)).max(initial=0.0) <= 1e-12
+    dual_matrices = action.dual().matrices
+    for elems, mats in ((xs, action.matrices), (psis, dual_matrices)):
+        for y in elems:
+            for m in mats:
+                moved = m @ y.vec() if kind == "flow" else m @ y.vec() - y.vec()
+                assert op_norm(algebra.from_vec(moved)) <= 1e-12 * max(
+                    1.0, op_norm(y)
+                )
+
+
+def test_mean_projection_validation_catches_a_wrong_fixed_subspace(monkeypatch):
+    """A tau-orthonormal basis of the right dimension but the wrong subspace
+    passes a rank comparison; the factor residual must refuse it."""
+    wrong = E00 * np.sqrt(2.0)  # tau(wrong* wrong) = 1, but 1 spans the fixed space
+    monkeypatch.setattr(neveu, "fixed_space", lambda action, tol: [wrong])
+    with pytest.raises(MeanErgodicValidationError, match="not the fixed space"):
+        mean_ergodic_projection(AD)
+
+
 def test_mean_projection_validation_catches_1e8_perturbation(monkeypatch):
     exact = neveu._cluster_projector
     noise = np.random.default_rng(11).standard_normal((4, 4))
@@ -360,6 +416,23 @@ def test_decompose_computes_the_invariance_defect_once(monkeypatch):
     dec = neveu_decompose(AD)
     assert len(calls) == 1
     assert dec.detail["invariance_defect"] == original(AD.dual(), calls[0])
+
+
+def test_decompose_reports_a_non_invariant_density_as_failed():
+    """A projection whose candidate density is not invariant fails the
+    ``invariance`` verdict instead of raising; invariant_state still raises."""
+    proj = mean_ergodic_projection(AD.dual())
+    # phi -> E(phi) + 1e-6 tau(phi) e_11 keeps the candidate positive
+    leak = 1e-6 * np.outer(E11.vec(), M2.weight_vec * M2.identity().vec())
+    skewed = dataclasses.replace(
+        proj, superop=SuperOperator(M2, proj.superop.matrix + leak)
+    )
+    dec = neveu_decompose(AD, projection=skewed)
+    assert dec.verdicts["invariance"] == "fail"
+    assert dec.detail["invariance_defect"] > neveu.INVARIANCE_TOL
+    assert not dec.overall
+    with pytest.raises(ArithmeticError, match="not invariant"):
+        invariant_state(AD, projection=skewed)
 
 
 def test_decompose_corners_are_complementary_projections():

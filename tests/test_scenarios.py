@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neveukit.algebra import trace
 from neveukit.cli import build_parser, main
+from neveukit.dynamics import SemigroupAction
+from neveukit.neveu import mean_ergodic_projection
 from neveukit.scenarios import (
     GALLERY_NAMES,
     PAYLOAD_KEYS,
@@ -354,6 +357,49 @@ def test_emit_report_json_round_trips(tmp_path):
     emit(report, "report-json", out)
     again = load_report(out)
     assert again.canonical_bytes() == report.canonical_bytes()
+
+
+def decode_element(algebra, blocks):
+    mats = [np.array(m, dtype=float) for m in blocks]
+    return algebra.operator([m[..., 0] + 1j * m[..., 1] for m in mats])
+
+
+def test_emitted_mean_factors_rebuild_the_projector(tmp_path):
+    """E(y) = sum_i tau(psi_i y) x_i from the fixed and dual bases of a
+    reloaded report equals the projection of the scenario's action."""
+    for sc in gallery():
+        out = tmp_path / f"{sc.name}.json"
+        emit(run(sc), "report-json", out)
+        report = load_report(out)
+        assert report.data["schema_version"] == "1.1"
+        mean = report.data["results"]["mean"]
+        algebra = sc.algebra
+        units = [algebra.from_vec(u) for u in np.eye(algebra.dim)]
+        rebuilt = np.zeros((algebra.dim, algebra.dim), dtype=complex)
+        for x, psi in zip(mean["fixed_basis"], mean["dual_basis"], strict=True):
+            x, psi = decode_element(algebra, x), decode_element(algebra, psi)
+            row = [trace(psi @ u) for u in units]
+            rebuilt += np.outer(x.vec(), row)
+        want = mean_ergodic_projection(sc.action).superop.matrix
+        assert np.linalg.norm(rebuilt - want, "fro") <= 1e-12
+        assert mean["factor_residual"] <= 1e-12
+
+
+def test_run_dualises_a_heisenberg_action_once(monkeypatch):
+    """Every task of a run reads the one density picture of the context."""
+    doc = base_doc()
+    doc["tasks"] = ["decompose", "mean", "certify", "stochastic"]
+    sc = scenario_from_dict(doc)
+    calls = []
+    dual = SemigroupAction.dual
+
+    def counting_dual(self):
+        calls.append(self.picture)
+        return dual(self)
+
+    monkeypatch.setattr(SemigroupAction, "dual", counting_dual)
+    assert run(sc).passed
+    assert calls == ["heisenberg"]
 
 
 def test_emit_decay_csv_contents(tmp_path):

@@ -20,7 +20,12 @@ from the generator matrices and so independent of the Schur projector;
 disagreement raises instead of returning a silently wrong projector.  E has
 rank r, the fixed-space dimension, and is also kept by its factors
 E(y) = sum_i tau(psi_i y) x_i over the fixed basis x_i and the dual basis
-psi_i = dual(E)(x_i*).
+psi_i = dual(E)(x_i*).  The observable-picture projection is the dual
+E_h(b) = sum_i tau(x_i b) psi_i, so a scenario run computes E once, in the
+density picture, and reads E_h off it (``_dual_projection``): the psi_i
+become the fixed basis and the x_i the conserved functionals.  E_h keeps
+the cross-validation of E and has its residuals and factor residual
+measured again in its own picture.
 Nothing is cached on the action: callers that reuse a projection pass it on
 with ``projection=``, as the tasks of one scenario run do.
 """
@@ -42,7 +47,7 @@ from .algebra import (
     trace_norm,
 )
 from .dynamics import _ascending, _average_matrices, average_super, averages
-from .maps import SuperOperator, dual
+from .maps import SuperOperator, _transpose_perm, dual
 
 __all__ = [
     "MeanErgodicProjection",
@@ -100,15 +105,27 @@ def fixed_space(action, tol=FIXED_SVD_TOL):
     cutoff = tol * max(1.0, sig[0] if sig.size else 0.0)
     rank = int(np.sum(sig > cutoff))
     null = vh[rank:].conj().T
-    if null.shape[1] == 0:
-        return []
-    w = action.algebra.weight_vec
-    gram = null.conj().T @ (w[:, None] * null)
+    ortho, _ = _tau_orthonormal(null, action.algebra.weight_vec)
+    return [action.algebra.from_vec(ortho[:, k]) for k in range(ortho.shape[1])]
+
+
+def _tau_orthonormal(cols, w):
+    """``(cols L^-*, L)``: a tau-orthonormal basis of the span of the vec
+    columns ``cols``, with L L* the Cholesky factorisation of their Gram
+    matrix cols* W cols under the trace weights ``w``."""
+    gram = cols.conj().T @ (w[:, None] * cols)
     chol = np.linalg.cholesky(gram)
     ortho = scipy.linalg.solve_triangular(
-        chol.conj().T, null.conj().T, lower=False
+        chol, cols.conj().T, lower=True
     ).conj().T
-    return [action.algebra.from_vec(ortho[:, k]) for k in range(ortho.shape[1])]
+    return ortho, chol
+
+
+def _vec_columns(elements, dim):
+    """The vec coordinates of the elements as the columns of a dim x r
+    matrix (dim x 0 for no elements)."""
+    vecs = np.array([y.vec() for y in elements], dtype=complex)
+    return vecs.reshape(len(elements), dim).T
 
 
 def _cluster_projector(mat, center, tol):
@@ -147,7 +164,11 @@ class MeanErgodicProjection:
     psi_i = ``dual_basis[i]`` = dual(E)(x_i*), the functionals conserved by
     the dual action: tau(psi_i x_j) = delta_ij.  In the density picture the
     psi_i are conserved observables.  ``factor_residual`` is the Frobenius
-    norm of the difference between the factored and the dense E.
+    norm of the difference between the factored and the dense E.  The
+    observable-picture projection of a scenario run is the dual of the
+    density-picture one: its ``cross_validation`` is the density picture's,
+    while ``residuals`` and ``factor_residual`` are measured in its own
+    picture.
     """
 
     superop: SuperOperator
@@ -190,6 +211,47 @@ def mean_ergodic_projection(action, tol_fixed=1e-9):
         for m in action.matrices:
             e = _cluster_projector(m, center, tol_fixed) @ e
 
+    residuals = _projector_residuals(action, e)
+    basis = fixed_space(action, tol=FIXED_SVD_TOL)
+    rank = int(round(np.trace(e).real))
+    if rank != len(basis):
+        raise MeanErgodicValidationError(
+            f"spectral rank {rank} != fixed-space dimension {len(basis)}"
+        )
+    # E = X F with X the fixed basis as vec columns and F = X* W E, since
+    # X X* W is the tau-orthogonal projector onto the fixed space; this holds
+    # only when range(E) is that space, not merely of its dimension
+    w = algebra.weight_vec
+    x = _vec_columns(basis, dim)
+    f = x.conj().T @ (w[:, None] * e)
+    factor_residual = _factor_residual(x, f, e)
+    # tau(psi y) = F_i . vec(y) pairs psi's entry (p, q) with y's (q, p)
+    dual_basis = [
+        algebra.operator([m.T for m in algebra.from_vec(row / w).block_mats])
+        for row in f
+    ]
+
+    a16, a64 = _average_matrices(action, (16, 64))
+    n16 = float(np.linalg.norm(a16 - e, 2))
+    n64 = float(np.linalg.norm(a64 - e, 2))
+    # a C/a Cesaro envelope calibrated at a = 16 must cover the a = 64 point
+    envelope = 10.0 * (16.0 * n16) / 64.0 + PROJECTION_RESIDUAL_TOL
+    if n64 > envelope:
+        raise MeanErgodicValidationError(
+            f"averages do not contract toward the projector: "
+            f"||A_16 - E|| = {n16:.3e}, ||A_64 - E|| = {n64:.3e}"
+        )
+    cross = {"norm_a16": n16, "norm_a64": n64, "envelope_a64": float(envelope)}
+    sup = SuperOperator(algebra, e, source="mean-ergodic-projection")
+    return MeanErgodicProjection(
+        sup, basis, dual_basis, residuals, cross, rank, factor_residual
+    )
+
+
+def _projector_residuals(action, e):
+    """Idempotency and invariance residuals of the dense projector ``e`` of
+    the action; raises :class:`MeanErgodicValidationError` above 1e-9."""
+    continuous = action.scheme.kind == "r-plus-cube"
     # Frobenius norms bound the spectral norm from above, so the residual
     # checks are at least as strict as spectral ones; the flow scale stays
     # spectral, since a larger divisor would loosen them
@@ -213,45 +275,54 @@ def mean_ergodic_projection(action, tol_fixed=1e-9):
     bad = {k: v for k, v in residuals.items() if v > PROJECTION_RESIDUAL_TOL}
     if bad:
         raise MeanErgodicValidationError(f"projector residuals above 1e-9: {bad}")
+    return residuals
 
-    basis = fixed_space(action, tol=FIXED_SVD_TOL)
-    rank = int(round(np.trace(e).real))
-    if rank != len(basis):
-        raise MeanErgodicValidationError(
-            f"spectral rank {rank} != fixed-space dimension {len(basis)}"
-        )
-    # E = X F with X the fixed basis as vec columns and F = X* W E, since
-    # X X* W is the tau-orthogonal projector onto the fixed space; this holds
-    # only when range(E) is that space, not merely of its dimension
-    w = algebra.weight_vec
-    x = np.array([b.vec() for b in basis], dtype=complex).reshape(rank, dim).T
-    f = x.conj().T @ (w[:, None] * e)
-    factor_residual = float(np.linalg.norm(x @ f - e, "fro"))
-    if factor_residual > PROJECTION_RESIDUAL_TOL:
+
+def _factor_residual(x, f, e):
+    """``||X F - E||_F`` for the fixed basis X (vec columns) and the pairing
+    rows F of its dual basis; raises :class:`MeanErgodicValidationError`
+    above 1e-9."""
+    residual = float(np.linalg.norm(x @ f - e, "fro"))
+    if residual > PROJECTION_RESIDUAL_TOL:
         raise MeanErgodicValidationError(
             f"range of the projector is not the fixed space: "
-            f"||X F - E|| = {factor_residual:.3e}"
+            f"||X F - E|| = {residual:.3e}"
         )
-    # tau(psi y) = F_i . vec(y) pairs psi's entry (p, q) with y's (q, p)
-    dual_basis = [
-        algebra.operator([m.T for m in algebra.from_vec(row / w).block_mats])
-        for row in f
-    ]
+    return residual
 
-    a16, a64 = _average_matrices(action, (16, 64))
-    n16 = float(np.linalg.norm(a16 - e, 2))
-    n64 = float(np.linalg.norm(a64 - e, 2))
-    # a C/a Cesaro envelope calibrated at a = 16 must cover the a = 64 point
-    envelope = 10.0 * (16.0 * n16) / 64.0 + PROJECTION_RESIDUAL_TOL
-    if n64 > envelope:
-        raise MeanErgodicValidationError(
-            f"averages do not contract toward the projector: "
-            f"||A_16 - E|| = {n16:.3e}, ||A_64 - E|| = {n64:.3e}"
-        )
-    cross = {"norm_a16": n16, "norm_a64": n64, "envelope_a64": float(envelope)}
-    sup = SuperOperator(algebra, e, source="mean-ergodic-projection")
+
+def _dual_projection(proj, heis):
+    """The mean ergodic projection of the observable-picture action
+    ``heis``, read off the validated projection ``proj`` of its density
+    picture instead of computed a second time.
+
+    E_h = dual(E) acts as E_h(b) = sum_i tau(x_i b) psi_i, so the psi_i of
+    ``proj`` span its range and its x_i are the functionals that E_h
+    conserves.  With L L* the Cholesky factorisation of the Gram matrix of
+    the psi_i, the fixed basis Psi L^-* is tau-orthonormal and the dual
+    basis X conj(L) pairs with it to the identity.  The cross-validation is
+    that of ``proj``; the residuals and the factor residual are measured
+    again on E_h, in the observable picture, and raise as in
+    :func:`mean_ergodic_projection`.
+    """
+    algebra = heis.algebra
+    w = algebra.weight_vec
+    sup = dual(proj.superop)
+    e = sup.matrix
+    residuals = _projector_residuals(heis, e)
+    fixed, chol = _tau_orthonormal(_vec_columns(proj.dual_basis, algebra.dim), w)
+    conserved = _vec_columns(proj.fixed_basis, algebra.dim) @ chol.conj()
+    # tau(psi y) = F_i . vec(y) pairs psi's entry (p, q) with y's (q, p)
+    f = (w[:, None] * conserved[_transpose_perm(algebra.blocks)]).T
+    factor_residual = _factor_residual(fixed, f, e)
     return MeanErgodicProjection(
-        sup, basis, dual_basis, residuals, cross, rank, factor_residual
+        sup,
+        [algebra.from_vec(v) for v in fixed.T],
+        [algebra.from_vec(v) for v in conserved.T],
+        residuals,
+        dict(proj.cross_validation),
+        proj.rank,
+        factor_residual,
     )
 
 

@@ -424,6 +424,13 @@ class _RunContext:
         )
 
     @cached_property
+    def heisenberg_projection(self):
+        # the dual of the density-picture projection, not a second one
+        return neveu._dual_projection(
+            self.projection, self.scenario.action.to_picture("heisenberg")
+        )
+
+    @cached_property
     def decomposition(self):
         # the density picture is already at hand; neveu_decompose would
         # build it again for a Heisenberg scenario
@@ -461,13 +468,10 @@ def _run_decompose(ctx, results):
 
 
 def _run_mean(ctx, results):
-    action = ctx.scenario.action
-    if action.picture == "schrodinger":
+    if ctx.scenario.action.picture == "schrodinger":
         proj = ctx.projection
     else:
-        proj = neveu.mean_ergodic_projection(
-            action, tol_fixed=ctx.tolerances["tol_fixed"]
-        )
+        proj = ctx.heisenberg_projection
     return {
         "rank": proj.rank,
         "residuals": _plain(proj.residuals),

@@ -600,6 +600,80 @@ def test_dual_roundtrip_and_pairing():
     assert abs(lhs - rhs) <= 1e-10
 
 
+def s3_kernels():
+    """The six permutation kernels (K_g f)(i) = f(g(i)) of S_3, identity
+    first, and their multiplication table: K_g K_h = K_(h o g)."""
+    perms = list(itertools.permutations(range(3)))
+    kernels = [np.eye(3)[list(p)] for p in perms]
+    index = {p: k for k, p in enumerate(perms)}
+    table = tuple(
+        tuple(index[tuple(h[g[i]] for i in range(3))] for h in perms) for g in perms
+    )
+    return kernels, table
+
+
+def random_action(algebra, kind, rng):
+    """A Heisenberg action of the given kind with random generators."""
+    if kind == "s3-classical":
+        kernels, table = s3_kernels()
+        scheme = FolnerScheme("finite-group", order=6, table=table)
+        gens = [from_classical(algebra, k) for k in kernels]
+        return SemigroupAction(algebra, "heisenberg", scheme, gens)
+    if kind == "kernel":
+        kernel = rng.dirichlet(np.ones(algebra.n_blocks), size=algebra.n_blocks)
+        return zplus_action(from_classical(algebra, kernel))
+    ops = []
+    for _ in range(3):
+        ops.append(
+            [
+                (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+                for n in algebra.blocks
+            ]
+        )
+    # scaled so that sum K*K <= 1/1.01 in every block
+    total = [sum(k[i].conj().T @ k[i] for k in ops) for i in range(algebra.n_blocks)]
+    scale = 1.0 / np.sqrt(max(np.linalg.eigvalsh(t).max() for t in total) * 1.01)
+    s = from_kraus(algebra, [[m * scale for m in k] for k in ops])
+    if kind == "flow":
+        scheme = FolnerScheme("r-plus-cube", d=2)
+        gens = [s.matrix - np.eye(algebra.dim), 2.0 * (s.matrix - np.eye(algebra.dim))]
+        return SemigroupAction(algebra, "heisenberg", scheme, gens)
+    return zplus_action(s, s @ s)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    blocks=st.lists(
+        st.tuples(st.integers(1, 3), st.floats(0.05, 2.0)), min_size=1, max_size=3
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["kraus", "flow", "kernel", "s3-classical"]),
+)
+def test_heisenberg_schrodinger_heisenberg_gives_back_the_action(blocks, seed, kind):
+    """dual() twice returns the picture, the scheme (the opposite group's
+    table twice is the table) and the generator matrices within 1e-12
+    relative, on weighted multi-block algebras; the classical kinds get one
+    atom per matrix entry of the drawn blocks."""
+    weights = [w for _, w in blocks]
+    if kind == "kernel":
+        algebra = TracialAlgebra.commutative([w for n, w in blocks for _ in range(n)])
+    elif kind == "s3-classical":
+        algebra = TracialAlgebra.commutative((weights * 3)[:3])
+    else:
+        algebra = TracialAlgebra([n for n, _ in blocks], weights)
+    action = random_action(algebra, kind, np.random.default_rng(seed))
+    schr = action.dual()
+    back = schr.dual()
+    if kind == "s3-classical":
+        assert action.checks["representation"].passed
+        assert schr.scheme != action.scheme
+    assert (schr.picture, back.picture) == ("schrodinger", "heisenberg")
+    assert back.scheme == action.scheme
+    assert len(back.matrices) == len(action.matrices)
+    for got, want in zip(back.matrices, action.matrices):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def test_dual_of_average_super_is_average_of_dual():
     action = zplus_action(amplitude_damping(M2, 0.5), amplitude_damping(M2, 0.25))
     for a in (1, 4, 9):

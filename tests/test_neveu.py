@@ -262,6 +262,129 @@ def test_mean_projection_validation_catches_1e8_perturbation(monkeypatch):
         mean_ergodic_projection(zplus_action(amplitude_damping(M2, 0.5)))
 
 
+def test_fixed_space_basis_is_trace_orthonormal_across_weighted_atoms():
+    """A classical chain with two absorbing atoms of different weights: the
+    SVD null vectors mix atoms, so their weighted Gram matrix is not
+    diagonal and the Cholesky factor must be applied as L^-*."""
+    algebra = TracialAlgebra.commutative([0.5, 0.3, 0.2])
+    kernel = np.array([[1.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.0, 1.0]])
+    action = zplus_action(from_classical(algebra, kernel))
+    basis = fixed_space(action)
+    gram = np.array([[trace(a.H @ b) for b in basis] for a in basis])
+    assert np.abs(gram - np.eye(2)).max() <= 1e-12
+    proj = mean_ergodic_projection(action)
+    assert proj.rank == 2
+    assert proj.factor_residual <= 1e-12
+
+
+def random_unitary(n, rng):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return np.linalg.qr(g)[0]
+
+
+def reflection(n, rng):
+    """The Householder reflection 1 - 2 v v* / |v|^2, a unitary of order 2."""
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return np.eye(n) - 2.0 * np.outer(v, v.conj()) / np.vdot(v, v).real
+
+
+def random_heisenberg_action(algebra, kind, rng):
+    if kind == "classical-kernel":
+        # two absorbing atoms: the harmonic functions overlap on the
+        # transient atoms, so their weighted Gram matrix is not diagonal
+        m = algebra.n_blocks
+        kernel = rng.dirichlet(np.ones(m), size=m)
+        kernel[: min(2, m)] = np.eye(m)[: min(2, m)]
+        return zplus_action(from_classical(algebra, kernel))
+    if kind == "z-symmetric-box":
+        u = [random_unitary(n, rng) for n in algebra.blocks]
+        scheme = FolnerScheme("z-symmetric-box", d=1)
+        return SemigroupAction(
+            algebra, "heisenberg", scheme, [from_conjugation(algebra, u)]
+        )
+    if kind == "finite-group":
+        u = [reflection(n, rng) for n in algebra.blocks]
+        scheme = FolnerScheme("finite-group", order=2, table=((0, 1), (1, 0)))
+        gens = [SuperOperator.identity(algebra), from_conjugation(algebra, u)]
+        return SemigroupAction(algebra, "heisenberg", scheme, gens)
+    s = random_block_channel(algebra, rng)
+    if kind == "flow":
+        flow = FolnerScheme("r-plus-cube", d=1)
+        return SemigroupAction(
+            algebra, "heisenberg", flow, [s.matrix - np.eye(algebra.dim)]
+        )
+    if kind == "zplus-box-2":
+        return zplus_action(s, s @ s)
+    return zplus_action(s)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    blocks=st.lists(
+        st.tuples(st.integers(1, 3), st.floats(0.05, 2.0)), min_size=1, max_size=3
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(
+        [
+            "zplus-box",
+            "zplus-box-2",
+            "z-symmetric-box",
+            "finite-group",
+            "flow",
+            "classical-kernel",
+        ]
+    ),
+)
+def test_dual_projection_is_the_heisenberg_mean_projection(blocks, seed, kind):
+    """The observable-picture projection read off the density-picture one
+    equals the one computed from the observable picture, its fixed basis is
+    tau-orthonormal and fixed by the action, and its dual basis pairs with
+    the fixed basis to the identity.  A classical kernel gets one atom per
+    matrix entry of the drawn blocks, each with its block's weight."""
+    if kind == "classical-kernel":
+        algebra = TracialAlgebra.commutative([w for n, w in blocks for _ in range(n)])
+    else:
+        algebra = TracialAlgebra([n for n, _ in blocks], [w for _, w in blocks])
+    action = random_heisenberg_action(algebra, kind, np.random.default_rng(seed))
+    schr = mean_ergodic_projection(action.to_picture("schrodinger"))
+    proj = neveu._dual_projection(schr, action)
+    want = mean_ergodic_projection(action)
+    assert np.linalg.norm(proj.superop.matrix - want.superop.matrix, "fro") <= 1e-12
+    r = proj.rank
+    assert r == want.rank == schr.rank
+    assert proj.cross_validation == schr.cross_validation
+    xs, psis = proj.fixed_basis, proj.dual_basis
+    assert len(xs) == len(psis) == r
+    eye = np.eye(r)
+    gram = np.array([[trace(a.H @ b) for b in xs] for a in xs]).reshape(r, r)
+    assert np.abs(gram - eye).max(initial=0.0) <= 1e-12
+    paired = np.array([[trace(psi @ b) for b in xs] for psi in psis]).reshape(r, r)
+    assert np.abs(paired - eye).max(initial=0.0) <= 1e-12
+    for x in xs:
+        for m in action.matrices:
+            moved = m @ x.vec() if kind == "flow" else m @ x.vec() - x.vec()
+            assert op_norm(algebra.from_vec(moved)) <= 1e-12 * max(1.0, op_norm(x))
+
+
+def test_dual_projection_checks_what_it_is_given():
+    """A wrong dual basis or a non-projector in the density picture is
+    refused by the factor and residual checks of the observable picture."""
+    schr = mean_ergodic_projection(AD.to_picture("schrodinger"))
+    assert neveu._dual_projection(schr, AD).factor_residual <= 1e-15
+    doubled = dataclasses.replace(
+        schr, dual_basis=[psi * 2.0 for psi in schr.dual_basis]
+    )
+    with pytest.raises(MeanErgodicValidationError, match="not the fixed space"):
+        neveu._dual_projection(doubled, AD)
+    noise = np.random.default_rng(11).standard_normal((4, 4))
+    noise *= 1e-8 / np.linalg.norm(noise, 2)
+    noisy = dataclasses.replace(
+        schr, superop=SuperOperator(M2, schr.superop.matrix + noise)
+    )
+    with pytest.raises(MeanErgodicValidationError, match="residuals"):
+        neveu._dual_projection(noisy, AD)
+
+
 def test_mean_projection_finite_group():
     swap = from_conjugation(M2, [np.array([[0.0, 1.0], [1.0, 0.0]])])
     scheme = FolnerScheme("finite-group", order=2, table=((0, 1), (1, 0)))

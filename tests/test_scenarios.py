@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import json
 import os
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neveukit import neveu
 from neveukit.algebra import trace
 from neveukit.cli import build_parser, main
 from neveukit.dynamics import SemigroupAction
@@ -243,9 +245,9 @@ def test_decompose_mean_certify_share_one_schrodinger_projection(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
     report = run(sc)
     assert report.passed
-    # one Schur form per picture for the single generator: mean runs on the
-    # Heisenberg action, decompose and certify share the Schroedinger one
-    assert len(calls) == 2
+    # one Schur form for the single generator: decompose and certify share
+    # the Schroedinger projection, and mean reads its dual
+    assert len(calls) == 1
 
 
 def near_degenerate_kernel_doc(tasks):
@@ -274,6 +276,17 @@ def test_stochastic_uses_the_scenario_tol_fixed(tasks):
     assert set(report.verdicts.values()) == {"fail"}
     assert len(errors) == 1
     assert "projector residuals above 1e-9" in errors.pop()
+
+
+def test_decompose_and_mean_record_the_density_projection_error():
+    """A Heisenberg mean task reads the density-picture projection of the
+    run context, so when that raises, it records the decomposition's error."""
+    report = run(scenario_from_dict(near_degenerate_kernel_doc(["decompose", "mean"])))
+    results = report.data["results"]
+    assert report.verdicts == {"decompose": "fail", "mean": "fail"}
+    assert results["decompose"] == results["mean"]
+    assert results["mean"]["error_type"] == "MeanErgodicValidationError"
+    assert "projector residuals above 1e-9" in results["mean"]["error"]
 
 
 @pytest.mark.parametrize(
@@ -400,6 +413,46 @@ def test_run_dualises_a_heisenberg_action_once(monkeypatch):
     monkeypatch.setattr(SemigroupAction, "dual", counting_dual)
     assert run(sc).passed
     assert calls == ["heisenberg"]
+
+
+def test_heisenberg_run_computes_one_mean_projection(monkeypatch):
+    """The Heisenberg mean task reads the dual of the run's density-picture
+    projection instead of computing its own."""
+    doc = base_doc()
+    doc["tasks"] = ["decompose", "mean", "certify", "stochastic"]
+    sc = scenario_from_dict(doc)
+    calls = []
+    project = neveu.mean_ergodic_projection
+
+    def counting_projection(action, **kwargs):
+        calls.append(action.picture)
+        return project(action, **kwargs)
+
+    monkeypatch.setattr(neveu, "mean_ergodic_projection", counting_projection)
+    assert run(sc).passed
+    assert calls == ["schrodinger"]
+
+
+def test_heisenberg_mean_refuses_a_wrong_dual_basis(monkeypatch):
+    """A corrupted dual basis of the density-picture projection fails the
+    Heisenberg mean task by its factor check; the tasks that read the dense
+    projector still pass."""
+    doc = base_doc()
+    doc["tasks"] = ["decompose", "mean", "certify"]
+    project = neveu.mean_ergodic_projection
+
+    def corrupted(action, **kwargs):
+        proj = project(action, **kwargs)
+        return dataclasses.replace(
+            proj, dual_basis=[psi * 2.0 for psi in proj.dual_basis]
+        )
+
+    monkeypatch.setattr(neveu, "mean_ergodic_projection", corrupted)
+    report = run(scenario_from_dict(doc))
+    assert report.verdicts == {"decompose": "pass", "mean": "fail", "certify": "pass"}
+    mean = report.data["results"]["mean"]
+    assert mean["error_type"] == "MeanErgodicValidationError"
+    assert "not the fixed space" in mean["error"]
 
 
 def test_emit_decay_csv_contents(tmp_path):

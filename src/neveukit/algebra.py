@@ -59,7 +59,9 @@ __all__ = [
 # Flag verification slacks (relative).
 HERMITIAN_RTOL = 1e-12
 POSITIVE_RTOL = 1e-10
-# Projection admission: idempotency / self-adjointness and eigenvalue snap.
+# Projection admission of matrices from outside: idempotency / self-adjointness
+# and eigenvalue snap.  Projections built from orthonormal eigenvectors (V V*,
+# 1 - P, corner glue) know their ranks by construction and skip it.
 PROJECTION_TOL = 1e-10
 PROJECTION_EIG_TOL = 1e-8
 # Eigenvalue clustering gap, relative to the operator norm of the input.
@@ -334,8 +336,12 @@ class Operator:
 class Projection(Operator):
     """A self-adjoint idempotent, carrying its per-block ranks.
 
-    Construction verifies ``||p^2 - p|| <= 1e-10``, self-adjointness, and
-    that every eigenvalue is within 1e-8 of {0, 1}.
+    ``Projection(algebra, mats)`` admits matrices from outside: it checks
+    ``||p^2 - p|| <= 1e-10``, self-adjointness and eigenvalues within 1e-8 of
+    {0, 1}, and reads the ranks off the eigenvalues.  :meth:`from_eigvecs`
+    (V V*), :meth:`complement` (1 - p) and the corner glue of the certificates
+    know their ranks by construction; only rounding could fail the admission
+    there, so they skip it.
     """
 
     def __init__(self, algebra, block_mats):
@@ -353,26 +359,37 @@ class Projection(Operator):
             if np.abs(ev - np.round(ev)).max() > PROJECTION_EIG_TOL:
                 raise ValueError("eigenvalues not within 1e-8 of {0, 1}")
             ranks.append(int(np.round(ev.sum())))
-        self.ranks = tuple(ranks)
-        self.rank = sum(ranks)
+        self.ranks, self.rank = tuple(ranks), sum(ranks)
+
+    @classmethod
+    def _built(cls, algebra, block_mats, ranks):
+        """A projection made by construction, with known ranks: no admission."""
+        p = cls.__new__(cls)
+        Operator.__init__(p, algebra, block_mats)
+        p.ranks, p.rank = tuple(ranks), sum(ranks)
+        return p
 
     @classmethod
     def from_eigvecs(cls, algebra, vec_lists):
-        """Build sum_k v_k v_k* blockwise from orthonormal column lists."""
-        mats = []
-        for n, cols in zip(algebra.blocks, vec_lists):
-            if cols is None or len(cols) == 0:
-                mats.append(np.zeros((n, n), dtype=complex))
-            else:
-                V = np.column_stack(cols)
-                mats.append(V @ V.conj().T)
-        return cls(algebra, mats)
+        """Build sum_k v_k v_k* blockwise from orthonormal column lists.
+
+        The caller vouches for orthonormality; a block's rank is its column
+        count, and an empty (or ``None``) list gives a zero block.
+        """
+        Vs = [
+            np.column_stack(cols) if cols else np.zeros((n, 0), dtype=complex)
+            for n, cols in zip(algebra.blocks, vec_lists)
+        ]
+        return cls._built(
+            algebra, [V @ V.conj().T for V in Vs], [V.shape[1] for V in Vs]
+        )
 
     def complement(self):
-        eye = self.algebra.identity()
-        return Projection(
+        blocks = self.algebra.blocks
+        return Projection._built(
             self.algebra,
-            [i - m for i, m in zip(eye.block_mats, self.block_mats)],
+            [np.eye(n) - m for n, m in zip(blocks, self.block_mats)],
+            [n - r for n, r in zip(blocks, self.ranks)],
         )
 
     def __repr__(self):
@@ -442,19 +459,25 @@ def abs_op(x):
 # ---------------------------------------------------------------------------
 
 
-def _require_hermitian(h, who):
+def _clusters(h, who):
+    """``(mean eigenvalue, per-block eigenvector lists)`` of each eigenvalue
+    cluster of a hermitian h, ascending (see :func:`spectral_decompose`)."""
     if not h.is_hermitian():
         raise ValueError(f"{who} requires a hermitian operator")
-
-
-def _eigh_all(h):
-    """Blockwise eigendecomposition; returns (lam, block, column) triples."""
-    triples = []
-    for b, (lam, V) in enumerate(h.eigh()):
-        for k in range(lam.size):
-            triples.append((float(lam[k]), b, V[:, k]))
+    triples = [
+        (float(lam[k]), b, V[:, k])
+        for b, (lam, V) in enumerate(h.eigh())
+        for k in range(lam.size)
+    ]
     triples.sort(key=lambda t: t[0])
-    return triples
+    gap = CLUSTER_GAP_RTOL * max(op_norm(h), 1e-300)
+    clusters = []  # (eigenvalues, per-block columns)
+    for i, (lam, b, v) in enumerate(triples):
+        if i == 0 or lam - triples[i - 1][0] > gap:
+            clusters.append(([], [[] for _ in h.algebra.blocks]))
+        clusters[-1][0].append(lam)
+        clusters[-1][1][b].append(v)
+    return [(float(np.mean(lams)), cols) for lams, cols in clusters]
 
 
 def spectral_decompose(h):
@@ -465,40 +488,17 @@ def spectral_decompose(h):
     ``(eigenvalue, Projection)`` pairs; the projections sum to the identity
     and ``sum_k lam_k P_k`` reassembles ``h`` to 1e-10.
     """
-    _require_hermitian(h, "spectral_decompose")
-    triples = _eigh_all(h)
-    gap = CLUSTER_GAP_RTOL * max(op_norm(h), 1e-300)
-    clusters = []
-    current = [triples[0]]
-    for t in triples[1:]:
-        if t[0] - current[-1][0] <= gap:
-            current.append(t)
-        else:
-            clusters.append(current)
-            current = [t]
-    clusters.append(current)
-
-    pairs = []
-    for cl in clusters:
-        lam = float(np.mean([t[0] for t in cl]))
-        cols = [[] for _ in h.algebra.blocks]
-        for _, b, v in cl:
-            cols[b].append(v)
-        pairs.append((lam, Projection.from_eigvecs(h.algebra, cols)))
-    return pairs
+    return [
+        (lam, Projection.from_eigvecs(h.algebra, cols))
+        for lam, cols in _clusters(h, "spectral_decompose")
+    ]
 
 
 def _interval_member(lam, lo, hi):
     """Half-open [lo, hi) membership with 1e-10 boundary snapping."""
-    if lo is not None and abs(lam - lo) <= BOUNDARY_SNAP:
+    if abs(lam - lo) <= BOUNDARY_SNAP:
         return True
-    if hi is not None and abs(lam - hi) <= BOUNDARY_SNAP:
-        return False
-    if lo is not None and lam < lo:
-        return False
-    if hi is not None and lam >= hi:
-        return False
-    return True
+    return abs(lam - hi) > BOUNDARY_SNAP and lo <= lam < hi
 
 
 def spectral_projection(h, interval):
@@ -510,15 +510,14 @@ def spectral_projection(h, interval):
     belongs to the interval, the upper one does not.
     """
     lo, hi = interval
-    lo = None if lo is not None and np.isneginf(lo) else lo
-    hi = None if hi is not None and np.isposinf(hi) else hi
-    acc = None
-    for lam, p in spectral_decompose(h):
+    lo = -np.inf if lo is None else lo
+    hi = np.inf if hi is None else hi
+    kept = [[] for _ in h.algebra.blocks]
+    for lam, cols in _clusters(h, "spectral_projection"):
         if _interval_member(lam, lo, hi):
-            acc = p if acc is None else acc + p
-    if acc is None:
-        return Projection(h.algebra, h.algebra.zero().block_mats)
-    return Projection(h.algebra, acc.block_mats)
+            for block, c in zip(kept, cols):
+                block.extend(c)
+    return Projection.from_eigvecs(h.algebra, kept)
 
 
 def support(x):

@@ -102,10 +102,11 @@ def _corner_projection(algebra, eigs, keeps, outside):
     active = Projection.from_eigvecs(algebra, kept_cols)
     if outside is None:
         return active, active
-    e = Projection(
-        algebra, [p + q for p, q in zip(active.block_mats, outside.block_mats)]
+    return active, Projection._built(
+        algebra,
+        [p + q for p, q in zip(active.block_mats, outside.block_mats)],
+        [r + s for r, s in zip(active.ranks, outside.ranks)],
     )
-    return active, e
 
 
 def _deviations(sequence, limit, schedule, within):
@@ -154,8 +155,8 @@ def measure_certify(sequence, limit, eps, schedule=None, delta_tol=1e-6, within=
     """Certify X_a -> limit in measure along the (finite) sequence.
 
     For each index the spectral projection e_a of |X_a - limit| below eps is
-    produced; its complement mass delta_a = tau(1 - e_a) is computed from the
-    same eigendecomposition, so the reported mass and the witness projection
+    produced; its complement mass delta_a = tau(1 - e_a) is read off the
+    ranks e_a is built with, so the reported mass and the witness projection
     can never drift apart.  The verdict passes iff from some schedule point
     n0 on every delta_a is at most delta_tol.
 
@@ -172,11 +173,9 @@ def measure_certify(sequence, limit, eps, schedule=None, delta_tol=1e-6, within=
     for d in deviations:
         eigs = _corner_eigh(basis, abs_op(d))
         keeps = [lam < eps - BOUNDARY_SNAP for lam, _, _ in eigs]
-        delta = 0.0
-        for w, keep in zip(algebra.weights, keeps):
-            delta += w * float(np.sum(~keep))
         active, e = _corner_projection(algebra, eigs, keeps, outside)
-        deltas.append(float(delta))
+        excluded = zip(algebra.weights, algebra.blocks, e.ranks)
+        deltas.append(float(sum(w * float(n - r) for w, n, r in excluded)))
         witnesses.append(e)
         actives.append(active)
     corners = op_norms([e @ d @ e for e, d in zip(witnesses, deviations)])

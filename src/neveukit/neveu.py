@@ -511,7 +511,7 @@ def _decompose(schr, heis, proj, schedule, seed, decay_tol):
     }
 
     if y is None:
-        e1 = Projection(algebra, algebra.zero().block_mats)
+        e1 = Projection.from_eigvecs(algebra, [None] * algebra.n_blocks)
     else:
         e1 = support(y)
     e2 = e1.complement()
@@ -559,8 +559,8 @@ def _decompose(schr, heis, proj, schedule, seed, decay_tol):
     detail["density_on_e2"] = float(ortho)
 
     ws = wandering_sum([e2])
-    sup_ws = support(ws) if op_norm(ws) > 0 else Projection(
-        algebra, algebra.zero().block_mats
+    sup_ws = support(ws) if op_norm(ws) > 0 else Projection.from_eigvecs(
+        algebra, [None] * algebra.n_blocks
     )
     agree = sup_ws.ranks == e2.ranks and op_norm(sup_ws - e2) <= UNIQUENESS_TOL
     verdicts["wandering_sum_agreement"] = "pass" if agree else "fail"

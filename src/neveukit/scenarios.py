@@ -34,7 +34,6 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
@@ -399,11 +398,29 @@ def _bau_payload(cert):
     )
 
 
+def _shared(compute):
+    """A run-context property computed once: its value, or the exception it
+    raised, is kept and given back (raised again) on every later read."""
+
+    def get(ctx):
+        if compute not in ctx._kept:
+            try:
+                ctx._kept[compute] = compute(ctx)
+            except Exception as exc:
+                ctx._kept[compute] = exc
+        kept = ctx._kept[compute]
+        if isinstance(kept, Exception):
+            raise kept
+        return kept
+
+    return property(get)
+
+
 class _RunContext:
     """The inputs and shared work of one run's tasks, computed on first use.
 
-    A piece whose computation raises is not kept, so each task that needs
-    it records the same error.
+    A piece is computed once; if it raises, its exception is kept and raised
+    again for every task that needs it, so they all record the same error.
     """
 
     def __init__(self, scenario, seed, tolerances, schedule):
@@ -412,25 +429,26 @@ class _RunContext:
         self.tolerances = tolerances
         self.schedule = schedule
         self.phi0 = neveu.reference_density(scenario.algebra)
+        self._kept = {}
 
-    @cached_property
+    @_shared
     def schr(self):
         return self.scenario.action.to_picture("schrodinger")
 
-    @cached_property
+    @_shared
     def projection(self):
         return neveu.mean_ergodic_projection(
             self.schr, tol_fixed=self.tolerances["tol_fixed"]
         )
 
-    @cached_property
+    @_shared
     def heisenberg_projection(self):
         # the dual of the density-picture projection, not a second one
         return neveu._dual_projection(
             self.projection, self.scenario.action.to_picture("heisenberg")
         )
 
-    @cached_property
+    @_shared
     def decomposition(self):
         # the density picture is already at hand; neveu_decompose would
         # build it again for a Heisenberg scenario

@@ -441,6 +441,41 @@ def test_one_eigendecomposition_serves_every_spectral_query(monkeypatch):
     assert sorted(seen) == list(range(alg.n_blocks))
 
 
+def test_support_takes_one_eigendecomposition_per_block(monkeypatch):
+    """support(x) on M3+M2+C decomposes x's three blocks and nothing more:
+    the projection it builds carries its ranks, with no admission eigh."""
+    alg = TracialAlgebra([3, 2, 1], [0.1, 0.2, 0.3])
+    x = alg.random_positive(np.random.default_rng(31))
+    calls = []
+    original = np.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    s = support(x)
+    assert len(calls) == 3
+    assert s.ranks == (3, 2, 1)
+
+
+def test_spectral_projection_is_the_sum_of_its_clusters():
+    """chi_[lo, hi)(h), built once from the selected eigenvectors, equals the
+    sum of the spectral_decompose projections whose eigenvalue is in [lo, hi)."""
+    rng = np.random.default_rng(41)
+    alg = TracialAlgebra([3, 2, 1], [0.1, 0.2, 0.3])
+    for _ in range(10):
+        h = alg.random_hermitian(rng)
+        lo, hi = sorted(rng.uniform(-2.0, 2.0, size=2))
+        p = spectral_projection(h, (lo, hi))
+        kept = [q for lam, q in spectral_decompose(h) if lo <= lam < hi]
+        total = sum(kept, alg.zero())
+        assert op_norm(p - total) <= 1e-12
+        assert p.ranks == tuple(
+            sum(q.ranks[b] for q in kept) for b in range(alg.n_blocks)
+        )
+
+
 # ---------------------------------------------------------------------------
 # batched spectral norms and the hermitian test
 # ---------------------------------------------------------------------------

@@ -2,8 +2,19 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from neveukit.algebra import Operator, Projection, TracialAlgebra, op_norm, trace
+from neveukit.algebra import (
+    Operator,
+    Projection,
+    TracialAlgebra,
+    op_norm,
+    spectral_decompose,
+    spectral_projection,
+    support,
+    trace,
+)
 from neveukit.convergence import (
     HullConvergenceError,
     bau_certify,
@@ -458,9 +469,9 @@ def test_hull_finite_group_residual_zero():
 # schedule-wide norms are batched
 # ---------------------------------------------------------------------------
 
-# Each witness projection and each hermitian test takes its own norms when
-# the object is built; these two admission checks are not counted.
-ADMISSION_CODE = (Projection.__init__.__code__, Operator.is_hermitian.__code__)
+# Each hermitian test takes its own norms once per operator; it is not
+# counted.  Witness projections are built with their ranks and take none.
+ADMISSION_CODE = (Operator.is_hermitian.__code__,)
 
 
 def certificate_norm_calls(monkeypatch, run):
@@ -504,3 +515,50 @@ def test_certificate_norm_calls_do_not_grow_with_the_schedule(monkeypatch):
         }
         counts[n] = {k: certificate_norm_calls(monkeypatch, f) for k, f in runs.items()}
     assert counts[4] == counts[16]
+
+
+# ---------------------------------------------------------------------------
+# projections built inside the package pass the outside admission
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    blocks=st.lists(
+        st.tuples(st.integers(1, 4), st.floats(0.05, 2.0)), min_size=1, max_size=3
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_built_projections_pass_admission_with_their_ranks(blocks, seed):
+    """support, spectral_decompose, spectral_projection, complement and the
+    measure / b.a.u. witnesses (on the whole algebra and inside a corner)
+    build projections without admission; each must pass
+    Projection(algebra, mats) with the ranks it was built with."""
+    algebra = TracialAlgebra([n for n, _ in blocks], [w for _, w in blocks])
+    rng = np.random.default_rng(seed)
+    mats = []
+    for n in algebra.blocks:
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        g[:, int(rng.integers(0, n + 1)) :] = 0.0  # rank-deficient in general
+        mats.append(g @ g.conj().T)
+    corner = support(algebra.operator(mats))
+    h = algebra.random_hermitian(rng)
+    lam = np.concatenate([v for v, _ in h.eigh()])
+    t = float(rng.uniform(lam.min(), lam.max()))
+
+    built = [corner] + [p for _, p in spectral_decompose(h)]
+    built += [
+        spectral_projection(h, (t, None)),
+        spectral_projection(h, (None, t)),
+        spectral_projection(h, (lam.max() + 1.0, None)),
+    ]
+    built += [p.complement() for p in built]
+    seq = [(1.0 / a) * h for a in (1, 2, 4, 8)]
+    for within in (None, corner, corner.complement()):
+        seq_in = seq if within is None else [within @ x @ within for x in seq]
+        m = measure_certify(seq_in, algebra.zero(), 0.3, within=within)
+        b = bau_certify(seq_in, algebra.zero(), 0.3, within=within)
+        built += m.witnesses + m.witnesses_active + [b.e, b.e_active]
+    for p in built:
+        assert isinstance(p, Projection)
+        assert Projection(algebra, p.block_mats).ranks == p.ranks

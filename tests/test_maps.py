@@ -145,6 +145,30 @@ def test_from_kraus_attests_by_construction():
         assert s.attestations[name].passed
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    blocks=st.lists(
+        st.tuples(st.integers(1, 4), st.floats(0.05, 2.0)), min_size=1, max_size=3
+    ),
+    count=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_from_kraus_applies_the_kraus_sum(blocks, count, seed):
+    """from_kraus(alg, ks)(x) = sum_j K_j* x K_j within 1e-12 max(1, ||x||),
+    for random Kraus lists scaled so that sum_j K_j* K_j <= 1."""
+    algebra = TracialAlgebra([n for n, _ in blocks], [w for _, w in blocks])
+    rng = np.random.default_rng(seed)
+    ks = [random_op(algebra, rng) for _ in range(count)]
+    lam = op_norm(sum((k.H @ k for k in ks), algebra.zero()))
+    scale = float(rng.uniform(0.5, 1.0)) / np.sqrt(lam)
+    ks = [scale * k for k in ks]
+    s = from_kraus(algebra, ks)
+    for _ in range(3):
+        x = random_op(algebra, rng)
+        direct = sum((k.H @ x @ k for k in ks), algebra.zero())
+        assert op_norm(s(x) - direct) <= 1e-12 * max(1.0, op_norm(x))
+
+
 def test_from_classical_negative_entry_names_position():
     kernel = np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, -0.2, 1.0]])
     with pytest.raises(ValueError, match=r"\(2, 1\)"):

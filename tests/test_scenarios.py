@@ -289,6 +289,29 @@ def test_decompose_and_mean_record_the_density_projection_error():
     assert "projector residuals above 1e-9" in results["mean"]["error"]
 
 
+def test_a_failed_projection_is_computed_once_and_its_error_kept(monkeypatch):
+    """The run context keeps the error of its failed mean projection: one
+    computation, and every task that needs it records the same error."""
+    tasks = ["decompose", "mean", "certify", "stochastic"]
+    calls = []
+    original = neveu.mean_ergodic_projection
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(neveu, "mean_ergodic_projection", counting)
+    report = run(scenario_from_dict(near_degenerate_kernel_doc(tasks)))
+    results = report.data["results"]
+    assert len(calls) == 1
+    assert report.verdicts == dict.fromkeys(tasks, "fail")
+    errors = {(results[t]["error"], results[t]["error_type"]) for t in tasks}
+    assert len(errors) == 1
+    error, error_type = errors.pop()
+    assert error_type == "MeanErgodicValidationError"
+    assert "projector residuals above 1e-9" in error
+
+
 @pytest.mark.parametrize(
     "overrides, key",
     [

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .algebra import Operator
+from .algebra import Operator, TracialAlgebra
 from .maps import (
     CheckReport,
     PreconditionError,
@@ -294,6 +294,75 @@ class SemigroupAction:
     def to_picture(self, picture):
         return self if picture == self.picture else self.dual()
 
+    # -- central summands ------------------------------------------------------
+
+    def _summands(self):
+        """The action split along its uncoupled central summands.
+
+        A summand is a group of algebra blocks that no generator matrix (nor
+        a z-symmetric inverse) couples to the other blocks: union-find over
+        the off-diagonal block pairs holding any nonzero entry, with no
+        tolerance, so an entry of 1e-300 still couples.  Returns one
+        ``(coords, sub)`` pair per summand, in the order of its first block:
+        its vec coordinates (a slice where its blocks are contiguous, an
+        index array otherwise; index with :func:`_square`) and the action
+        restricted to it.  A restriction shares this action's construction
+        checks and runs none.  An action with one summand gives
+        ``[(slice(None), self)]``, so callers run on its whole matrices.
+        Computed anew on each call, as the action caches nothing.
+        """
+        if self.algebra.n_blocks == 1:
+            return [(slice(None), self)]
+        offsets = self.algebra._offsets
+        root = list(range(self.algebra.n_blocks))
+
+        def find(b):
+            while root[b] != b:
+                b = root[b]
+            return b
+
+        for m in self.matrices + (self.inverses or ()):
+            pairs = np.logical_or.reduceat(m != 0, offsets[:-1], axis=0)
+            pairs = np.logical_or.reduceat(pairs, offsets[:-1], axis=1)
+            for b, c in zip(*np.nonzero(pairs)):
+                rb, rc = find(b), find(c)
+                root[max(rb, rc)] = min(rb, rc)
+        groups = {}
+        for b in range(len(root)):
+            groups.setdefault(find(b), []).append(b)
+        if len(groups) == 1:
+            return [(slice(None), self)]
+        out = []
+        for blocks in groups.values():
+            if blocks[-1] - blocks[0] == len(blocks) - 1:
+                coords = slice(offsets[blocks[0]], offsets[blocks[-1] + 1])
+            else:
+                coords = np.concatenate(
+                    [np.arange(offsets[b], offsets[b + 1]) for b in blocks]
+                )
+            out.append((coords, self._restricted(blocks, coords)))
+        return out
+
+    def _restricted(self, blocks, coords):
+        """This action on the summand of ``blocks`` at vec ``coords``."""
+        algebra = TracialAlgebra(
+            [self.algebra.blocks[b] for b in blocks],
+            [self.algebra.weights[b] for b in blocks],
+        )
+        sub = object.__new__(SemigroupAction)
+        sub.algebra, sub.picture, sub.scheme = algebra, self.picture, self.scheme
+        sub.checks, sub._lamperti = self.checks, None
+        sub.matrices = tuple(m[_square(coords)] for m in self.matrices)
+        sub.inverses = None
+        if self.inverses is not None:
+            sub.inverses = tuple(m[_square(coords)] for m in self.inverses)
+        if self.generators is None:
+            sub.generators, sub.flow_generators = None, sub.matrices
+        else:
+            sub.generators = tuple(SuperOperator(algebra, m) for m in sub.matrices)
+            sub.flow_generators = None
+        return sub
+
     # -- Lamperti attestation ----------------------------------------------
 
     def lamperti_reports(self, trials=8, seed=11):
@@ -330,6 +399,14 @@ class SemigroupAction:
 # ---------------------------------------------------------------------------
 # averages
 # ---------------------------------------------------------------------------
+
+
+def _square(coords):
+    """The index of the square sub-matrix on the vec ``coords`` of a summand:
+    a view for a slice, a copy (or a scattered write) for an index array."""
+    if isinstance(coords, slice):
+        return coords, coords
+    return np.ix_(coords, coords)
 
 
 def _ascending(schedule):

@@ -26,12 +26,23 @@ density picture, and reads E_h off it (``_dual_projection``): the psi_i
 become the fixed basis and the x_i the conserved functionals.  E_h keeps
 the cross-validation of E and has its residuals and factor residual
 measured again in its own picture.
+
+When no generator moves mass between two groups of algebra blocks, L1
+splits into invariant central summands, and E, its fixed space and the
+averages split the same way.  The spectral work (Schur forms, the
+fixed-space SVD, A_16 and A_64 and their distances to E, the residuals)
+then runs once per uncoupled summand, E holds exact zeros between
+summands, and each fixed-basis element lives in one summand.  Every check
+stays that of the whole matrices: one SVD rank cutoff over all summands,
+Frobenius residuals combined as the 2-norm of the per-summand ones, and
+spectral norms as their maximum.
 Nothing is cached on the action: callers that reuse a projection pass it on
 with ``projection=``, as the tasks of one scenario run do.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +57,13 @@ from .algebra import (
     trace,
     trace_norm,
 )
-from .dynamics import _ascending, _average_matrices, average_super, averages
+from .dynamics import (
+    _ascending,
+    _average_matrices,
+    _square,
+    average_super,
+    averages,
+)
 from .maps import SuperOperator, _transpose_perm, dual
 
 __all__ = [
@@ -96,17 +113,28 @@ def fixed_space(action, tol=FIXED_SVD_TOL):
     """tau-orthonormal basis of the joint fixed subspace of the action.
 
     Stacks the generator conditions (S_i - 1, or the flow generators L_i)
-    and reads the null space off one SVD; singular values below
-    tol * max(1, sigma_max) count as zero.
+    and reads the null space off one SVD per uncoupled central summand of
+    the action; singular values below tol * max(1, sigma_max), with
+    sigma_max the largest over all summands, count as zero, which is the
+    rank the SVD of the whole stacked matrix decides.  Each basis element
+    lives in one summand, and the elements come summand by summand.
     """
     action.require_commuting()
-    stacked = np.vstack(_stacked_generator_matrices(action))
-    u, sig, vh = np.linalg.svd(stacked)
-    cutoff = tol * max(1.0, sig[0] if sig.size else 0.0)
-    rank = int(np.sum(sig > cutoff))
-    null = vh[rank:].conj().T
-    ortho, _ = _tau_orthonormal(null, action.algebra.weight_vec)
-    return [action.algebra.from_vec(ortho[:, k]) for k in range(ortho.shape[1])]
+    parts = action._summands()
+    svds = [
+        np.linalg.svd(np.vstack(_stacked_generator_matrices(sub)))
+        for _, sub in parts
+    ]
+    cutoff = tol * max(1.0, *(sig[0] for _, sig, _ in svds))
+    algebra = action.algebra
+    basis = []
+    for (coords, sub), (_, sig, vh) in zip(parts, svds):
+        null = vh[int(np.sum(sig > cutoff)):].conj().T
+        ortho, _ = _tau_orthonormal(null, sub.algebra.weight_vec)
+        vecs = np.zeros((algebra.dim, ortho.shape[1]), dtype=complex)
+        vecs[coords] = ortho
+        basis += [algebra.from_vec(v) for v in vecs.T]
+    return basis
 
 
 def _tau_orthonormal(cols, w):
@@ -198,31 +226,49 @@ def mean_ergodic_projection(action, tol_fixed=1e-9):
     flows ``||L E||``, ``||E L||`` over ``max(1, ||L||_2)``) are Frobenius
     norms, upper bounds on the spectral norm, checked against 1e-9; the
     cross-validation norms ``||A_a - E||`` stay spectral.
+
+    When no generator couples two groups of algebra blocks, E splits along
+    these uncoupled central summands: the Schur forms, the fixed-space SVD,
+    the averages and the residuals run per summand, E holds exact zeros
+    between summands, and each fixed-basis element lives in one summand.
+    Every check stays that of the whole matrices: Frobenius residuals
+    combine as the 2-norm of the per-summand ones, the cross-validation
+    norms are maxima over summands, and the spectral rank must match the
+    fixed-space dimension in each summand and in total.
     """
     action.require_commuting()
     algebra = action.algebra
     dim = algebra.dim
-    continuous = action.scheme.kind == "r-plus-cube"
-    if action.scheme.kind == "finite-group":
-        e = average_super(action, 1).matrix
+    parts = action._summands()
+    pieces = [_summand_projector(sub, tol_fixed) for _, sub in parts]
+    if len(parts) == 1:
+        e = pieces[0]
     else:
-        e = np.eye(dim, dtype=complex)
-        center = 0.0 if continuous else 1.0
-        for m in action.matrices:
-            e = _cluster_projector(m, center, tol_fixed) @ e
+        e = np.zeros((dim, dim), dtype=complex)
+        for (coords, _), piece in zip(parts, pieces):
+            e[_square(coords)] = piece
 
-    residuals = _projector_residuals(action, e)
+    residuals = _projector_residuals(parts, e)
     basis = fixed_space(action, tol=FIXED_SVD_TOL)
-    rank = int(round(np.trace(e).real))
+    ranks = [int(round(np.trace(piece).real)) for piece in pieces]
+    rank = sum(ranks)
     if rank != len(basis):
         raise MeanErgodicValidationError(
             f"spectral rank {rank} != fixed-space dimension {len(basis)}"
         )
+    w = algebra.weight_vec
+    x = _vec_columns(basis, dim)
+    if len(parts) > 1:
+        # the basis elements that reach into each summand
+        held = [int(np.any(x[coords] != 0, axis=0).sum()) for coords, _ in parts]
+        if held != ranks:
+            raise MeanErgodicValidationError(
+                f"spectral ranks {ranks} != fixed-space dimensions {held} "
+                f"per uncoupled summand"
+            )
     # E = X F with X the fixed basis as vec columns and F = X* W E, since
     # X X* W is the tau-orthogonal projector onto the fixed space; this holds
     # only when range(E) is that space, not merely of its dimension
-    w = algebra.weight_vec
-    x = _vec_columns(basis, dim)
     f = x.conj().T @ (w[:, None] * e)
     factor_residual = _factor_residual(x, f, e)
     # tau(psi y) = F_i . vec(y) pairs psi's entry (p, q) with y's (q, p)
@@ -231,9 +277,12 @@ def mean_ergodic_projection(action, tol_fixed=1e-9):
         for row in f
     ]
 
-    a16, a64 = _average_matrices(action, (16, 64))
-    n16 = float(np.linalg.norm(a16 - e, 2))
-    n64 = float(np.linalg.norm(a64 - e, 2))
+    norms = []
+    for (_, sub), piece in zip(parts, pieces):
+        a16, a64 = _average_matrices(sub, (16, 64))
+        norms.append([np.linalg.norm(a16 - piece, 2), np.linalg.norm(a64 - piece, 2)])
+    # the spectral norm of a block-diagonal matrix is its blocks' largest
+    n16, n64 = np.max(norms, axis=0).tolist()
     # a C/a Cesaro envelope calibrated at a = 16 must cover the a = 64 point
     envelope = 10.0 * (16.0 * n16) / 64.0 + PROJECTION_RESIDUAL_TOL
     if n64 > envelope:
@@ -248,29 +297,57 @@ def mean_ergodic_projection(action, tol_fixed=1e-9):
     )
 
 
-def _projector_residuals(action, e):
+def _summand_projector(action, tol_fixed):
+    """The spectral projector of one uncoupled summand: the product of the
+    per-generator cluster projectors, or the group average."""
+    if action.scheme.kind == "finite-group":
+        return average_super(action, 1).matrix
+    e = np.eye(action.algebra.dim, dtype=complex)
+    center = 0.0 if action.scheme.kind == "r-plus-cube" else 1.0
+    for m in action.matrices:
+        e = _cluster_projector(m, center, tol_fixed) @ e
+    return e
+
+
+def _projector_residuals(parts, e):
     """Idempotency and invariance residuals of the dense projector ``e`` of
-    the action; raises :class:`MeanErgodicValidationError` above 1e-9."""
-    continuous = action.scheme.kind == "r-plus-cube"
+    an action split into the ``(coords, sub)`` summands ``parts``; raises
+    :class:`MeanErgodicValidationError` above 1e-9.
+
+    Each residual is computed per summand on the diagonal blocks of ``e``,
+    and they combine to the norms of the whole matrices: Frobenius norms as
+    the 2-norm of the per-summand ones, and the flow scale as the largest
+    per-summand spectral norm.  So ``e`` must hold exact zeros between the
+    summands, which is checked.
+    """
+    pieces = [(sub, e[_square(coords)]) for coords, sub in parts]
+    if len(parts) > 1 and np.count_nonzero(e) != sum(
+        np.count_nonzero(block) for _, block in pieces
+    ):
+        raise MeanErgodicValidationError(
+            "projector couples summands that no generator couples"
+        )
+    continuous = parts[0][1].scheme.kind == "r-plus-cube"
     # Frobenius norms bound the spectral norm from above, so the residual
     # checks are at least as strict as spectral ones; the flow scale stays
     # spectral, since a larger divisor would loosen them
-    residuals = {"idempotency": float(np.linalg.norm(e @ e - e, "fro"))}
+    residuals = {
+        "idempotency": math.hypot(
+            *(np.linalg.norm(b @ b - b, "fro") for _, b in pieces)
+        )
+    }
     inv = 0.0
-    for m in action.matrices:
+    for i in range(len(parts[0][1].matrices)):
+        mats = [(sub.matrices[i], b) for sub, b in pieces]
         if continuous:
-            scale = max(1.0, np.linalg.norm(m, 2))
-            inv = max(
-                inv,
-                np.linalg.norm(m @ e, "fro") / scale,
-                np.linalg.norm(e @ m, "fro") / scale,
-            )
+            scale = max(1.0, *(np.linalg.norm(m, 2) for m, _ in mats))
+            left = math.hypot(*(np.linalg.norm(m @ b, "fro") for m, b in mats))
+            right = math.hypot(*(np.linalg.norm(b @ m, "fro") for m, b in mats))
+            inv = max(inv, left / scale, right / scale)
         else:
-            inv = max(
-                inv,
-                np.linalg.norm(m @ e - e, "fro"),
-                np.linalg.norm(e @ m - e, "fro"),
-            )
+            left = math.hypot(*(np.linalg.norm(m @ b - b, "fro") for m, b in mats))
+            right = math.hypot(*(np.linalg.norm(b @ m - b, "fro") for m, b in mats))
+            inv = max(inv, left, right)
     residuals["invariance"] = float(inv)
     bad = {k: v for k, v in residuals.items() if v > PROJECTION_RESIDUAL_TOL}
     if bad:
@@ -291,10 +368,11 @@ def _factor_residual(x, f, e):
     return residual
 
 
-def _dual_projection(proj, heis):
+def _dual_projection(proj, heis, sup):
     """The mean ergodic projection of the observable-picture action
     ``heis``, read off the validated projection ``proj`` of its density
-    picture instead of computed a second time.
+    picture instead of computed a second time; ``sup`` is
+    ``dual(proj.superop)``, which the caller may share with other work.
 
     E_h = dual(E) acts as E_h(b) = sum_i tau(x_i b) psi_i, so the psi_i of
     ``proj`` span its range and its x_i are the functionals that E_h
@@ -307,9 +385,8 @@ def _dual_projection(proj, heis):
     """
     algebra = heis.algebra
     w = algebra.weight_vec
-    sup = dual(proj.superop)
     e = sup.matrix
-    residuals = _projector_residuals(heis, e)
+    residuals = _projector_residuals(heis._summands(), e)
     fixed, chol = _tau_orthonormal(_vec_columns(proj.dual_basis, algebra.dim), w)
     conserved = _vec_columns(proj.fixed_basis, algebra.dim) @ chol.conj()
     # tau(psi y) = F_i . vec(y) pairs psi's entry (p, q) with y's (q, p)
@@ -495,13 +572,20 @@ def neveu_decompose(
     schr = action.to_picture("schrodinger")
     proj = projection or mean_ergodic_projection(schr, tol_fixed=tol_fixed)
     return _decompose(
-        schr, action.to_picture("heisenberg"), proj, schedule, seed, decay_tol
+        schr,
+        action.to_picture("heisenberg"),
+        proj,
+        dual(proj.superop),
+        schedule,
+        seed,
+        decay_tol,
     )
 
 
-def _decompose(schr, heis, proj, schedule, seed, decay_tol):
+def _decompose(schr, heis, proj, e_heis, schedule, seed, decay_tol):
     """:func:`neveu_decompose` on both pictures of the action, given as
-    ``schr`` and ``heis``, with the density-picture projection ``proj``."""
+    ``schr`` and ``heis``, with the density-picture projection ``proj`` and
+    its dual ``e_heis``."""
     algebra = schr.algebra
     y, inv_defect = _invariant_density(schr, None, proj)
     detail = {
@@ -544,7 +628,6 @@ def _decompose(schr, heis, proj, schedule, seed, decay_tol):
     verdicts["uniqueness"] = uniq
 
     # the observable-picture mean projection must annihilate e2
-    e_heis = dual(proj.superop)
     wander_norm = op_norm(algebra.from_vec(e_heis.matrix @ e2.vec()))
     verdicts["wandering"] = (
         "pass" if wander_norm <= PROJECTION_RESIDUAL_TOL else "fail"

@@ -364,9 +364,13 @@ def load_report(path):
 
 
 def _spectrum_payload(action):
+    # a generator's spectrum is the union of its uncoupled summands' spectra
+    parts = action._summands()
     out = []
-    for m in action.matrices:
-        lam = np.linalg.eigvals(m)
+    for i in range(len(action.matrices)):
+        lam = chain.from_iterable(
+            np.linalg.eigvals(sub.matrices[i]) for _, sub in parts
+        )
         lam = sorted(lam, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
         out.append([_encode_complex(z) for z in lam])
     return out
@@ -442,10 +446,17 @@ class _RunContext:
         )
 
     @_shared
+    def projection_dual(self):
+        # one dual of E serves the wandering verdict and the Heisenberg mean
+        return dual(self.projection.superop)
+
+    @_shared
     def heisenberg_projection(self):
         # the dual of the density-picture projection, not a second one
         return neveu._dual_projection(
-            self.projection, self.scenario.action.to_picture("heisenberg")
+            self.projection,
+            self.scenario.action.to_picture("heisenberg"),
+            self.projection_dual,
         )
 
     @_shared
@@ -456,6 +467,7 @@ class _RunContext:
             self.schr,
             self.scenario.action.to_picture("heisenberg"),
             self.projection,
+            self.projection_dual,
             self.schedule,
             self.seed,
             self.tolerances["decay_tol"],

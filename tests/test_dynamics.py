@@ -14,6 +14,7 @@ from neveukit.dynamics import (
     average_super,
     averages,
     _power_sums,
+    _square,
     continuous_average_super,
     folner_ratio,
     folner_set,
@@ -757,7 +758,9 @@ def single_walk_power_sum(s, n):
 @pytest.mark.parametrize("d", [1, 2])
 def test_mean_projection_continues_the_a16_walk_to_a64(monkeypatch, d):
     """On zplus-box the cross-validation takes A_16 and A_64 from one doubling
-    walk per axis, and its A_64 is bitwise the walk to 64 alone."""
+    walk per axis and per uncoupled summand, and its A_64 is bitwise the walk
+    to 64 alone on the summand's sub-matrices.  The Kraus channel on MULTI
+    moves no mass between its three blocks, so it has three summands."""
     from neveukit import dynamics, neveu
 
     if d == 1:
@@ -773,25 +776,29 @@ def test_mean_projection_continues_the_a16_walk_to_a64(monkeypatch, d):
         return power_sums(s, ns)
 
     def recording_averages(action, sizes):
-        built.append(average_matrices(action, sizes))
-        return built[-1]
+        built.append((action, average_matrices(action, sizes)))
+        return built[-1][1]
 
     monkeypatch.setattr(dynamics, "_power_sums", recording_walk)
     monkeypatch.setattr(neveu, "_average_matrices", recording_averages)
     proj = neveu.mean_ergodic_projection(action)
-    assert walks == [[16, 64]] * d
+    parts = action._summands()
+    assert len(parts) == (1 if d == 1 else 3)
+    assert walks == [[16, 64]] * d * len(parts)
     monkeypatch.undo()
 
-    (a16, a64), = built
-    for a, got in ((16, a16), (64, a64)):
-        want = single_walk_power_sum(action.generators[0].matrix, a) / a
-        for gen in action.generators[1:]:
-            want = (single_walk_power_sum(gen.matrix, a) / a) @ want
-        assert np.array_equal(got, want)
-        assert np.array_equal(got, average_super(action, a).matrix)
-    assert proj.cross_validation["norm_a64"] == float(
-        np.linalg.norm(a64 - proj.superop.matrix, 2)
-    )
+    assert len(built) == len(parts)
+    norms = []
+    for (coords, _), (sub, (a16, a64)) in zip(parts, built):
+        for a, got in ((16, a16), (64, a64)):
+            mats = [gen.matrix[_square(coords)] for gen in action.generators]
+            want = single_walk_power_sum(mats[0], a) / a
+            for m in mats[1:]:
+                want = (single_walk_power_sum(m, a) / a) @ want
+            assert np.array_equal(got, want)
+            assert np.array_equal(got, average_super(sub, a).matrix)
+        norms.append(np.linalg.norm(a64 - proj.superop.matrix[_square(coords)], 2))
+    assert proj.cross_validation["norm_a64"] == float(max(norms))
 
 
 def test_power_sums_need_extending_bits():

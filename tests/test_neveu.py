@@ -14,8 +14,14 @@ from neveukit.algebra import (
     trace,
     trace_norm,
 )
-from neveukit.dynamics import FolnerScheme, SemigroupAction, average
-from neveukit.maps import SuperOperator, from_classical, from_conjugation, from_kraus
+from neveukit.dynamics import FolnerScheme, SemigroupAction, average, average_super
+from neveukit.maps import (
+    SuperOperator,
+    dual,
+    from_classical,
+    from_conjugation,
+    from_kraus,
+)
 from neveukit.neveu import (
     MeanErgodicValidationError,
     fixed_space,
@@ -347,7 +353,7 @@ def test_dual_projection_is_the_heisenberg_mean_projection(blocks, seed, kind):
         algebra = TracialAlgebra([n for n, _ in blocks], [w for _, w in blocks])
     action = random_heisenberg_action(algebra, kind, np.random.default_rng(seed))
     schr = mean_ergodic_projection(action.to_picture("schrodinger"))
-    proj = neveu._dual_projection(schr, action)
+    proj = neveu._dual_projection(schr, action, dual(schr.superop))
     want = mean_ergodic_projection(action)
     assert np.linalg.norm(proj.superop.matrix - want.superop.matrix, "fro") <= 1e-12
     r = proj.rank
@@ -370,19 +376,19 @@ def test_dual_projection_checks_what_it_is_given():
     """A wrong dual basis or a non-projector in the density picture is
     refused by the factor and residual checks of the observable picture."""
     schr = mean_ergodic_projection(AD.to_picture("schrodinger"))
-    assert neveu._dual_projection(schr, AD).factor_residual <= 1e-15
+    assert neveu._dual_projection(schr, AD, dual(schr.superop)).factor_residual <= 1e-15
     doubled = dataclasses.replace(
         schr, dual_basis=[psi * 2.0 for psi in schr.dual_basis]
     )
     with pytest.raises(MeanErgodicValidationError, match="not the fixed space"):
-        neveu._dual_projection(doubled, AD)
+        neveu._dual_projection(doubled, AD, dual(doubled.superop))
     noise = np.random.default_rng(11).standard_normal((4, 4))
     noise *= 1e-8 / np.linalg.norm(noise, 2)
     noisy = dataclasses.replace(
         schr, superop=SuperOperator(M2, schr.superop.matrix + noise)
     )
     with pytest.raises(MeanErgodicValidationError, match="residuals"):
-        neveu._dual_projection(noisy, AD)
+        neveu._dual_projection(noisy, AD, dual(noisy.superop))
 
 
 def test_mean_projection_finite_group():
@@ -396,6 +402,248 @@ def test_mean_projection_finite_group():
     x = M2.random_hermitian(rng)
     brute = (x + action.generators[1](x)) * 0.5
     assert op_norm(proj(x) - brute) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# uncoupled central summands
+# ---------------------------------------------------------------------------
+
+
+def superop_of(algebra, apply):
+    """The SuperOperator of the linear map ``apply`` on the algebra."""
+    units = [algebra.from_vec(u) for u in np.eye(algebra.dim)]
+    return SuperOperator(algebra, np.column_stack([apply(u).vec() for u in units]))
+
+
+def coupled_channel(algebra, groups, rng):
+    """A unital completely positive map that moves mass between consecutive
+    blocks of each group in ``groups``, in a random direction, and between
+    no others: S(x)_b = q_b U_b* x_b U_b + r_b tr(x_b)/n_b 1
+    + sum_c p_bc tr(x_c)/n_c 1 over the blocks c that feed b, with random
+    unitaries U_b and convex weights (q_b, r_b, p_bc)."""
+    sources = [[] for _ in algebra.blocks]
+    for group in groups:
+        for c, b in zip(group, group[1:]):
+            if rng.random() < 0.5:
+                b, c = c, b
+            sources[b].append(c)
+    us = [random_unitary(n, rng) for n in algebra.blocks]
+    mix = [rng.dirichlet(np.ones(len(src) + 2)) for src in sources]
+
+    def apply(x):
+        xs = x.block_mats
+        mean = [np.trace(y) / len(y) for y in xs]
+        out = []
+        for b, (src, p) in enumerate(zip(sources, mix)):
+            eye = np.eye(len(xs[b]))
+            y = p[0] * us[b].conj().T @ xs[b] @ us[b] + p[1] * mean[b] * eye
+            for c, pc in zip(src, p[2:]):
+                y = y + pc * mean[c] * eye
+            out.append(y)
+        return algebra.operator(out)
+
+    return superop_of(algebra, apply)
+
+
+def block_automorphism(algebra, groups, rng):
+    """x -> (V_b* x_pi(b) V_b)_b for a random involution pi that pairs blocks
+    of equal size within a group: an automorphism of order 2."""
+    pi = list(range(algebra.n_blocks))
+    for group in groups:
+        free = list(rng.permutation(group))
+        while free:
+            b = free.pop()
+            mates = [c for c in free if algebra.blocks[c] == algebra.blocks[b]]
+            if mates and rng.random() < 0.8:
+                free.remove(mates[0])
+                pi[b], pi[mates[0]] = mates[0], b
+    vs = [None] * algebra.n_blocks
+    for b in range(algebra.n_blocks):
+        if pi[b] == b:
+            vs[b] = reflection(algebra.blocks[b], rng)
+        elif vs[b] is None:
+            vs[b] = random_unitary(algebra.blocks[b], rng)
+            vs[pi[b]] = vs[b].conj().T
+
+    def apply(x):
+        xs = x.block_mats
+        return algebra.operator([v.conj().T @ xs[p] @ v for v, p in zip(vs, pi)])
+
+    return superop_of(algebra, apply)
+
+
+def coupled_action(algebra, kind, groups, rng):
+    if kind == "z-symmetric-box":
+        scheme = FolnerScheme("z-symmetric-box", d=1)
+        gens = [block_automorphism(algebra, groups, rng)]
+    elif kind == "finite-group":
+        scheme = FolnerScheme("finite-group", order=2, table=((0, 1), (1, 0)))
+        swap = block_automorphism(algebra, groups, rng)
+        gens = [SuperOperator.identity(algebra), swap]
+    elif kind == "flow":
+        scheme = FolnerScheme("r-plus-cube", d=1)
+        gens = [coupled_channel(algebra, groups, rng).matrix - np.eye(algebra.dim)]
+    else:
+        s = coupled_channel(algebra, groups, rng)
+        gens = [s, s @ s] if kind == "zplus-box-2" else [s]
+        scheme = FolnerScheme("zplus-box", d=len(gens))
+    return SemigroupAction(algebra, "heisenberg", scheme, gens)
+
+
+def summand_blocks(action):
+    """The block groups of the action's summands."""
+    offsets = action.algebra._offsets
+    groups = []
+    for coords, _ in action._summands():
+        first = np.arange(action.algebra.dim)[coords]
+        groups.append([b for b in range(len(offsets) - 1) if offsets[b] in first])
+    return groups
+
+
+def whole_matrix_projection(action):
+    """The oracle: the cluster projectors of the generators on the whole
+    matrices, multiplied; a finite group's from its non-identity elements."""
+    flow = action.scheme.kind == "r-plus-cube"
+    mats = action.matrices
+    if action.scheme.kind == "finite-group":
+        mats = mats[1:]
+    e = np.eye(action.algebra.dim, dtype=complex)
+    for m in mats:
+        e = neveu._cluster_projector(m, 0.0 if flow else 1.0, 1e-9) @ e
+    return e
+
+
+@pytest.mark.parametrize("picture", ["heisenberg", "schrodinger"])
+@pytest.mark.parametrize(
+    "kind", ["zplus-box", "zplus-box-2", "z-symmetric-box", "finite-group", "flow"]
+)
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(
+    blocks=st.lists(
+        st.tuples(st.integers(1, 3), st.floats(0.05, 2.0)), min_size=1, max_size=4
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mean_projection_per_summand_is_the_whole_matrix_one(
+    kind, picture, blocks, seed
+):
+    """Computed summand by summand, E equals the whole-matrix oracle, with
+    the same rank and cross-validation norms; each fixed-basis element lives
+    in one summand and pairs with the dual basis to the identity.  The
+    generators couple blocks with the same random label: a channel chains
+    them into one summand per label, an automorphism swaps random pairs of
+    them of equal size."""
+    algebra = TracialAlgebra([n for n, _ in blocks], [w for _, w in blocks])
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 3, size=len(blocks)).tolist()
+    groups = [
+        [b for b, g in enumerate(labels) if g == label]
+        for label in dict.fromkeys(labels)
+    ]
+    action = coupled_action(algebra, kind, groups, rng).to_picture(picture)
+    if kind in ("zplus-box", "zplus-box-2", "flow"):
+        assert summand_blocks(action) == groups
+    proj = mean_ergodic_projection(action)
+    e = proj.superop.matrix
+    oracle = whole_matrix_projection(action)
+    assert np.linalg.norm(e - oracle, "fro") <= 1e-12
+    assert proj.rank == int(round(np.trace(oracle).real))
+    for a in (16, 64):
+        # both sides of ||A_a - E|| round at the scale of A_a, not of the norm
+        avg = average_super(action, a).matrix
+        want = np.linalg.norm(avg - oracle, 2)
+        got = proj.cross_validation[f"norm_a{a}"]
+        assert abs(got - want) <= 1e-12 * max(1.0, np.linalg.norm(avg, 2))
+    parts = action._summands()
+    xs, psis = proj.fixed_basis, proj.dual_basis
+    for x in xs:
+        reached = [np.any(x.vec()[coords] != 0) for coords, _ in parts]
+        assert sum(reached) == 1
+    r = proj.rank
+    paired = np.array([[trace(psi @ b) for b in xs] for psi in psis]).reshape(r, r)
+    assert np.abs(paired - np.eye(r)).max(initial=0.0) <= 1e-12
+
+
+def test_summands_split_on_exact_zeros_only():
+    """An entry of 1e-300 couples two blocks; an exact zero does not."""
+    algebra = TracialAlgebra([2, 1], [0.25, 0.5])
+    for entry, groups in ((1e-300, [[0, 1]]), (0.0, [[0], [1]])):
+        mat = np.eye(algebra.dim, dtype=complex)
+        mat[4, 0] = entry
+        action = zplus_action(SuperOperator(algebra, mat))
+        assert summand_blocks(action) == groups
+
+
+def test_summands_join_through_every_generator():
+    """Generators coupling blocks (0, 1) and (1, 2) give one summand; one
+    coupling (0, 2) alone leaves block 1 apart, and the summand of blocks
+    0 and 2 is given by an index array."""
+    algebra = TracialAlgebra.commutative([0.5, 0.25, 0.25])
+
+    def coupling(b, c):
+        mat = np.eye(3)
+        mat[b, c] = 0.5
+        return SuperOperator(algebra, mat)
+
+    assert summand_blocks(zplus_action(coupling(0, 1), coupling(2, 1))) == [[0, 1, 2]]
+    action = zplus_action(coupling(2, 0))
+    assert summand_blocks(action) == [[0, 2], [1]]
+    coords, sub = action._summands()[0]
+    assert list(coords) == [0, 2]
+    assert sub.algebra == TracialAlgebra.commutative([0.5, 0.25])
+
+
+@pytest.mark.parametrize("kind", ["zplus-box", "flow"])
+def test_projector_residuals_are_the_whole_matrix_norms(kind):
+    """Residuals taken per summand of a projector perturbed by 1e-11 equal
+    the Frobenius residuals of the whole matrices; an entry between the
+    summands is refused."""
+    kernel = np.zeros((4, 4))
+    kernel[:2, :2] = [[0.0, 1.0], [1.0, 0.0]]
+    kernel[2:, 2:] = [[0.75, 0.25], [0.25, 0.75]]
+    algebra = TracialAlgebra.commutative([0.1, 0.2, 0.3, 0.4])
+    if kind == "flow":
+        flow = FolnerScheme("r-plus-cube", d=1)
+        action = SemigroupAction(algebra, "heisenberg", flow, [kernel - np.eye(4)])
+    else:
+        action = zplus_action(from_classical(algebra, kernel))
+    parts = action._summands()
+    assert len(parts) == 2
+    noise = np.zeros((4, 4))
+    noise[:2, :2] = [[1.0, -2.0], [0.5, 3.0]]
+    noise[2:, 2:] = [[-1.0, 0.5], [2.0, 1.0]]
+    e = mean_ergodic_projection(action).superop.matrix + 1e-11 * noise
+    (m,) = action.matrices
+    if kind == "flow":
+        scale = max(1.0, np.linalg.norm(m, 2))
+        moved = (m @ e, e @ m)
+    else:
+        scale = 1.0
+        moved = (m @ e - e, e @ m - e)
+    got = neveu._projector_residuals(parts, e)
+    assert got["idempotency"] == pytest.approx(np.linalg.norm(e @ e - e), rel=1e-9)
+    want = max(np.linalg.norm(r) for r in moved) / scale
+    assert got["invariance"] == pytest.approx(want, rel=1e-9)
+    e[0, 3] = 1e-300
+    with pytest.raises(MeanErgodicValidationError, match="couples summands"):
+        neveu._projector_residuals(parts, e)
+
+
+def test_fixed_space_cutoff_is_the_whole_matrix_one():
+    """A swap (singular values 2 and 0 of S - 1) beside a slow symmetric
+    kernel (1.5e-9 and 0): the cutoff 1e-9 * 2 of the whole matrix makes
+    1.5e-9 a zero, which the second summand's own cutoff 1e-9 would not."""
+    eps = 7.5e-10
+    kernel = np.zeros((4, 4))
+    kernel[:2, :2] = [[0.0, 1.0], [1.0, 0.0]]
+    kernel[2:, 2:] = [[1 - eps, eps], [eps, 1 - eps]]
+    algebra = TracialAlgebra.commutative([0.25] * 4)
+    action = zplus_action(from_classical(algebra, kernel))
+    assert len(action._summands()) == 2
+    sig = np.linalg.svd(action.matrices[0] - np.eye(4), compute_uv=False)
+    assert sig[0] == pytest.approx(2.0) and sig[1] == pytest.approx(1.5e-9)
+    whole_rank = int(np.sum(sig > 1e-9 * max(1.0, sig[0])))
+    assert len(fixed_space(action)) == 4 - whole_rank == 3
 
 
 # ---------------------------------------------------------------------------

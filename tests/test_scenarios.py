@@ -456,6 +456,26 @@ def test_heisenberg_run_computes_one_mean_projection(monkeypatch):
     assert calls == ["schrodinger"]
 
 
+def test_heisenberg_run_dualises_the_mean_projection_once(monkeypatch):
+    """The decomposition's wandering verdict and the Heisenberg mean task
+    read one dual of the density-picture projection."""
+    from neveukit import maps, scenarios
+
+    doc = base_doc()
+    doc["tasks"] = ["decompose", "mean"]
+    sc = scenario_from_dict(doc)
+    sources = []
+
+    def counting_dual(s):
+        sources.append(s.source)
+        return maps.dual(s)
+
+    monkeypatch.setattr(neveu, "dual", counting_dual)
+    monkeypatch.setattr(scenarios, "dual", counting_dual)
+    assert run(sc).passed
+    assert sources.count("mean-ergodic-projection") == 1
+
+
 def test_heisenberg_mean_refuses_a_wrong_dual_basis(monkeypatch):
     """A corrupted dual basis of the density-picture projection fails the
     Heisenberg mean task by its factor check; the tasks that read the dense

@@ -22,7 +22,10 @@ Operator norms (:func:`op_norm`, :func:`op_norms`) are the exact largest
 singular value, never a bound.  :func:`op_norms` takes a whole list of
 operators with one batched ``np.linalg.norm(stack, 2, axis=(-2, -1))`` per
 block index; LAPACK still runs per matrix, so every value is bitwise equal to
-``np.linalg.norm(m, 2)`` of the block that attains it.
+``np.linalg.norm(m, 2)`` of the block that attains it.  The certificate
+layer holds k operators as one (k, n, n) stack per block and takes their
+norms and their |x| once per block (``_stack_norms``, ``_abs_stacks``), with
+values bitwise those of :func:`op_norm` and :func:`abs_op` per operator.
 
 All functions are pure and operators are treated as immutable.  Each
 ``Operator`` decomposes its hermitian part at most once (:meth:`Operator.eigh`)
@@ -178,6 +181,17 @@ class TracialAlgebra:
         mats = [np.zeros((n, n), dtype=complex) for n in self.blocks]
         mats[block][row, col] = 1.0
         return Operator(self, mats)
+
+    def _stacks(self, rows):
+        """Per-block (k, n, n) stacks of the rows of a (k, dim) array; each
+        slice is the block of ``from_vec`` of its row, as a view."""
+        rows = np.asarray(rows, dtype=complex)
+        return [
+            rows[:, self._offsets[i] : self._offsets[i + 1]]
+            .reshape(-1, n, n)
+            .transpose(0, 2, 1)
+            for i, n in enumerate(self.blocks)
+        ]
 
     def from_vec(self, v):
         """Inverse of ``Operator.vec`` (block-major, column-stacked)."""
@@ -452,6 +466,63 @@ def abs_op(x):
         )
     svds = (np.linalg.svd(m) for m in x.block_mats)
     return Operator(x.algebra, [(Vh.conj().T * s) @ Vh for _, s, Vh in svds])
+
+
+# ---------------------------------------------------------------------------
+# stacks: k operators held as one (k, n, n) array per block
+# ---------------------------------------------------------------------------
+
+
+def _adjoint(stack):
+    """The adjoint of each slice of a (k, n, n) stack, as a view."""
+    return stack.conj().transpose(0, 2, 1)
+
+
+def _stack_norms(stack):
+    """The operator norm of each slice of a (k, n, n) stack.
+
+    This is the SVD that ``np.linalg.norm(stack, 2, axis=(-2, -1))`` runs,
+    without its ``moveaxis`` wrapper, so each value is bitwise
+    ``np.linalg.norm(m, 2)`` of its slice.
+    """
+    return np.linalg.svd(stack, compute_uv=False).max(-1)
+
+
+def _abs_stacks(stacks):
+    """|x_j| of k operators given as per-block stacks ``stacks[b][j]``.
+
+    Each x_j is tested for hermiticity as :meth:`Operator.is_hermitian` tests
+    it: exact equality with its adjoint, else ``||x - x*|| <= 1e-12 ||x||``
+    over all blocks, with one batched norm per block for the whole stack.
+    Per block, one batched ``eigh`` of the hermitian parts serves the
+    hermitian x_j and an SVD the others; per slice this is the arithmetic of
+    :func:`abs_op`, so every matrix is bitwise ``abs_op(x_j)``.
+    """
+    adjoints = [_adjoint(s) for s in stacks]
+    herm = np.logical_and.reduce(
+        [(s == a).all(axis=(1, 2)) for s, a in zip(stacks, adjoints)]
+    )
+    near = np.flatnonzero(~herm)
+    if near.size:
+        dev = norm = 0.0
+        for s, a in zip(stacks, adjoints):
+            both = _stack_norms(np.concatenate([s[near] - a[near], s[near]]))
+            dev = np.maximum(dev, both[: near.size])
+            norm = np.maximum(norm, both[near.size :])
+        herm[near] = dev <= HERMITIAN_RTOL * norm + 1e-30
+    h = slice(None) if herm.all() else np.flatnonzero(herm)
+    other = np.flatnonzero(~herm)
+    out = []
+    for s, a in zip(stacks, adjoints):
+        m = np.empty_like(s)
+        if herm.any():
+            lam, V = np.linalg.eigh((s[h] + a[h]) / 2.0)
+            m[h] = (V * np.abs(lam)[:, None, :]) @ _adjoint(V)
+        if other.size:
+            _, sv, Vh = np.linalg.svd(s[other])
+            m[other] = (_adjoint(Vh) * sv[:, None, :]) @ Vh
+        out.append(m)
+    return out
 
 
 # ---------------------------------------------------------------------------

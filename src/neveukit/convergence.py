@@ -17,11 +17,20 @@ corner e1 A_a(X) e1 converges b.a.u. toward the invariant compression while
 the wandering corner e2 A_a(X) e2 only converges in measure, and the
 off-diagonal block is controlled by Cauchy-Schwarz through the two corner
 bounds, so no separate estimate is needed.
+
+Every certificate runs on per-block stacks: the k points of a schedule are
+held as one (k, n, n) array per block, and each stage (deviation, leak
+check, |d|, corner ``eigh``, witness V V*, corner product, norm) runs once
+per block for the whole schedule.  LAPACK and BLAS still run per matrix, and
+witnesses of equal rank share one V V* product, so every rank, theta, n0 and
+verdict, and every delta, norm and tau(1 - r_a), is bitwise what the
+per-point construction (one ``Operator`` and one ``abs_op`` per point) gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -31,13 +40,13 @@ from .algebra import (
     Operator,
     Projection,
     TracialAlgebra,
-    abs_op,
+    _abs_stacks,
+    _adjoint,
+    _stack_norms,
     op_norm,
-    op_norms,
-    trace,
     trace_norm,
 )
-from .dynamics import averages
+from .dynamics import _average_stacks
 from .maps import CheckReport, PreconditionError
 from .neveu import (
     DEFAULT_SCHEDULE,
@@ -82,38 +91,99 @@ def _corner_basis(algebra, within):
     return cols, within.complement()
 
 
-def _corner_eigh(basis, x):
-    """Per-block ``(lam, v, base)``: eigenpairs of x compressed onto the basis."""
+def _corner_eigh(basis, stacks):
+    """Per-block ``(lam, v)``: the eigenpairs of each slice of a stack
+    compressed onto the corner basis, one batched ``eigh`` per block."""
     eigs = []
-    for base, m in zip(basis, x.block_mats):
-        comp = base.conj().T @ m @ base
-        lam, v = np.linalg.eigh((comp + comp.conj().T) / 2.0)
-        eigs.append((lam, v, base))
+    for base, s in zip(basis, stacks):
+        comp = base.conj().T @ s @ base
+        eigs.append(np.linalg.eigh((comp + _adjoint(comp)) / 2.0))
     return eigs
 
 
-def _corner_projection(algebra, eigs, keeps, outside):
-    """``(active, e)``: the projection onto the kept corner eigenvectors, and
-    the same glued to the complementary corner ``outside`` (if any)."""
-    kept_cols = [
-        [base @ v[:, k] for k in range(lam.size) if keep[k]]
-        for (lam, v, base), keep in zip(eigs, keeps)
-    ]
-    active = Projection.from_eigvecs(algebra, kept_cols)
+def _witnesses(basis, eigs, counts, outside):
+    """Per-block stacks ``(active, e)`` and the per-block ranks of e.
+
+    Slice j of ``active`` is the projection onto the first ``counts[b][j]``
+    corner eigenvectors of slice j (the kept eigenvalues are always the
+    lowest), and e adds the complementary corner ``outside`` (if any).
+    Points of equal rank share one product, so each slice is bitwise the
+    V V* of :meth:`Projection.from_eigvecs`.
+    """
+    actives = []
+    for base, (_, v), count in zip(basis, eigs, counts):
+        # row q of slice j is base @ v_j[:, q], one matrix-vector product each
+        rows = (base @ v.transpose(0, 2, 1)[..., None])[..., 0]
+        n = base.shape[0]
+        active = np.zeros((len(v), n, n), dtype=complex)
+        for r in np.unique(count):
+            if r:
+                idx = np.flatnonzero(count == r)
+                V = np.ascontiguousarray(rows[idx, :r].transpose(0, 2, 1))
+                active[idx] = V @ _adjoint(V)
+        actives.append(active)
     if outside is None:
-        return active, active
-    return active, Projection._built(
-        algebra,
-        [p + q for p, q in zip(active.block_mats, outside.block_mats)],
-        [r + s for r, s in zip(active.ranks, outside.ranks)],
-    )
+        return actives, actives, counts
+    es = [p + q for p, q in zip(actives, outside.block_mats)]
+    return actives, es, [c + r for c, r in zip(counts, outside.ranks)]
+
+
+def _projections(algebra, stacks, ranks):
+    """The projections held slice by slice in per-block stacks, with their
+    per-block rank arrays."""
+    ranks = [r.tolist() for r in ranks]
+    return [
+        Projection._built(algebra, mats, rks)
+        for mats, rks in zip(zip(*stacks), zip(*ranks))
+    ]
+
+
+def _max_norms(stacks):
+    """The operator norm of each of k operators given as per-block stacks:
+    one batched norm per block, then the largest over blocks."""
+    return np.maximum.reduce([_stack_norms(s) for s in stacks]).tolist()
+
+
+class _Deviations:
+    """A certificate's input X_a - limit as one (k, n, n) stack per block.
+
+    With ``within`` given, every deviation must be supported in that
+    corner.  The measure and b.a.u. certificates of one input read the same
+    deviation stack and the same |d| stack.
+    """
+
+    def __init__(self, algebra, schedule, stacks, limit, within):
+        self.algebra = algebra
+        self.schedule = schedule
+        self.stacks = [s - m for s, m in zip(stacks, limit.block_mats)]
+        self.within = within
+        if within is not None:
+            # one batched norm per block: the k inputs and the limit, whose
+            # largest norm scales the test, then the k leaks d - w d w
+            k = len(schedule)
+            norms = [
+                _stack_norms(np.concatenate([s, m[None], d - w @ d @ w]))
+                for s, m, d, w in zip(
+                    stacks, limit.block_mats, self.stacks, within.block_mats
+                )
+            ]
+            scale = max(1.0, *(n[: k + 1].max() for n in norms))
+            for leak in np.maximum.reduce([n[k + 1 :] for n in norms]).tolist():
+                if leak > SUPPORT_LEAK_TOL * scale:
+                    raise ValueError(
+                        f"sequence is not supported in the given corner (leak {leak:.3e})"
+                    )
+        self.basis, self.outside = _corner_basis(algebra, within)
+
+    @cached_property
+    def abs(self):
+        return _abs_stacks(self.stacks)
 
 
 def _deviations(sequence, limit, schedule, within):
-    """``(algebra, schedule, [X_a - limit])`` of a certificate's input.
+    """:class:`_Deviations` of a list of operators.
 
-    The schedule defaults to 1, 2, ...; with ``within`` given, every
-    deviation must be supported in that corner.
+    The schedule defaults to 1, 2, ...
     """
     sequence = list(sequence)
     if not sequence:
@@ -121,15 +191,22 @@ def _deviations(sequence, limit, schedule, within):
     schedule = list(schedule if schedule is not None else range(1, len(sequence) + 1))
     if len(schedule) != len(sequence):
         raise ValueError("schedule and sequence lengths differ")
-    scale = max(op_norms(sequence + [limit]) + [1.0])
-    deviations = [x - limit for x in sequence]
-    if within is not None:
-        for leak in op_norms([d - within @ d @ within for d in deviations]):
-            if leak > SUPPORT_LEAK_TOL * max(1.0, scale):
-                raise ValueError(
-                    f"sequence is not supported in the given corner (leak {leak:.3e})"
-                )
-    return sequence[0].algebra, schedule, deviations
+    algebra = sequence[0].algebra
+    others = sequence + [limit] + ([] if within is None else [within])
+    if any(x.algebra is not algebra and x.algebra != algebra for x in others):
+        raise ValueError("operators live in different algebras")
+    stacks = [np.array(mats) for mats in zip(*(x.block_mats for x in sequence))]
+    return _Deviations(algebra, schedule, stacks, limit, within)
+
+
+def _require_eps(eps):
+    if eps <= 0:
+        raise ValueError("eps must be > 0")
+
+
+def _require_budget(delta_budget):
+    if delta_budget <= 0:
+        raise ValueError("delta budget must be > 0; the certificate is infeasible")
 
 
 @dataclass
@@ -164,43 +241,46 @@ def measure_certify(sequence, limit, eps, schedule=None, delta_tol=1e-6, within=
     then satisfy e_a = q_a + (1 - within) with q_a inside the corner, and
     delta_a only ever charges corner directions.
     """
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
-    algebra, schedule, deviations = _deviations(sequence, limit, schedule, within)
-    basis, outside = _corner_basis(algebra, within)
+    _require_eps(eps)
+    return _measure(_deviations(sequence, limit, schedule, within), eps, delta_tol)[0]
 
-    deltas, witnesses, actives = [], [], []
-    for d in deviations:
-        eigs = _corner_eigh(basis, abs_op(d))
-        keeps = [lam < eps - BOUNDARY_SNAP for lam, _, _ in eigs]
-        active, e = _corner_projection(algebra, eigs, keeps, outside)
-        excluded = zip(algebra.weights, algebra.blocks, e.ranks)
-        deltas.append(float(sum(w * float(n - r) for w, n, r in excluded)))
-        witnesses.append(e)
-        actives.append(active)
-    corners = op_norms([e @ d @ e for e, d in zip(witnesses, deviations)])
+
+def _measure(devs, eps, delta_tol):
+    """:func:`measure_certify` of a deviation stack, and the per-block
+    stacks of its active witnesses."""
+    algebra, schedule = devs.algebra, devs.schedule
+    eigs = _corner_eigh(devs.basis, devs.abs)
+    counts = [np.sum(lam < eps - BOUNDARY_SNAP, axis=-1) for lam, _ in eigs]
+    actives, es, ranks = _witnesses(devs.basis, eigs, counts, devs.outside)
+    deltas = 0
+    for w, n, r in zip(algebra.weights, algebra.blocks, ranks):
+        deltas = deltas + w * (n - r)
+    deltas = np.asarray(deltas, dtype=float).tolist()
+    corners = _max_norms([e @ d @ e for e, d in zip(es, devs.stacks)])
+    kept = np.sum(ranks, axis=0).tolist()
     rows = [
-        {"a": a, "delta": delta, "rank_kept": e.rank, "corner_norm": corner}
-        for a, delta, e, corner in zip(schedule, deltas, witnesses, corners)
+        {"a": a, "delta": delta, "rank_kept": rank, "corner_norm": corner}
+        for a, delta, rank, corner in zip(schedule, deltas, kept, corners)
     ]
 
     n0 = None
     for i in range(len(rows)):
-        if all(r["delta"] <= delta_tol for r in rows[i:]):
+        if all(d <= delta_tol for d in deltas[i:]):
             n0 = schedule[i]
             break
     verdict = "pass" if n0 is not None else "fail"
+    active_witnesses = _projections(algebra, actives, counts)
     return MeasureCertificate(
         schedule,
         float(eps),
         float(delta_tol),
         rows,
-        witnesses,
-        actives,
+        active_witnesses if devs.outside is None else _projections(algebra, es, ranks),
+        active_witnesses,
         n0,
         verdict,
-        within,
-    )
+        devs.within,
+    ), actives
 
 
 @dataclass
@@ -250,33 +330,40 @@ def bau_certify(
     ``within`` has the same corner semantics as in :func:`measure_certify`;
     ``e_active`` is the part of e inside the corner.
     """
-    if delta_budget <= 0:
-        raise ValueError("delta budget must be > 0; the certificate is infeasible")
-    algebra, schedule, deviations = _deviations(sequence, limit, schedule, within)
-    if not 0 <= n0 < len(deviations):
-        raise ValueError("n0 must index into the sequence")
-    s = algebra.zero()
-    for k in range(n0, len(deviations)):
-        s = s + abs_op(deviations[k]) * (2.0 ** -(k - n0))
+    _require_budget(delta_budget)
+    devs = _deviations(sequence, limit, schedule, within)
+    return _bau(devs, delta_budget, n0, decay_tol, window)
 
-    basis, outside = _corner_basis(algebra, within)
-    comp_eigs = _corner_eigh(basis, s)
-    all_lams = np.concatenate([lam for lam, _, _ in comp_eigs]) if comp_eigs else np.array([])
-    candidates = sorted(set([0.0] + [float(t) for t in all_lams]))
+
+def _bau(devs, delta_budget, n0, decay_tol, window):
+    """:func:`bau_certify` of a deviation stack."""
+    algebra, schedule = devs.algebra, devs.schedule
+    if not 0 <= n0 < len(schedule):
+        raise ValueError("n0 must index into the sequence")
+    # summed from zero in schedule order, as the per-point sum of Operators
+    s = [
+        sum(a * 2.0 ** -k for k, a in enumerate(stack[n0:]))[None]
+        for stack in devs.abs
+    ]
+    eigs = _corner_eigh(devs.basis, s)
+    lams = [lam[0] for lam, _ in eigs]
+    candidates = sorted(set([0.0] + [float(t) for t in np.concatenate(lams)]))
     theta = None
     excluded = None
     for cand in candidates:
         mass = sum(
             w * float(np.sum(lam > cand + BOUNDARY_SNAP))
-            for w, (lam, _, _) in zip(algebra.weights, comp_eigs)
+            for w, lam in zip(algebra.weights, lams)
         )
         if mass <= delta_budget:
             theta, excluded = cand, mass
             break
-    keeps = [lam <= theta + BOUNDARY_SNAP for lam, _, _ in comp_eigs]
-    e_active, e = _corner_projection(algebra, comp_eigs, keeps, outside)
+    counts = [np.sum(lam <= theta + BOUNDARY_SNAP, axis=-1) for lam, _ in eigs]
+    actives, es, ranks = _witnesses(devs.basis, eigs, counts, devs.outside)
+    [e_active] = _projections(algebra, actives, counts)
+    [e] = [e_active] if devs.outside is None else _projections(algebra, es, ranks)
 
-    corner = op_norms([e @ d @ e for d in deviations])
+    corner = _max_norms([m @ d @ m for m, d in zip(e.block_mats, devs.stacks)])
     sup = 0.0
     sups = [0.0] * len(corner)
     for i in range(len(corner) - 1, n0 - 1, -1):
@@ -298,9 +385,22 @@ def bau_certify(
         slope,
         n0,
         verdict,
-        within,
+        devs.within,
         detail,
     )
+
+
+def _certify(
+    algebra, stacks, limit, schedule, eps, delta_tol, delta_budget, decay_tol
+):
+    """``(measure_certify, bau_certify)`` of one input on the whole algebra,
+    given as per-block stacks: both read one deviation stack and one |d|
+    stack, and raise what the two calls in a row would raise."""
+    _require_eps(eps)
+    devs = _Deviations(algebra, list(schedule), stacks, limit, None)
+    measure = _measure(devs, eps, delta_tol)[0]
+    _require_budget(delta_budget)
+    return measure, _bau(devs, delta_budget, 0, decay_tol, SLOPE_WINDOW)
 
 
 @dataclass
@@ -351,6 +451,24 @@ def stochastic_run(
     inequality is checked numerically row by row, not assumed.  The schedule
     must be strictly ascending; a missing ``decomposition`` is computed here.
     """
+    return _stochastic_run(
+        action,
+        x,
+        schedule,
+        eps,
+        delta,
+        decomposition,
+        seed,
+        decay_tol,
+        lambda schedule: _average_stacks(action, x, schedule),
+    )
+
+
+def _stochastic_run(
+    action, x, schedule, eps, delta, decomposition, seed, decay_tol, walk
+):
+    """:func:`stochastic_run`, with ``walk(schedule)`` giving the averages
+    of x as per-block stacks."""
     if action.picture != "schrodinger":
         raise PreconditionError(
             "stochastic_run works on the density picture; pass action.dual()"
@@ -367,24 +485,22 @@ def stochastic_run(
     e1, e2 = decomposition.e1, decomposition.e2
     algebra = action.algebra
 
-    avgs = averages(action, x, schedule)
+    avgs = walk(schedule)
     xbar = algebra.from_vec(decomposition.projection_schrodinger.matrix @ x.vec())
     xbar = (xbar + xbar.H) * 0.5
     lim1 = e1 @ xbar @ e1
 
-    c1 = [e1 @ a @ e1 for a in avgs]
-    c2 = [e2 @ a @ e2 for a in avgs]
-
-    bau = bau_certify(
-        c1,
-        lim1,
-        delta_budget=delta / 2.0,
-        schedule=schedule,
-        decay_tol=decay_tol,
-        within=e1,
+    c1 = [p @ a @ p for p, a in zip(e1.block_mats, avgs)]
+    c2 = [q @ a @ q for q, a in zip(e2.block_mats, avgs)]
+    bau = _bau(
+        _Deviations(algebra, list(schedule), c1, lim1, e1),
+        delta / 2.0,
+        0,
+        decay_tol,
+        SLOPE_WINDOW,
     )
-    measure = measure_certify(
-        c2, algebra.zero(), eps, schedule=schedule, delta_tol=delta / 2.0, within=e2
+    measure, actives = _measure(
+        _Deviations(algebra, list(schedule), c2, algebra.zero(), e2), eps, delta / 2.0
     )
     p = bau.e_active
 
@@ -393,27 +509,36 @@ def stochastic_run(
     if burn_bau is not None and measure.n0 is not None:
         burn = max(burn_bau, measure.n0)
 
-    actives = measure.witnesses_active  # q_a, inside e2
-    bound_base, *cross_norms = op_norms(
-        [p @ xbar @ p] + [p @ avg @ q for avg, q in zip(avgs, actives)]
-    )
+    # the bound's base ||p xbar p|| and the cross terms ||p A_a(x) q_a||,
+    # one batched norm per block; actives are the q_a, inside e2
+    bound_base, *cross_norms = np.maximum.reduce(
+        [
+            _stack_norms(np.concatenate([(pb @ xb @ pb)[None], pb @ a @ q]))
+            for pb, xb, a, q in zip(p.block_mats, xbar.block_mats, avgs, actives)
+        ]
+    ).tolist()
+    # tau(1 - r_a) of the glued r_a = p + q_a, block traces summed in order
+    excluded = 0
+    for w, n, pb, q in zip(algebra.weights, algebra.blocks, p.block_mats, actives):
+        excluded = excluded + w * np.trace(
+            np.eye(n, dtype=complex) - (pb + q), axis1=1, axis2=2
+        )
+    excluded = excluded.real.tolist()
+    bound = float(np.sqrt(eps * (eps + bound_base))) + CROSS_TERM_SLACK
     rows = []
     budget_ok = True
     cross_ok = True
-    for a, q, cross_norm in zip(schedule, actives, cross_norms):
-        r = p + q
-        excluded = trace(algebra.identity() - r).real
-        bound = float(np.sqrt(eps * (eps + bound_base))) + CROSS_TERM_SLACK
+    for a, tau_excluded, cross_norm in zip(schedule, excluded, cross_norms):
         active = burn is not None and a >= burn
         row = {
             "a": a,
-            "tau_excluded": float(excluded),
+            "tau_excluded": tau_excluded,
             "cross_norm": cross_norm,
             "cross_bound": bound,
             "past_burn_in": active,
         }
         if active:
-            if excluded > delta + 1e-12:
+            if tau_excluded > delta + 1e-12:
                 budget_ok = False
                 row["budget_violation"] = True
             if cross_norm > bound:

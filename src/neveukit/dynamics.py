@@ -492,13 +492,24 @@ def averages(action, x, schedule):
     the schedule), finite groups average all element maps once, and cubes
     integrate the flow applied to x alone, one exponential per axis and a.
     """
+    stacks = _average_stacks(action, x, schedule)
+    return [action.algebra.operator(mats) for mats in zip(*stacks)]
+
+
+def _average_stacks(action, x, schedule):
+    """:func:`averages` as one (k, n, n) stack per block: slice j of block b
+    is block b of A_a(x) for the j-th a of the schedule.
+
+    The walk's k vectors are reshaped, not copied, so each slice is bitwise
+    the block that :func:`averages` hands back.
+    """
     if not isinstance(x, Operator) or x.algebra != action.algebra:
         raise ValueError("element is not in the action's algebra")
     schedule = _ascending(schedule)
     v = x.vec()
-    from_vec = action.algebra.from_vec
+    stacks = action.algebra._stacks
     if action.scheme.kind == "r-plus-cube":
-        return [from_vec(_flow_average(action, v[:, None], a)[:, 0]) for a in schedule]
+        return stacks([_flow_average(action, v[:, None], a)[:, 0] for a in schedule])
     schedule = [int(a) for a in schedule]
     if schedule[0] < 1:
         raise ValueError("Foelner index a must be >= 1")
@@ -507,11 +518,11 @@ def averages(action, x, schedule):
         acc = np.zeros(action.algebra.dim, dtype=complex)
         for s in action.generators:
             acc += s.matrix @ v
-        return [from_vec(acc / action.scheme.order)] * len(schedule)
+        return stacks([acc / action.scheme.order] * len(schedule))
     vecs = _cesaro_walk(action, 0, v, schedule)
     for axis in range(1, action.scheme.d):
         vecs = [_cesaro_walk(action, axis, w, [a])[0] for w, a in zip(vecs, schedule)]
-    return [from_vec(w) for w in vecs]
+    return stacks(vecs)
 
 
 def average_super(action, a):

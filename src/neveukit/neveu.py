@@ -122,7 +122,9 @@ def fixed_space(action, tol=FIXED_SVD_TOL):
     action.require_commuting()
     parts = action._summands()
     svds = [
-        np.linalg.svd(np.vstack(_stacked_generator_matrices(sub)))
+        np.linalg.svd(
+            np.vstack(_stacked_generator_matrices(sub)), full_matrices=False
+        )
         for _, sub in parts
     ]
     cutoff = tol * max(1.0, *(sig[0] for _, sig, _ in svds))

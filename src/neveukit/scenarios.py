@@ -40,10 +40,9 @@ from json.encoder import encode_basestring_ascii
 import jsonschema
 import numpy as np
 
-from . import neveu
+from . import convergence, neveu
 from .algebra import TracialAlgebra, op_norm
-from .convergence import bau_certify, measure_certify, stochastic_run
-from .dynamics import FolnerScheme, SemigroupAction, averages
+from .dynamics import FolnerScheme, SemigroupAction, _average_stacks
 from .maps import (
     PreconditionError,
     dual,
@@ -460,6 +459,11 @@ class _RunContext:
         )
 
     @_shared
+    def walk(self):
+        # one walk of phi0 serves the certify and the stochastic task
+        return _average_stacks(self.schr, self.phi0, self.schedule)
+
+    @_shared
     def decomposition(self):
         # the density picture is already at hand; neveu_decompose would
         # build it again for a Heisenberg scenario
@@ -515,20 +519,15 @@ def _run_mean(ctx, results):
 def _run_certify(ctx, results):
     target = ctx.projection(ctx.phi0)
     target = (target + target.H) * 0.5
-    seq = averages(ctx.schr, ctx.phi0, ctx.schedule)
-    mc = measure_certify(
-        seq,
+    mc, bc = convergence._certify(
+        ctx.schr.algebra,
+        ctx.walk,
         target,
+        ctx.schedule,
         ctx.tolerances["eps"],
-        schedule=ctx.schedule,
-        delta_tol=ctx.tolerances["delta_tol"],
-    )
-    bc = bau_certify(
-        seq,
-        target,
+        ctx.tolerances["delta_tol"],
         ctx.tolerances["delta"],
-        schedule=ctx.schedule,
-        decay_tol=ctx.tolerances["decay_tol"],
+        ctx.tolerances["decay_tol"],
     )
     return {
         "measure": _certificate_payload(mc),
@@ -538,15 +537,16 @@ def _run_certify(ctx, results):
 
 
 def _run_stochastic(ctx, results):
-    rep = stochastic_run(
+    rep = convergence._stochastic_run(
         ctx.schr,
         ctx.phi0,
-        schedule=ctx.schedule,
-        eps=ctx.tolerances["eps"],
-        delta=ctx.tolerances["delta"],
-        decomposition=ctx.decomposition,
-        seed=ctx.seed,
-        decay_tol=ctx.tolerances["decay_tol"],
+        ctx.schedule,
+        ctx.tolerances["eps"],
+        ctx.tolerances["delta"],
+        ctx.decomposition,
+        ctx.seed,
+        ctx.tolerances["decay_tol"],
+        lambda schedule: ctx.walk,
     )
     return {
         "xbar": _encode_element(rep.xbar),

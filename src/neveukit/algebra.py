@@ -19,13 +19,16 @@ block-major, column-stacking per block, i.e.
 so that for a single block vec(A X B) = (B.T kron A) vec(X).
 
 Operator norms (:func:`op_norm`, :func:`op_norms`) are the exact largest
-singular value, never a bound.  :func:`op_norms` takes a whole list of
-operators with one batched ``np.linalg.norm(stack, 2, axis=(-2, -1))`` per
-block index; LAPACK still runs per matrix, so every value is bitwise equal to
-``np.linalg.norm(m, 2)`` of the block that attains it.  The certificate
-layer holds k operators as one (k, n, n) stack per block and takes their
-norms and their |x| once per block (``_stack_norms``, ``_abs_stacks``), with
-values bitwise those of :func:`op_norm` and :func:`abs_op` per operator.
+singular value, never a bound.  There is one spectral-norm kernel,
+``_max_norms``: k operators held as one (k, n, n) stack per block take one
+batched ``np.linalg.norm(stack, 2, axis=(-2, -1))`` per block, then the
+largest over blocks; LAPACK still runs per matrix, so every value is bitwise
+equal to ``np.linalg.norm(m, 2)`` of the block that attains it.
+:func:`op_norms` stacks a list of operators for it.  The certificate layer
+also takes |x| of a whole stack at once (``_abs_stacks``); the hermiticity
+decision (``_hermitian_mask``) and the |x| formulas it uses are those of
+:meth:`Operator.is_hermitian` and :func:`abs_op`, so every matrix is bitwise
+``abs_op`` of its slice.
 
 All functions are pure and operators are treated as immutable.  Each
 ``Operator`` decomposes its hermitian part at most once (:meth:`Operator.eigh`)
@@ -313,11 +316,8 @@ class Operator:
     def is_hermitian(self):
         """``||x - x*|| <= 1e-12 ||x||``; no norm is taken when x == x* exactly."""
         if "hermitian" not in self._flags:
-            if all(np.array_equal(m, m.conj().T) for m in self.block_mats):
-                self._flags["hermitian"] = True
-            else:
-                dev, norm = op_norms([self - self.H, self])
-                self._flags["hermitian"] = dev <= HERMITIAN_RTOL * norm + 1e-30
+            stacks = [m[None] for m in self.block_mats]
+            self._flags["hermitian"] = bool(_hermitian_mask(stacks)[0])
         return self._flags["hermitian"]
 
     def is_positive(self):
@@ -443,29 +443,35 @@ def op_norm(x):
 def op_norms(xs):
     """The operator norm of each of a list of operators on one algebra.
 
-    One ``np.linalg.norm(..., 2, axis=(-2, -1))`` per block index over the
-    stacked blocks, then a max over blocks; LAPACK runs per matrix, so each
-    value is bitwise the per-matrix ``np.linalg.norm(m, 2)``.
+    The operators are stacked per block for ``_max_norms``, so each value is
+    bitwise the per-matrix ``np.linalg.norm(m, 2)``.
     """
     xs = list(xs)
-    first = xs[0].algebra if xs else None
+    if not xs:
+        return []
+    first = xs[0].algebra
     if any(x.algebra is not first and x.algebra != first for x in xs):
         raise ValueError("operators live in different algebras")
-    norms = None
-    for mats in zip(*(x.block_mats for x in xs)):
-        block = np.linalg.norm(np.array(mats), 2, axis=(-2, -1))
-        norms = block if norms is None else np.maximum(norms, block)
-    return [] if norms is None else norms.tolist()
+    return _max_norms([np.array(mats) for mats in zip(*(x.block_mats for x in xs))])
+
+
+def _abs_eigh(lam, V):
+    """|h| of a hermitian h (or of each slice of a stack) from its ``eigh``."""
+    return (V * np.abs(lam)[..., None, :]) @ _adjoint(V)
+
+
+def _abs_svd(s, Vh):
+    """|x| of x (or of each slice of a stack) from its singular values and
+    right singular vectors: (x* x)^(1/2) = Vh* diag(s) Vh."""
+    return (_adjoint(Vh) * s[..., None, :]) @ Vh
 
 
 def abs_op(x):
     """|x| = (x* x)^(1/2).  Uses the eigendecomposition of x when hermitian."""
     if x.is_hermitian():
-        return Operator(
-            x.algebra, [(V * np.abs(lam)) @ V.conj().T for lam, V in x.eigh()]
-        )
+        return Operator(x.algebra, [_abs_eigh(lam, V) for lam, V in x.eigh()])
     svds = (np.linalg.svd(m) for m in x.block_mats)
-    return Operator(x.algebra, [(Vh.conj().T * s) @ Vh for _, s, Vh in svds])
+    return Operator(x.algebra, [_abs_svd(s, Vh) for _, s, Vh in svds])
 
 
 # ---------------------------------------------------------------------------
@@ -474,53 +480,60 @@ def abs_op(x):
 
 
 def _adjoint(stack):
-    """The adjoint of each slice of a (k, n, n) stack, as a view."""
-    return stack.conj().transpose(0, 2, 1)
+    """The adjoint of a matrix, or of each slice of a stack, as a view."""
+    return stack.conj().swapaxes(-1, -2)
 
 
-def _stack_norms(stack):
-    """The operator norm of each slice of a (k, n, n) stack.
+def _max_norms(stacks):
+    """The operator norm of each of k operators given as per-block stacks.
 
-    This is the SVD that ``np.linalg.norm(stack, 2, axis=(-2, -1))`` runs,
-    without its ``moveaxis`` wrapper, so each value is bitwise
-    ``np.linalg.norm(m, 2)`` of its slice.
+    The one spectral-norm kernel: one ``np.linalg.norm(stack, 2, axis=(-2,
+    -1))`` per block, then the largest over blocks.
     """
-    return np.linalg.svd(stack, compute_uv=False).max(-1)
+    norms = [np.linalg.norm(s, 2, axis=(-2, -1)) for s in stacks]
+    return np.maximum.reduce(norms).tolist()
+
+
+def _hermitian_mask(stacks):
+    """Which of k operators, given as per-block stacks, are hermitian.
+
+    The one hermiticity decision: x is hermitian when every block equals its
+    adjoint exactly (no norm is taken), else when ``||x - x*|| <= 1e-12
+    ||x||``, with one batched norm per block for the slices that are not
+    exactly hermitian.
+    """
+    herm = True
+    for s in stacks:
+        herm = herm & (s == _adjoint(s)).all(axis=(-2, -1))
+    near = np.flatnonzero(~herm)
+    if near.size:
+        if near.size < herm.size:
+            stacks = [s[near] for s in stacks]
+        both = [np.concatenate([s - _adjoint(s), s]) for s in stacks]
+        norms = np.array(_max_norms(both))
+        dev, norm = norms[: near.size], norms[near.size :]
+        herm[near] = dev <= HERMITIAN_RTOL * norm + 1e-30
+    return herm
 
 
 def _abs_stacks(stacks):
     """|x_j| of k operators given as per-block stacks ``stacks[b][j]``.
 
-    Each x_j is tested for hermiticity as :meth:`Operator.is_hermitian` tests
-    it: exact equality with its adjoint, else ``||x - x*|| <= 1e-12 ||x||``
-    over all blocks, with one batched norm per block for the whole stack.
-    Per block, one batched ``eigh`` of the hermitian parts serves the
-    hermitian x_j and an SVD the others; per slice this is the arithmetic of
-    :func:`abs_op`, so every matrix is bitwise ``abs_op(x_j)``.
+    Per block, one batched ``eigh`` of the hermitian parts serves the x_j
+    that ``_hermitian_mask`` finds hermitian and one batched SVD the others;
+    each slice is bitwise ``abs_op(x_j)``.
     """
-    adjoints = [_adjoint(s) for s in stacks]
-    herm = np.logical_and.reduce(
-        [(s == a).all(axis=(1, 2)) for s, a in zip(stacks, adjoints)]
-    )
-    near = np.flatnonzero(~herm)
-    if near.size:
-        dev = norm = 0.0
-        for s, a in zip(stacks, adjoints):
-            both = _stack_norms(np.concatenate([s[near] - a[near], s[near]]))
-            dev = np.maximum(dev, both[: near.size])
-            norm = np.maximum(norm, both[near.size :])
-        herm[near] = dev <= HERMITIAN_RTOL * norm + 1e-30
+    herm = _hermitian_mask(stacks)
     h = slice(None) if herm.all() else np.flatnonzero(herm)
     other = np.flatnonzero(~herm)
     out = []
-    for s, a in zip(stacks, adjoints):
+    for s in stacks:
         m = np.empty_like(s)
         if herm.any():
-            lam, V = np.linalg.eigh((s[h] + a[h]) / 2.0)
-            m[h] = (V * np.abs(lam)[:, None, :]) @ _adjoint(V)
+            m[h] = _abs_eigh(*np.linalg.eigh((s[h] + _adjoint(s[h])) / 2.0))
         if other.size:
             _, sv, Vh = np.linalg.svd(s[other])
-            m[other] = (_adjoint(Vh) * sv[:, None, :]) @ Vh
+            m[other] = _abs_svd(sv, Vh)
         out.append(m)
     return out
 

@@ -42,7 +42,7 @@ from .algebra import (
     TracialAlgebra,
     _abs_stacks,
     _adjoint,
-    _stack_norms,
+    _max_norms,
     op_norm,
     trace_norm,
 )
@@ -138,12 +138,6 @@ def _projections(algebra, stacks, ranks):
     ]
 
 
-def _max_norms(stacks):
-    """The operator norm of each of k operators given as per-block stacks:
-    one batched norm per block, then the largest over blocks."""
-    return np.maximum.reduce([_stack_norms(s) for s in stacks]).tolist()
-
-
 class _Deviations:
     """A certificate's input X_a - limit as one (k, n, n) stack per block.
 
@@ -161,14 +155,16 @@ class _Deviations:
             # one batched norm per block: the k inputs and the limit, whose
             # largest norm scales the test, then the k leaks d - w d w
             k = len(schedule)
-            norms = [
-                _stack_norms(np.concatenate([s, m[None], d - w @ d @ w]))
-                for s, m, d, w in zip(
-                    stacks, limit.block_mats, self.stacks, within.block_mats
-                )
-            ]
-            scale = max(1.0, *(n[: k + 1].max() for n in norms))
-            for leak in np.maximum.reduce([n[k + 1 :] for n in norms]).tolist():
+            norms = _max_norms(
+                [
+                    np.concatenate([s, m[None], d - w @ d @ w])
+                    for s, m, d, w in zip(
+                        stacks, limit.block_mats, self.stacks, within.block_mats
+                    )
+                ]
+            )
+            scale = max(1.0, *norms[: k + 1])
+            for leak in norms[k + 1 :]:
                 if leak > SUPPORT_LEAK_TOL * scale:
                     raise ValueError(
                         f"sequence is not supported in the given corner (leak {leak:.3e})"
@@ -511,12 +507,12 @@ def _stochastic_run(
 
     # the bound's base ||p xbar p|| and the cross terms ||p A_a(x) q_a||,
     # one batched norm per block; actives are the q_a, inside e2
-    bound_base, *cross_norms = np.maximum.reduce(
+    bound_base, *cross_norms = _max_norms(
         [
-            _stack_norms(np.concatenate([(pb @ xb @ pb)[None], pb @ a @ q]))
+            np.concatenate([(pb @ xb @ pb)[None], pb @ a @ q])
             for pb, xb, a, q in zip(p.block_mats, xbar.block_mats, avgs, actives)
         ]
-    ).tolist()
+    )
     # tau(1 - r_a) of the glued r_a = p + q_a, block traces summed in order
     excluded = 0
     for w, n, pb, q in zip(algebra.weights, algebra.blocks, p.block_mats, actives):

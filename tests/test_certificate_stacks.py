@@ -179,26 +179,30 @@ def test_stochastic_run_matches_the_per_point_oracle(gallery_actions):
 
 
 def test_certify_eigh_calls_do_not_grow_with_the_schedule(monkeypatch):
-    """The certify task decomposes one stack per block, whatever the number
-    of schedule points."""
+    """The certify task decomposes and takes norms of one stack per block,
+    whatever the number of schedule points: its eigh, svd and norm calls do
+    not grow."""
     scenario = scenarios.scenario_from_dict(
         {**scenarios._gallery_doc("amplitude-damping"), "tasks": ["certify"]}
     )
     calls = []
-    original = np.linalg.eigh
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
 
     counts = []
     for n in (4, 16):
         calls.clear()
         with monkeypatch.context() as m:
-            m.setattr(np.linalg, "eigh", counting)
+            for name in ("eigh", "svd", "norm"):
+                m.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
             report = scenarios.run(scenario, schedule=list(range(1, n + 1)))
         assert "error" not in report.data["results"]["certify"]
-        counts.append(len(calls))
+        counts.append(sorted(calls))
     assert counts[0] == counts[1]
 
 

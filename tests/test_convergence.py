@@ -466,46 +466,65 @@ def test_hull_finite_group_residual_zero():
 
 
 # ---------------------------------------------------------------------------
-# schedule-wide norms are batched
+# schedule-wide norms and decompositions are batched
 # ---------------------------------------------------------------------------
 
-# Each hermitian test takes its own norms once per operator; it is not
-# counted.  Witness projections are built with their ranks and take none.
+# Each hermitian test of a single operator takes its own norms once per
+# operator; it is not counted.  Witness projections are built with their
+# ranks and take none.
 ADMISSION_CODE = (Operator.is_hermitian.__code__,)
+COUNTED = ("norm", "svd", "eigh")
 
 
-def certificate_norm_calls(monkeypatch, run):
-    """np.linalg.norm calls made by ``run()`` outside the admission checks."""
-    calls = []
-    original = np.linalg.norm
+def certificate_linalg_calls(monkeypatch, run):
+    """np.linalg norm, svd and eigh calls made by ``run()`` outside the
+    admission checks."""
+    calls = dict.fromkeys(COUNTED, 0)
 
-    def counting(*args, **kwargs):
-        frame = sys._getframe(1)
-        while frame is not None and frame.f_code not in ADMISSION_CODE:
-            frame = frame.f_back
-        if frame is None:
-            calls.append(1)
-        return original(*args, **kwargs)
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code not in ADMISSION_CODE:
+                frame = frame.f_back
+            if frame is None:
+                calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
 
     with monkeypatch.context() as m:
-        m.setattr(np.linalg, "norm", counting)
+        for name in COUNTED:
+            m.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
         run()
-    return len(calls)
+    return calls
 
 
 def test_certificate_norm_calls_do_not_grow_with_the_schedule(monkeypatch):
+    """The norm, svd and eigh calls of each certificate do not depend on the
+    number of schedule points.  The skewed inputs are not hermitian, so
+    their |d| takes the SVD branch; the corners of stochastic_run are
+    hermitian only up to rounding, so their hermiticity test takes norms."""
     alg = TracialAlgebra([2, 1], [0.25, 0.5])
     rng = np.random.default_rng(12)
     limit = alg.random_hermitian(rng)
     schr = AD.dual()
-    dec = neveu_decompose(schr)
     counts = {}
     for n in (4, 16):
+        # a fresh decomposition: its corners cache their own eigh
+        dec = neveu_decompose(schr)
         schedule = list(range(1, n + 1))
         seq = [limit + (1.0 / a) * alg.random_hermitian(rng) for a in schedule]
+        skew = [
+            x + (0.5 / a) * alg.operator([np.triu(m, 1) for m in x.block_mats])
+            for a, x in zip(schedule, seq)
+        ]
         runs = {
             "measure": lambda: measure_certify(seq, limit, 0.3, schedule=schedule),
             "bau": lambda: bau_certify(seq, limit, 0.2, schedule=schedule),
+            "measure-skew": lambda: measure_certify(
+                skew, limit, 0.3, schedule=schedule
+            ),
+            "bau-skew": lambda: bau_certify(skew, limit, 0.2, schedule=schedule),
             "stochastic": lambda: stochastic_run(
                 schr, M2.identity(), schedule=schedule, decomposition=dec
             ),
@@ -513,7 +532,9 @@ def test_certificate_norm_calls_do_not_grow_with_the_schedule(monkeypatch):
                 AD, E11, schedule=schedule, window=3
             ),
         }
-        counts[n] = {k: certificate_norm_calls(monkeypatch, f) for k, f in runs.items()}
+        counts[n] = {
+            k: certificate_linalg_calls(monkeypatch, f) for k, f in runs.items()
+        }
     assert counts[4] == counts[16]
 
 

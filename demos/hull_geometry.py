@@ -22,7 +22,7 @@ def main():
     print("swap automorphism, budget a=2")
     print(f"  residual  {res.residual:.3e}")
     print(f"  weights   {np.round(res.weights, 4)}")
-    print(f"  solved in {res.iterations} projected-gradient steps")
+    print(f"  solved in {res.iterations} active-set steps")
     print()
 
     g = 0.5

@@ -321,10 +321,15 @@ class Operator:
         return self._flags["hermitian"]
 
     def is_positive(self):
+        """Hermitian with no eigenvalue below ``-1e-10 ||x||``; the norm of
+        a hermitian x is its largest |eigenvalue|, so no norm is taken."""
         if "positive" not in self._flags:
-            self._flags["positive"] = self.is_hermitian() and min(
-                lam.min() for lam, _ in self.eigh()
-            ) >= -POSITIVE_RTOL * (op_norm(self) + 1e-30)
+            positive = self.is_hermitian()
+            if positive:
+                lam = np.concatenate([lam for lam, _ in self.eigh()])
+                scale = np.abs(lam).max() + 1e-30
+                positive = bool(lam.min() >= -POSITIVE_RTOL * scale)
+            self._flags["positive"] = positive
         return self._flags["positive"]
 
     def eigh(self):

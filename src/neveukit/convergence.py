@@ -18,6 +18,11 @@ the wandering corner e2 A_a(X) e2 only converges in measure, and the
 off-diagonal block is controlled by Cauchy-Schwarz through the two corner
 bounds, so no separate estimate is needed.
 
+The distance from E(x) to the convex hull of the orbit of x is solved
+exactly by Wolfe's active-set method for the nearest point of a polytope:
+it stops on the KKT conditions of the convex problem, so its weights are
+optimal and not merely stalled.
+
 Every certificate runs on per-block stacks: the k points of a schedule are
 held as one (k, n, n) array per block, and each stage (deviation, leak
 check, |d|, corner ``eigh``, witness V V*, corner product, norm) runs once
@@ -74,6 +79,8 @@ SUPPORT_LEAK_TOL = 1e-8
 DECAY_TOL = 1e-6
 CROSS_TERM_SLACK = 1e-10
 CORNER_COMPAT_TOL = 1e-9
+HULL_KKT_TOL = 1e-12
+HULL_STEPS_PER_POINT = 10
 
 
 def _corner_basis(algebra, within):
@@ -615,7 +622,7 @@ def corner_compatibility(action, decomposition, x, generator_index=None, tol=COR
 
 
 class HullConvergenceError(RuntimeError):
-    """Projected gradient ran out of iterations; carries the last iterate."""
+    """The active-set solve passed its step cap; carries the last iterate."""
 
     def __init__(self, message, weights, residual, objective):
         super().__init__(message)
@@ -631,17 +638,6 @@ class HullResult:
     objective: float
     iterations: int
     orbit_size: int
-
-
-def _simplex_project(v):
-    """Euclidean projection onto the probability simplex (sort and shift)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(v) + 1)
-    cond = u - css / idx > 0
-    rho = int(np.nonzero(cond)[0][-1])
-    lam = css[rho] / (rho + 1.0)
-    return np.maximum(v - lam, 0.0)
 
 
 def _orbit_vectors(action, x, a):
@@ -679,51 +675,31 @@ def _orbit_vectors(action, x, a):
     return cols
 
 
-def _face_polish(mr, br, lam, objective, feas_tol=1e-12):
-    """Exact least squares on the face spanned by the active support.
-
-    Solves min ||M mu - b||^2 subject only to sum(mu) = 1 on the current
-    support via the KKT system, dropping the most negative coordinate until
-    the solution is feasible.  Deterministic, at most |support| linear
-    solves; the caller only accepts the result when it improves.
-    """
-    support = np.nonzero(lam > feas_tol)[0]
-    while support.size:
-        ms = mr[:, support]
-        k = support.size
-        kkt = np.zeros((k + 1, k + 1))
-        kkt[:k, :k] = 2.0 * ms.T @ ms
-        kkt[:k, k] = 1.0
-        kkt[k, :k] = 1.0
-        rhs = np.concatenate([2.0 * ms.T @ br, [1.0]])
-        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-        mu = sol[:k]
-        if mu.min() >= -feas_tol:
-            full = np.zeros_like(lam)
-            full[support] = np.clip(mu, 0.0, None)
-            total = full.sum()
-            if total <= 0.0:
-                break
-            full /= total
-            return full, objective(full)
-        support = np.delete(support, int(np.argmin(mu)))
-    return lam, objective(lam)
+def _face_solve(gram, lin, face):
+    """Weights on ``face`` minimising ||M mu - b||^2 subject only to
+    sum(mu) = 1: the face's bordered KKT system, solved in least squares,
+    so that repeated orbit points still give a solution."""
+    k = len(face)
+    kkt = np.ones((k + 1, k + 1))
+    kkt[:k, :k] = 2.0 * gram[np.ix_(face, face)]
+    kkt[k, k] = 0.0
+    rhs = np.append(2.0 * lin[face], 1.0)
+    return np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
 
 
-def convex_hull_residual(
-    action,
-    x,
-    a,
-    projection=None,
-    max_iter=10000,
-    decrement_tol=1e-10,
-):
+def convex_hull_residual(action, x, a, projection=None):
     """Distance from the mean projection E(x) to the orbit's convex hull.
 
     Minimises ||sum_k c_k Gamma^k(x) - E(x)|| over the simplex in the
-    weighted Hilbert-Schmidt metric by projected gradient from the
-    barycenter (fixed step 1/L).  Iteration stops when the objective
-    decrement falls below ``decrement_tol``; exhausting ``max_iter`` raises
+    weighted Hilbert-Schmidt metric, exactly, by Wolfe's active-set method
+    for the nearest point of a polytope.  From the best single orbit point,
+    each step adds the point whose gradient lies furthest below the face
+    multiplier, solves the face's KKT system and, while a weight of that
+    solution is not positive, walks back to the face boundary and drops the
+    points there.  The solve stops when no gradient lies below the
+    multiplier by more than 1e-12 of the problem's scale: the KKT conditions
+    of a convex problem, so the weights are optimal.  Passing
+    ``HULL_STEPS_PER_POINT`` steps per orbit point raises
     :class:`HullConvergenceError` carrying the last iterate.  The returned
     residual is reported in operator norm.
     """
@@ -732,58 +708,59 @@ def convex_hull_residual(
     if projection is None:
         projection = mean_ergodic_projection(action)
     target = projection(x)
-    cols = _orbit_vectors(action, x, a)
+    cols = np.column_stack(_orbit_vectors(action, x, a))
     sw = np.sqrt(algebra.weight_vec)
-    m = np.column_stack(cols) * sw[:, None]
+    m = cols * sw[:, None]
     b = target.vec() * sw
-    mr = np.vstack([m.real, m.imag])
-    br = np.concatenate([b.real, b.imag])
+    # the objective is mu' G mu - 2 c' mu + |b|^2 over real weights
+    gram = (m.conj().T @ m).real
+    lin = (m.conj().T @ b).real
+    k = m.shape[1]
+    tol = HULL_KKT_TOL * max(gram.diagonal().max(), float(np.vdot(b, b).real))
+    cap = HULL_STEPS_PER_POINT * k
 
-    k = mr.shape[1]
-    lam = np.full(k, 1.0 / k)
-    lip = max(np.linalg.norm(mr, 2) ** 2 * 2.0, 1e-30)
-    step = 1.0 / lip
-
-    def objective(c):
-        r = mr @ c - br
-        return float(r @ r)
-
-    obj = objective(lam)
-    converged = False
-    iterations = 0
-    while iterations < max_iter:
-        iterations += 1
-        grad = 2.0 * (mr.T @ (mr @ lam - br))
-        lam_new = _simplex_project(lam - step * grad)
-        obj_new = objective(lam_new)
-        if obj - obj_new <= decrement_tol:
-            if obj_new < obj:
-                lam, obj = lam_new, obj_new
-            # gradient steps have stalled: finish the active face exactly
-            lam_p, obj_p = _face_polish(mr, br, lam, objective)
-            if obj - obj_p > decrement_tol:
-                lam, obj = lam_p, obj_p
-                continue
-            if obj_p < obj:
-                lam, obj = lam_p, obj_p
-            converged = True
+    face = [int(np.argmin(gram.diagonal() - 2.0 * lin))]
+    weights = np.ones(1)
+    steps = 0
+    while True:
+        mu = np.zeros(k)
+        mu[face] = weights
+        r = m @ mu - b
+        grad = 2.0 * (m.conj().T @ r).real
+        j = int(np.argmin(grad))
+        # the face multiplier is grad . mu: grad is constant on an optimal
+        # face and mu sums to 1
+        optimal = grad @ mu - grad[j] <= tol
+        if optimal or steps >= cap:
             break
-        lam, obj = lam_new, obj_new
-        # a periodic polish short-circuits the slow crawl toward a vertex
-        if iterations % 25 == 0:
-            lam_p, obj_p = _face_polish(mr, br, lam, objective)
-            if obj - obj_p > decrement_tol:
-                lam, obj = lam_p, obj_p
-    combo = algebra.from_vec(np.column_stack(cols) @ lam)
-    residual = float(op_norm(combo - target))
-    if not converged:
+        face.append(j)
+        weights = np.append(weights, 0.0)
+        while steps < cap:
+            steps += 1
+            y = _face_solve(gram, lin, face)
+            if y.min() > 0.0:
+                weights = y
+                break
+            # walk toward y until the first weight reaches zero, drop it
+            neg = np.flatnonzero(y <= 0.0)
+            w = weights[neg]
+            ratio = np.divide(w, w - y[neg], out=np.zeros_like(w), where=w > 0.0)
+            weights = weights + ratio.min() * (y - weights)
+            weights[neg[np.argmin(ratio)]] = 0.0
+            keep = weights > 0.0
+            face = [f for f, kept in zip(face, keep) if kept]
+            weights = weights[keep]
+
+    objective = float(np.vdot(r, r).real)
+    residual = float(op_norm(algebra.from_vec(cols @ mu) - target))
+    if not optimal:
         raise HullConvergenceError(
-            f"no convergence in {max_iter} iterations (objective {obj:.3e})",
-            lam,
+            f"no optimal weights in {cap} active-set steps (objective {objective:.3e})",
+            mu,
             residual,
-            obj,
+            objective,
         )
-    return HullResult(residual, lam, obj, iterations, k)
+    return HullResult(residual, mu, objective, steps, k)
 
 
 def moving_bump_counterexample(n_cycle=40, heavy_weight=0.5):

@@ -459,6 +459,32 @@ def test_support_takes_one_eigendecomposition_per_block(monkeypatch):
     assert s.ranks == (3, 2, 1)
 
 
+def test_is_positive_reads_its_slack_off_the_eigenvalues(monkeypatch):
+    """At unit scale an eigenvalue of -1e-8 is negative and one of -1e-11
+    is rounding, under the slack 1e-10 ||x||; on a hermitian operator the
+    check takes its scale from the eigenvalues, with no norm or SVD call."""
+    alg = TracialAlgebra([3, 2, 1], [0.1, 0.2, 0.3])
+    u = np.linalg.qr(np.random.default_rng(4).standard_normal((3, 3)))[0]
+    m = u @ np.diag([-1.0, 0.0, -1e-11]) @ u.T
+    # (m + m^T) / 2 is exactly symmetric, so is_hermitian takes no norm either
+    rotated = alg.operator([(m + m.T) / 2.0, -np.eye(2), [[0.0]]])
+    calls = []
+    for name in ("norm", "svd"):
+        original = getattr(np.linalg, name)
+
+        def counting(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    for low, positive in ((-1e-8, False), (-1e-11, True), (0.0, True)):
+        x = alg.operator([np.diag([1.0, 0.5, low]), np.diag([0.25, 1.0]), [[0.5]]])
+        assert x.is_positive() == positive
+    assert not rotated.is_positive()
+    assert (-1.0 * rotated).is_positive()
+    assert calls == []
+
+
 def test_spectral_projection_is_the_sum_of_its_clusters():
     """chi_[lo, hi)(h), built once from the selected eigenvectors, equals the
     sum of the spectral_decompose projections whose eigenvalue is in [lo, hi)."""

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import sys
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neveukit import convergence
 from neveukit.algebra import (
     Operator,
     Projection,
@@ -32,7 +35,11 @@ from neveukit.maps import (
     from_conjugation,
     from_kraus,
 )
-from neveukit.neveu import neveu_decompose, weakly_wandering_certificate
+from neveukit.neveu import (
+    mean_ergodic_projection,
+    neveu_decompose,
+    weakly_wandering_certificate,
+)
 
 M2 = TracialAlgebra.full_matrix(2)
 C3 = TracialAlgebra.commutative([1 / 3, 1 / 3, 1 / 3])
@@ -335,6 +342,39 @@ def test_stochastic_accepts_precomputed_decomposition():
     assert rep.passed
 
 
+def test_stochastic_budget_violation_rows():
+    """An e1 that misses half of the invariant support (E00 of the identity
+    action's 1) leaves tau(1 - r_a) >= 1/2 > delta on every row past
+    burn-in; each is flagged and the budget verdict fails."""
+    action = zplus_action(SuperOperator.identity(M2), picture="schrodinger")
+    x = M2.random_density(np.random.default_rng(4))
+    dec = neveu_decompose(action)
+    short = dataclasses.replace(dec, e1=Projection(M2, E00.block_mats))
+    rep = stochastic_run(action, x, decomposition=short, eps=0.1, delta=0.1)
+    assert rep.burn_in == rep.schedule[0]
+    for row in rep.rows:
+        assert row["past_burn_in"] and row["budget_violation"]
+        assert row["tau_excluded"] >= 0.5 - 1e-12
+    assert rep.verdicts["budget"] == "fail"
+    assert rep.verdicts["bau"] == rep.verdicts["measure"] == "pass"
+    assert not rep.passed
+
+
+def test_stochastic_cross_violation_rows(monkeypatch):
+    """Past burn-in the cross bound is Cauchy-Schwarz, so valid input cannot
+    violate it; a negative slack pushes the bound below every cross norm,
+    and exactly the rows past burn-in are flagged."""
+    monkeypatch.setattr(convergence, "CROSS_TERM_SLACK", -1.0)
+    rep = stochastic_run(AD.dual(), M2.identity(), eps=0.1, delta=0.1)
+    assert rep.burn_in is not None
+    flagged = [row["a"] for row in rep.rows if row.get("cross_violation")]
+    assert flagged == [row["a"] for row in rep.rows if row["past_burn_in"]]
+    assert flagged and len(flagged) < len(rep.rows)
+    assert rep.verdicts["cross_term"] == "fail"
+    assert rep.verdicts["budget"] == "pass"
+    assert not rep.passed
+
+
 @pytest.mark.parametrize("schedule", [[4, 2], [1, 2, 2, 4]])
 def test_stochastic_rejects_a_schedule_that_is_not_strictly_ascending(schedule):
     schr = AD.dual()
@@ -346,8 +386,6 @@ def test_stochastic_rejects_a_schedule_that_is_not_strictly_ascending(schedule):
 
 
 def test_stochastic_own_decomposition_uses_its_decay_tol(monkeypatch):
-    from neveukit import convergence
-
     seen = []
 
     def spy(*args, **kwargs):
@@ -437,22 +475,37 @@ def test_hull_damping_geometric_tail():
         assert res.residual <= (1.0 - g) ** a + 1e-10
 
 
-def test_hull_symmetric_box_uses_full_orbit():
+def third_turn_action():
+    """Conjugation by the rotation through 2 pi / 3, of order 3 on M_2,
+    over symmetric boxes."""
     theta = 2.0 * np.pi / 3.0
     u = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     rot = from_conjugation(M2, [u])
     scheme = FolnerScheme("z-symmetric-box", d=1)
-    action = SemigroupAction(M2, "heisenberg", scheme, [rot])
-    res = convex_hull_residual(action, E11, a=1)
+    return SemigroupAction(M2, "heisenberg", scheme, [rot])
+
+
+def test_hull_symmetric_box_uses_full_orbit():
+    res = convex_hull_residual(third_turn_action(), E11, a=1)
     # orbit {-1, 0, 1} covers the full period of order 3: mean is reachable
     assert res.residual <= 1e-6
 
 
-def test_hull_exhaustion_raises_with_last_iterate():
-    with pytest.raises(HullConvergenceError) as err:
-        convex_hull_residual(AD, E11, a=8, max_iter=2, decrement_tol=1e-30)
-    assert err.value.weights.shape == (9,)
-    assert err.value.residual >= 0.0
+def test_hull_exhaustion_raises_with_last_iterate(monkeypatch):
+    """Past the step cap the solve raises with its last iterate, here the
+    best single orbit point; the uncapped solve of the same input takes
+    active-set steps and reaches the mean."""
+    action = third_turn_action()
+    res = convex_hull_residual(action, E11, a=4)
+    assert res.iterations >= 1 and res.residual <= 1e-10
+    monkeypatch.setattr(convergence, "HULL_STEPS_PER_POINT", 0)
+    with pytest.raises(HullConvergenceError, match="0 active-set steps") as err:
+        convex_hull_residual(action, E11, a=4)
+    weights = err.value.weights
+    assert weights.shape == (9,)
+    assert sorted(weights) == [0.0] * 8 + [1.0]
+    assert err.value.residual > 1e-3
+    assert err.value.objective > res.objective
 
 
 def test_hull_finite_group_residual_zero():
@@ -463,6 +516,134 @@ def test_hull_finite_group_residual_zero():
     )
     res = convex_hull_residual(action, E11, a=1)
     assert res.residual <= 1e-10
+
+
+def random_unitary(n, rng):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / abs(np.diag(r)))
+
+
+def contracting_kraus(algebra, rng):
+    """A random Heisenberg channel with sum K*K <= 1/1.01."""
+    (n,) = algebra.blocks
+    gs = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(3)]
+    scale = 1.0 / np.sqrt(np.linalg.eigvalsh(sum(g.conj().T @ g for g in gs)).max() * 1.01)
+    return from_kraus(algebra, [[g * scale] for g in gs])
+
+
+def random_hull_case(kind, n, rng):
+    """A random Heisenberg action on M_n and an orbit budget a for it: at
+    most 9 orbit points, except the flow's 17."""
+    algebra = TracialAlgebra.full_matrix(n)
+    if kind == "kraus":
+        return zplus_action(contracting_kraus(algebra, rng)), int(rng.integers(1, 9))
+    if kind == "mixed-unitary":
+        mat = sum(
+            p * from_conjugation(algebra, [random_unitary(n, rng)]).matrix
+            for p in rng.dirichlet(np.ones(3))
+        )
+        return zplus_action(SuperOperator(algebra, mat)), int(rng.integers(1, 9))
+    if kind == "commuting-unitary":
+        # two unitaries diagonal in one random basis, over a 2 x 2 or 3 x 3 box
+        v = random_unitary(n, rng)
+        us = [v * np.exp(2j * np.pi * rng.random(n)) @ v.conj().T for _ in range(2)]
+        gens = [from_conjugation(algebra, [u]) for u in us]
+        return zplus_action(*gens), int(rng.integers(1, 3))
+    if kind == "z-symmetric-box":
+        scheme = FolnerScheme("z-symmetric-box", d=1)
+        gen = from_conjugation(algebra, [random_unitary(n, rng)])
+        return SemigroupAction(algebra, "heisenberg", scheme, [gen]), int(rng.integers(1, 5))
+    if kind == "finite-group":
+        # the cyclic group of an order-m unitary, m in 2..6
+        order = int(rng.integers(2, 7))
+        v = random_unitary(n, rng)
+        phases = np.exp(2j * np.pi * rng.integers(0, order, n) / order)
+        table = tuple(tuple((g + h) % order for h in range(order)) for g in range(order))
+        gens = [
+            from_conjugation(algebra, [v * phases**g @ v.conj().T]) for g in range(order)
+        ]
+        scheme = FolnerScheme("finite-group", order=order, table=table)
+        return SemigroupAction(algebra, "heisenberg", scheme, gens), 1
+    # x -> i[h, x], damped by a tenth of (S - 1) for a contracting channel S
+    h = algebra.random_hermitian(rng)
+    cols = [(1j * (h @ y - y @ h)).vec() for y in map(algebra.from_vec, np.eye(algebra.dim))]
+    damping = contracting_kraus(algebra, rng).matrix - np.eye(algebra.dim)
+    flow = np.column_stack(cols) + 0.1 * damping
+    scheme = FolnerScheme("r-plus-cube", d=1)
+    return SemigroupAction(algebra, "heisenberg", scheme, [flow]), float(rng.uniform(0.5, 4.0))
+
+
+def face_kkt_weights(m, b):
+    """The weights on the columns of m, summing to 1, of the point of their
+    affine hull nearest to b: the face's bordered KKT system in least
+    squares."""
+    k = m.shape[1]
+    kkt = np.ones((k + 1, k + 1))
+    kkt[:k, :k] = 2.0 * (m.conj().T @ m).real
+    kkt[k, k] = 0.0
+    rhs = np.append(2.0 * (m.conj().T @ b).real, 1.0)
+    return np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
+
+
+def brute_force_hull_objective(m, b):
+    """min ||m mu - b||^2 over the simplex: the face KKT solve on every
+    subset of columns, keeping the best feasible one."""
+    best = np.inf
+    for size in range(1, m.shape[1] + 1):
+        for face in itertools.combinations(range(m.shape[1]), size):
+            mu = face_kkt_weights(m[:, face], b)
+            if mu.min() >= -1e-12:
+                r = m[:, face] @ mu - b
+                best = min(best, float(np.vdot(r, r).real))
+    return best
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(
+        [
+            "kraus",
+            "mixed-unitary",
+            "commuting-unitary",
+            "z-symmetric-box",
+            "finite-group",
+            "flow",
+        ]
+    ),
+    n=st.sampled_from([2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hull_weights_are_optimal(kind, n, seed):
+    """Up to 9 orbit points the objective matches the brute-force optimum
+    over all faces; on the flow's 17 points the weights, alone, satisfy the
+    KKT conditions: mu >= 0, sum(mu) = 1, and every gradient is at least
+    the multiplier grad . mu, with equality on the support."""
+    rng = np.random.default_rng(seed)
+    action, a = random_hull_case(kind, n, rng)
+    x = action.algebra.random_hermitian(rng)
+    projection = mean_ergodic_projection(action)
+    res = convex_hull_residual(action, x, a, projection=projection)
+
+    sw = np.sqrt(action.algebra.weight_vec)
+    m = np.column_stack(convergence._orbit_vectors(action, x, a)) * sw[:, None]
+    b = projection(x).vec() * sw
+    mu = res.weights
+    assert mu.shape == (m.shape[1],) == (res.orbit_size,)
+    assert mu.min() >= 0.0
+    assert abs(mu.sum() - 1.0) <= 1e-12
+    r = m @ mu - b
+    assert res.objective == pytest.approx(float(np.vdot(r, r).real), rel=1e-12, abs=1e-15)
+    if kind == "flow":
+        assert m.shape[1] == 17
+        grad = 2.0 * (m.conj().T @ r).real
+        nu = grad @ mu
+        scale = max(np.max(np.sum(abs(m) ** 2, axis=0)), float(np.vdot(b, b).real))
+        assert grad.min() >= nu - 1e-10 * scale
+        assert np.abs(grad[mu > 0.0] - nu).max() <= 1e-10 * scale
+    else:
+        assert m.shape[1] <= 9
+        best = brute_force_hull_objective(m, b)
+        assert abs(res.objective - best) <= 1e-10 * best + 1e-14
 
 
 # ---------------------------------------------------------------------------

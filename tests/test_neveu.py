@@ -268,6 +268,51 @@ def test_mean_projection_validation_catches_1e8_perturbation(monkeypatch):
         mean_ergodic_projection(zplus_action(amplitude_damping(M2, 0.5)))
 
 
+def test_mean_projection_validation_catches_a_dropped_fixed_direction(monkeypatch):
+    """Dephasing fixes the diagonal of M_2; a projector that drops the E00
+    direction is still an invariant idempotent (its residuals are 0), so
+    only the rank comparison with the fixed space can refuse it."""
+    exact = neveu._summand_projector
+    drop = np.zeros((4, 4))
+    drop[0, 0] = 1.0  # vec coordinate 0 is the E00 entry
+
+    def dropping(action, tol_fixed):
+        return exact(action, tol_fixed) - drop
+
+    monkeypatch.setattr(neveu, "_summand_projector", dropping)
+    action = zplus_action(from_conjugation(M2, [np.diag([1.0, -1.0])]))
+    with pytest.raises(MeanErgodicValidationError, match="spectral rank 1 != "):
+        mean_ergodic_projection(action)
+
+
+def test_mean_projection_validation_catches_a_summand_misplaced_basis(monkeypatch):
+    """A swap of atoms 0, 1 beside a symmetric kernel on atoms 2, 3 fixes
+    one direction per summand.  A fixed-space basis of the right total
+    size but held in the first summand alone is refused by the per-summand
+    rank check."""
+    kernel = np.zeros((4, 4))
+    kernel[:2, :2] = [[0.0, 1.0], [1.0, 0.0]]
+    kernel[2:, 2:] = [[0.75, 0.25], [0.25, 0.75]]
+    algebra = TracialAlgebra.commutative([0.1, 0.2, 0.3, 0.4])
+    action = zplus_action(from_classical(algebra, kernel))
+    assert len(action._summands()) == 2
+    first = [algebra.diag([1.0, 1.0, 0.0, 0.0]), algebra.diag([1.0, -1.0, 0.0, 0.0])]
+    monkeypatch.setattr(neveu, "fixed_space", lambda action, tol: first)
+    with pytest.raises(MeanErgodicValidationError, match=r"\[1, 1\] != .* \[2, 0\]"):
+        mean_ergodic_projection(action)
+
+
+def test_mean_projection_validation_catches_averages_moving_away(monkeypatch):
+    """With A_16 and A_64 swapped, the averages move away from E between
+    a = 16 and a = 64 and leave the envelope calibrated at a = 16."""
+    exact = neveu._average_matrices
+    monkeypatch.setattr(
+        neveu, "_average_matrices", lambda action, sizes: exact(action, sizes)[::-1]
+    )
+    with pytest.raises(MeanErgodicValidationError, match="do not contract"):
+        mean_ergodic_projection(zplus_action(amplitude_damping(M2, 0.5)))
+
+
 def test_fixed_space_basis_is_trace_orthonormal_across_weighted_atoms():
     """A classical chain with two absorbing atoms of different weights: the
     SVD null vectors mix atoms, so their weighted Gram matrix is not

@@ -18,8 +18,8 @@ axis: max(schedule) - 1 matvecs for d = 1 (63 on 1, 2, ..., 64, against 120
 for a fresh sum per point), twice that for z-symmetric windows.  For d >= 2
 only axis 0 is shared, as later axes act on a different vector per a.
 :func:`average_super` builds each per-axis sum of powers by binary doubling
-in O(d log a) D x D products; on zplus-box one walk serves several sizes
-(A_16, then A_64 with two more doublings).  Summation order is fixed
+in O(d log a) D x D products; a scenario run builds none but a finite
+group's, and tests and demos use them as oracles.  Summation order is fixed
 (ascending k for the zplus matvecs, the bits of a for the doubling, then
 ascending axis) so results are bitwise reproducible.  Brute-force
 cross-checks over small boxes and against the literal sums live in the
@@ -159,10 +159,10 @@ class SemigroupAction:
     ``matrices`` holds the generator matrices: the flow generators L_i of an
     ``r-plus-cube`` scheme, the superoperator matrices of the maps otherwise.
 
-    Only the Lamperti reports are cached on the instance; :meth:`dual`
-    builds a new action on each call.  A scenario run shares its derived
-    work through a run context instead.  The generators are not meant to
-    change after construction.
+    Only the Lamperti reports and the split into uncoupled summands are
+    cached on the instance; :meth:`dual` builds a new action on each call.
+    A scenario run shares its derived work through a run context instead.
+    The generators are not meant to change after construction.
     """
 
     def __init__(self, algebra, picture, scheme, generators):
@@ -173,6 +173,7 @@ class SemigroupAction:
         self.scheme = scheme
         self.checks = {}
         self._lamperti = None
+        self._parts = None
         self.inverses = None
 
         if scheme.kind == "r-plus-cube":
@@ -309,10 +310,17 @@ class SemigroupAction:
         restricted to it.  A restriction shares this action's construction
         checks and runs none.  An action with one summand gives
         ``[(slice(None), self)]``, so callers run on its whole matrices.
-        Computed anew on each call, as the action caches nothing.
+        Scanned once and cached, one summand as ``[]`` so that the action
+        holds no reference to itself.
         """
+        if self._parts is None:
+            self._parts = self._scan_summands()
+        return self._parts or [(slice(None), self)]
+
+    def _scan_summands(self):
+        """The summands of :meth:`_summands`, or ``[]`` for one."""
         if self.algebra.n_blocks == 1:
-            return [(slice(None), self)]
+            return []
         offsets = self.algebra._offsets
         root = list(range(self.algebra.n_blocks))
 
@@ -331,7 +339,7 @@ class SemigroupAction:
         for b in range(len(root)):
             groups.setdefault(find(b), []).append(b)
         if len(groups) == 1:
-            return [(slice(None), self)]
+            return []
         out = []
         for blocks in groups.values():
             if blocks[-1] - blocks[0] == len(blocks) - 1:
@@ -351,7 +359,8 @@ class SemigroupAction:
         )
         sub = object.__new__(SemigroupAction)
         sub.algebra, sub.picture, sub.scheme = algebra, self.picture, self.scheme
-        sub.checks, sub._lamperti = self.checks, None
+        # a summand's blocks are coupled: it has one summand
+        sub.checks, sub._lamperti, sub._parts = self.checks, None, []
         sub.matrices = tuple(m[_square(coords)] for m in self.matrices)
         sub.inverses = None
         if self.inverses is not None:
@@ -437,47 +446,32 @@ def _cesaro_walk(action, axis, v, schedule):
     return means
 
 
-def _power_sums(s, ns):
-    """[sum_{k<n} S^k for n in ns] for a square matrix S, by one doubling walk.
+def _power_sum(s, n):
+    """sum_{k<n} S^k for a square matrix S, by doubling.
 
     Reads the bits of n from the top: a 0 bit doubles m (the sum becomes
     (1 + S^m) sum_{k<m} S^k), a 1 bit doubles and then appends S^m.  That
     takes O(log n) matrix products instead of the n - 1 of the literal sum.
-    The binary digits of each n must begin with those of the n before it
-    (16 then 64), so each walk continues the last one and every sum is
-    bitwise the one a walk to n alone gives.
     """
     total = np.eye(s.shape[0], dtype=complex)
     power = s
-    done = "1"
-    sums = []
-    for n in ns:
-        bits = bin(int(n))[2:]
-        if not bits.startswith(done):
-            raise ValueError(f"the bits of {n} do not extend those of {int(done, 2)}")
-        for bit in bits[len(done):]:
-            total = total + power @ total
-            power = power @ power
-            if bit == "1":
-                total = total + power
-                power = s @ power
-        done = bits
-        sums.append(total)
-    return sums
+    for bit in bin(int(n))[3:]:
+        total = total + power @ total
+        power = power @ power
+        if bit == "1":
+            total = total + power
+            power = s @ power
+    return total
 
 
-def _axis_cesaro_supers(action, axis, sizes):
-    """The per-axis Cesaro means (1/|window|) sum of window powers, as
-    matrices, for each a in sizes; zplus-box walks one doubling for all."""
+def _axis_cesaro_super(action, axis, a):
+    """The per-axis Cesaro mean (1/|window|) sum of window powers as a matrix."""
     s = action.generators[axis].matrix
     if action.scheme.kind == "zplus-box":
-        return [t / a for t, a in zip(_power_sums(s, sizes), sizes)]
+        return _power_sum(s, a) / a
     # z-symmetric-box: sum_{-a <= k <= a} S^k = S^{-a} sum_{k <= 2a} S^k
-    means = []
-    for a in sizes:
-        back = np.linalg.matrix_power(action.inverses[axis], a)
-        means.append(back @ _power_sums(s, [2 * a + 1])[0] / (2 * a + 1))
-    return means
+    back = np.linalg.matrix_power(action.inverses[axis], a)
+    return back @ _power_sum(s, 2 * a + 1) / (2 * a + 1)
 
 
 def average(action, x, a):
@@ -527,34 +521,20 @@ def _average_stacks(action, x, schedule):
 
 def average_super(action, a):
     """The averaging operator A_a as a SuperOperator (usable in either picture)."""
-    return SuperOperator(
-        action.algebra, _average_matrices(action, [a])[0], source="composite"
-    )
-
-
-def _average_matrices(action, sizes):
-    """The matrices of A_a for each a in sizes, each bitwise that of
-    :func:`average_super`.
-
-    On zplus-box one doubling walk per axis serves every size, so the binary
-    digits of each size must begin with those of the size before it.
-    """
     if action.scheme.kind == "r-plus-cube":
-        return [continuous_average_super(action, a) for a in sizes]
-    sizes = [int(a) for a in sizes]
-    if min(sizes) < 1:
-        raise ValueError("Foelner index a must be >= 1")
-    action.require_commuting()
-    if action.scheme.kind == "finite-group":
-        mat = sum(s.matrix for s in action.generators) / action.scheme.order
-        return [mat] * len(sizes)
-    mats = _axis_cesaro_supers(action, 0, sizes)
-    for axis in range(1, action.scheme.d):
-        mats = [
-            m_axis @ m
-            for m_axis, m in zip(_axis_cesaro_supers(action, axis, sizes), mats)
-        ]
-    return mats
+        mat = continuous_average_super(action, a)
+    else:
+        a = int(a)
+        if a < 1:
+            raise ValueError("Foelner index a must be >= 1")
+        action.require_commuting()
+        if action.scheme.kind == "finite-group":
+            mat = sum(s.matrix for s in action.generators) / action.scheme.order
+        else:
+            mat = _axis_cesaro_super(action, 0, a)
+            for axis in range(1, action.scheme.d):
+                mat = _axis_cesaro_super(action, axis, a) @ mat
+    return SuperOperator(action.algebra, mat, source="composite")
 
 
 def _flow_average(action, b, a):

@@ -15,29 +15,28 @@ schedule rather than assumed.
 
 The mean ergodic projection is computed spectrally (Schur form plus a
 Sylvester solve per generator, intersected across generators) and then
-cross-validated against Cesaro averages A_16 and A_64, built by doubling
-from the generator matrices and so independent of the Schur projector;
-disagreement raises instead of returning a silently wrong projector.  E has
-rank r, the fixed-space dimension, and is also kept by its factors
+certified by its group inverse (C. D. Meyer, SIAM Review 17, 1975): a
+singular P - G, or kappa = ||(P - G)^-1||_1 above ``KAPPA_BOUND``, raises
+instead of returning a silently wrong projector (:func:`_group_inverse`).
+E has rank r, the fixed-space dimension, and is also kept by its factors
 E(y) = sum_i tau(psi_i y) x_i over the fixed basis x_i and the dual basis
 psi_i = dual(E)(x_i*).  The observable-picture projection is the dual
 E_h(b) = sum_i tau(x_i b) psi_i, so a scenario run computes E once, in the
 density picture, and reads E_h off it (``_dual_projection``): the psi_i
 become the fixed basis and the x_i the conserved functionals.  E_h keeps
-the cross-validation of E and has its residuals and factor residual
-measured again in its own picture.
+the certificate of E and has its residuals and factor residual measured
+again in its own picture.
 
 When no generator moves mass between two groups of algebra blocks, L1
 splits into invariant central summands, and E, its fixed space and the
 averages split the same way.  The spectral work (Schur forms, the
-fixed-space SVD, A_16 and A_64 and their distances to E, the residuals)
-then runs once per uncoupled summand, E holds exact zeros between
-summands, and each fixed-basis element lives in one summand.  Every check
-stays that of the whole matrices: one SVD rank cutoff over all summands,
-Frobenius residuals combined as the 2-norm of the per-summand ones, and
-spectral norms as their maximum.
-Nothing is cached on the action: callers that reuse a projection pass it on
-with ``projection=``, as the tasks of one scenario run do.
+fixed-space SVD, the group inverses, the residuals) then runs once per
+uncoupled summand, E holds exact zeros between summands, and each
+fixed-basis element lives in one summand.  Every check stays that of the
+whole matrices: one SVD rank cutoff over all summands, Frobenius residuals
+combined as the 2-norm of the per-summand ones, and kappa as its maximum.
+The action caches its summands only: callers that reuse a projection pass
+it on with ``projection=``, as the tasks of one scenario run do.
 """
 
 from __future__ import annotations
@@ -57,13 +56,7 @@ from .algebra import (
     trace,
     trace_norm,
 )
-from .dynamics import (
-    _ascending,
-    _average_matrices,
-    _square,
-    average_super,
-    averages,
-)
+from .dynamics import _ascending, _square, average_super, averages
 from .maps import SuperOperator, _transpose_perm, dual
 
 __all__ = [
@@ -92,10 +85,15 @@ ORTHOGONALITY_TOL = 1e-10
 DEFAULT_SCHEDULE = (1, 2, 4, 8, 16, 32, 64)
 SLOPE_WINDOW = 5
 SLOPE_THRESHOLD = -0.9
+# on the hard spectra (an eigenvalue 1 - delta beside 1) ||E - E*||_F is at
+# most 4.3 u kappa (u = 2^-53), so kappa <= 1e-9 / (4 u) = 2.25e6 keeps it
+# near 1e-9; a factor 4.5 would refuse the chain at delta = 1e-6 (kappa 2e6)
+KAPPA_BOUND = PROJECTION_RESIDUAL_TOL / (4 * 2.0**-53)
 
 
 class MeanErgodicValidationError(ArithmeticError):
-    """The spectral projector disagreed with its independent checks."""
+    """The spectral projector failed a residual, a rank check or its
+    group-inverse certificate (E - G singular, or kappa too large)."""
 
 
 def _stacked_generator_matrices(action):
@@ -198,7 +196,8 @@ class MeanErgodicProjection:
     observable-picture projection of a scenario run is the dual of the
     density-picture one: its ``cross_validation`` is the density picture's,
     while ``residuals`` and ``factor_residual`` are measured in its own
-    picture.
+    picture.  ``cross_validation`` holds ``kappa`` (None for a finite
+    group) and ``kappa_bound``.
     """
 
     superop: SuperOperator
@@ -221,28 +220,28 @@ def mean_ergodic_projection(action, tol_fixed=1e-9):
     multiplied.  Four independent validations guard the result: idempotency
     and generator invariance residuals, agreement of its range with the SVD
     fixed space (in rank, then as subspaces through the factor residual
-    ``||X F - E||_F``), and an envelope test against the averages at
-    a = 16, 64 (summed by doubling from the generators, independently of the
-    Schur form).
+    ``||X F - E||_F``), and the :func:`_group_inverse` certificate of each
+    generator's projector; commuting generators have commuting spectral
+    projections, so certified factors make E the joint one.  A finite
+    group's E is the exact group average, with kappa None.
     The residuals ``||E^2 - E||`` and ``||S E - E||``, ``||E S - E||`` (for
     flows ``||L E||``, ``||E L||`` over ``max(1, ||L||_2)``) are Frobenius
-    norms, upper bounds on the spectral norm, checked against 1e-9; the
-    cross-validation norms ``||A_a - E||`` stay spectral.
+    norms, upper bounds on the spectral norm, checked against 1e-9.
 
     When no generator couples two groups of algebra blocks, E splits along
     these uncoupled central summands: the Schur forms, the fixed-space SVD,
-    the averages and the residuals run per summand, E holds exact zeros
-    between summands, and each fixed-basis element lives in one summand.
-    Every check stays that of the whole matrices: Frobenius residuals
-    combine as the 2-norm of the per-summand ones, the cross-validation
-    norms are maxima over summands, and the spectral rank must match the
-    fixed-space dimension in each summand and in total.
+    the group inverses and the residuals run per summand, E holds exact
+    zeros between summands, and each fixed-basis element lives in one
+    summand.  Every check stays that of the whole matrices: Frobenius
+    residuals combine as the 2-norm of the per-summand ones, kappa (of a
+    block-diagonal inverse) is the maximum over summands, and the spectral
+    rank must match the fixed-space dimension in each summand and in total.
     """
     action.require_commuting()
     algebra = action.algebra
     dim = algebra.dim
     parts = action._summands()
-    pieces = [_summand_projector(sub, tol_fixed) for _, sub in parts]
+    pieces, kappas = zip(*(_summand_projector(sub, tol_fixed) for _, sub in parts))
     if len(parts) == 1:
         e = pieces[0]
     else:
@@ -278,21 +277,8 @@ def mean_ergodic_projection(action, tol_fixed=1e-9):
         algebra.operator([m.T for m in algebra.from_vec(row / w).block_mats])
         for row in f
     ]
-
-    norms = []
-    for (_, sub), piece in zip(parts, pieces):
-        a16, a64 = _average_matrices(sub, (16, 64))
-        norms.append([np.linalg.norm(a16 - piece, 2), np.linalg.norm(a64 - piece, 2)])
-    # the spectral norm of a block-diagonal matrix is its blocks' largest
-    n16, n64 = np.max(norms, axis=0).tolist()
-    # a C/a Cesaro envelope calibrated at a = 16 must cover the a = 64 point
-    envelope = 10.0 * (16.0 * n16) / 64.0 + PROJECTION_RESIDUAL_TOL
-    if n64 > envelope:
-        raise MeanErgodicValidationError(
-            f"averages do not contract toward the projector: "
-            f"||A_16 - E|| = {n16:.3e}, ||A_64 - E|| = {n64:.3e}"
-        )
-    cross = {"norm_a16": n16, "norm_a64": n64, "envelope_a64": float(envelope)}
+    kappa = None if kappas[0] is None else max(kappas)
+    cross = {"kappa": kappa, "kappa_bound": KAPPA_BOUND}
     sup = SuperOperator(algebra, e, source="mean-ergodic-projection")
     return MeanErgodicProjection(
         sup, basis, dual_basis, residuals, cross, rank, factor_residual
@@ -300,15 +286,45 @@ def mean_ergodic_projection(action, tol_fixed=1e-9):
 
 
 def _summand_projector(action, tol_fixed):
-    """The spectral projector of one uncoupled summand: the product of the
-    per-generator cluster projectors, or the group average."""
+    """``(E, kappa)`` for one uncoupled summand: the product of the
+    per-generator cluster projectors with the largest kappa of their
+    group-inverse certificates, or the group average with None."""
     if action.scheme.kind == "finite-group":
-        return average_super(action, 1).matrix
-    e = np.eye(action.algebra.dim, dtype=complex)
-    center = 0.0 if action.scheme.kind == "r-plus-cube" else 1.0
+        return average_super(action, 1).matrix, None
+    eye = np.eye(action.algebra.dim, dtype=complex)
+    flow = action.scheme.kind == "r-plus-cube"
+    e, kappas = eye, []
     for m in action.matrices:
-        e = _cluster_projector(m, center, tol_fixed) @ e
-    return e
+        p = _cluster_projector(m, 0.0 if flow else 1.0, tol_fixed)
+        kappas.append(_group_inverse(p, m if flow else m - eye)[1])
+        e = p @ e
+    return e, max(kappas)
+
+
+def _group_inverse(p, g):
+    """``(Z, kappa)``: Z = (P - G)^-1 by one LU and kappa = ||Z||_1, for a
+    cluster projector P and G = S - 1 (L for a flow); raises
+    :class:`MeanErgodicValidationError` when P - G is singular or kappa
+    exceeds ``KAPPA_BOUND``.
+
+    With G P = P G = 0 (the invariance residuals), P - G is invertible iff
+    range P = ker G and ker P = range G, i.e. iff P is the mean ergodic
+    projection.  Z - P is then the group inverse of -G, and for G = S - 1
+    the averages obey A_a - P = (1/a)(1 - S^a)(Z - P).
+    """
+    try:
+        z = np.linalg.inv(p - g)
+    except np.linalg.LinAlgError:
+        raise MeanErgodicValidationError(
+            "E - G is singular: the projector is not the spectral one"
+        ) from None
+    kappa = float(np.linalg.norm(z, 1))
+    if not kappa <= KAPPA_BOUND:
+        raise MeanErgodicValidationError(
+            f"group-inverse certificate: ||(E - G)^-1||_1 = {kappa:.3e} "
+            f"above {KAPPA_BOUND:.3e}"
+        )
+    return z, kappa
 
 
 def _projector_residuals(parts, e):
@@ -380,7 +396,7 @@ def _dual_projection(proj, heis, sup):
     ``proj`` span its range and its x_i are the functionals that E_h
     conserves.  With L L* the Cholesky factorisation of the Gram matrix of
     the psi_i, the fixed basis Psi L^-* is tau-orthonormal and the dual
-    basis X conj(L) pairs with it to the identity.  The cross-validation is
+    basis X conj(L) pairs with it to the identity.  The certificate is
     that of ``proj``; the residuals and the factor residual are measured
     again on E_h, in the observable picture, and raise as in
     :func:`mean_ergodic_projection`.
@@ -644,7 +660,9 @@ def _decompose(schr, heis, proj, e_heis, schedule, seed, decay_tol):
     detail["density_on_e2"] = float(ortho)
 
     ws = wandering_sum([e2])
-    sup_ws = support(ws) if op_norm(ws) > 0 else Projection.from_eigvecs(
+    # an e2 of rank 0 is zero up to the rounding of a full-rank e1, which
+    # support would refuse as not positive
+    sup_ws = support(ws) if any(e2.ranks) else Projection.from_eigvecs(
         algebra, [None] * algebra.n_blocks
     )
     agree = sup_ws.ranks == e2.ranks and op_norm(sup_ws - e2) <= UNIQUENESS_TOL

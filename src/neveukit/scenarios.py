@@ -66,7 +66,7 @@ __all__ = [
     "gallery_names",
 ]
 
-SCHEMA_VERSION = "1.1"
+SCHEMA_VERSION = "1.2"
 DEFAULT_TOLERANCES = {
     "eps": 0.25,
     "delta": 0.1,

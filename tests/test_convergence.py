@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neveukit import convergence
+from neveukit import convergence, neveu
 from neveukit.algebra import (
     Operator,
     Projection,
@@ -27,7 +27,7 @@ from neveukit.convergence import (
     moving_bump_counterexample,
     stochastic_run,
 )
-from neveukit.dynamics import FolnerScheme, SemigroupAction, average
+from neveukit.dynamics import FolnerScheme, SemigroupAction, average, average_super
 from neveukit.maps import (
     PreconditionError,
     SuperOperator,
@@ -596,6 +596,32 @@ def brute_force_hull_objective(m, b):
                 r = m[:, face] @ mu - b
                 best = min(best, float(np.vdot(r, r).real))
     return best
+
+
+def test_z_symmetric_rotation_near_a_dirichlet_zero_is_accepted():
+    """Conjugation by a Haar unitary U on M_2 with eigenphase difference
+    phi = 1.3346: the symmetric averages are Dirichlet kernels
+    sin((2a+1) phi/2) / ((2a+1) sin(phi/2)), and 33 phi/2 lies 0.03 from a
+    multiple of pi, so ||A_16 - E|| sits near a kernel zero and no C/a
+    envelope calibrated at a = 16 covers a = 64.  E is the pinching onto
+    the eigenprojections of U, and ||A_64 - E|| obeys the bound
+    2 ||Z - E|| / 129 of the group-inverse identity for a unitary S."""
+    action, _ = random_hull_case("z-symmetric-box", 2, np.random.default_rng(2))
+    lam, v = np.linalg.eig(random_unitary(2, np.random.default_rng(2)))
+    assert abs(np.angle(lam[0] / lam[1])) == pytest.approx(1.3346, abs=1e-4)
+    proj = mean_ergodic_projection(action)
+    assert proj.cross_validation["kappa"] == pytest.approx(1.35, abs=0.01)
+    algebra = action.algebra
+    eigenprojections = [np.outer(v[:, k], v[:, k].conj()) for k in range(2)]
+    for x in map(algebra.from_vec, np.eye(algebra.dim)):
+        (m,) = x.block_mats
+        pinched = algebra.operator([sum(p @ m @ p for p in eigenprojections)])
+        assert op_norm(proj(x) - pinched) <= 1e-12
+    e = proj.superop.matrix
+    (s,) = action.matrices
+    z, _ = neveu._group_inverse(e, s - np.eye(algebra.dim))
+    a64 = average_super(action, 64).matrix
+    assert np.linalg.norm(a64 - e, 2) <= 2.0 * np.linalg.norm(z - e, 2) / 129
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

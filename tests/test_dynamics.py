@@ -13,7 +13,6 @@ from neveukit.dynamics import (
     average,
     average_super,
     averages,
-    _power_sums,
     _square,
     continuous_average_super,
     folner_ratio,
@@ -742,8 +741,8 @@ def test_lamperti_reports_reject_flows():
 
 
 def single_walk_power_sum(s, n):
-    """sum_{k<n} S^k by a doubling walk to n alone: the reference for a walk
-    that continues through smaller sizes."""
+    """sum_{k<n} S^k by a doubling walk to n: the reference for the walk
+    of :func:`average_super`."""
     total = np.eye(s.shape[0], dtype=complex)
     power = s
     for bit in bin(n)[3:]:
@@ -756,11 +755,12 @@ def single_walk_power_sum(s, n):
 
 
 @pytest.mark.parametrize("d", [1, 2])
-def test_mean_projection_continues_the_a16_walk_to_a64(monkeypatch, d):
-    """On zplus-box the cross-validation takes A_16 and A_64 from one doubling
-    walk per axis and per uncoupled summand, and its A_64 is bitwise the walk
-    to 64 alone on the summand's sub-matrices.  The Kraus channel on MULTI
-    moves no mass between its three blocks, so it has three summands."""
+def test_average_super_is_the_single_walk_power_sum(monkeypatch, d):
+    """On zplus-box each A_a of an uncoupled summand is bitwise the product
+    over the axes of one doubling walk to a on the summand's sub-matrices,
+    and the mean ergodic projection walks no power sum.  The Kraus channel
+    on MULTI moves no mass between its three blocks, so it has three
+    summands."""
     from neveukit import dynamics, neveu
 
     if d == 1:
@@ -768,40 +768,24 @@ def test_mean_projection_continues_the_a16_walk_to_a64(monkeypatch, d):
     else:
         s = random_channel(MULTI, np.random.default_rng(24))
         action = zplus_action(s, s @ s)
-    walks, built = [], []
-    power_sums, average_matrices = dynamics._power_sums, neveu._average_matrices
+    walks = []
+    power_sum = dynamics._power_sum
 
-    def recording_walk(s, ns):
-        walks.append(list(ns))
-        return power_sums(s, ns)
+    def recording_walk(s, n):
+        walks.append(n)
+        return power_sum(s, n)
 
-    def recording_averages(action, sizes):
-        built.append((action, average_matrices(action, sizes)))
-        return built[-1][1]
-
-    monkeypatch.setattr(dynamics, "_power_sums", recording_walk)
-    monkeypatch.setattr(neveu, "_average_matrices", recording_averages)
-    proj = neveu.mean_ergodic_projection(action)
-    parts = action._summands()
-    assert len(parts) == (1 if d == 1 else 3)
-    assert walks == [[16, 64]] * d * len(parts)
+    monkeypatch.setattr(dynamics, "_power_sum", recording_walk)
+    neveu.mean_ergodic_projection(action)
+    assert walks == []
     monkeypatch.undo()
 
-    assert len(built) == len(parts)
-    norms = []
-    for (coords, _), (sub, (a16, a64)) in zip(parts, built):
-        for a, got in ((16, a16), (64, a64)):
-            mats = [gen.matrix[_square(coords)] for gen in action.generators]
+    parts = action._summands()
+    assert len(parts) == (1 if d == 1 else 3)
+    for coords, sub in parts:
+        mats = [gen.matrix[_square(coords)] for gen in action.generators]
+        for a in (16, 64):
             want = single_walk_power_sum(mats[0], a) / a
             for m in mats[1:]:
                 want = (single_walk_power_sum(m, a) / a) @ want
-            assert np.array_equal(got, want)
-            assert np.array_equal(got, average_super(sub, a).matrix)
-        norms.append(np.linalg.norm(a64 - proj.superop.matrix[_square(coords)], 2))
-    assert proj.cross_validation["norm_a64"] == float(max(norms))
-
-
-def test_power_sums_need_extending_bits():
-    s = np.eye(2, dtype=complex)
-    with pytest.raises(ValueError, match="do not extend"):
-        _power_sums(s, [16, 40])
+            assert np.array_equal(average_super(sub, a).matrix, want)

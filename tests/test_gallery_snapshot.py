@@ -1,9 +1,9 @@
 """Gallery snapshot: every shipped scenario against recorded verdicts and numbers.
 
-Verdicts and ranks must match exactly.  Decay points, cross-validation
-norms, projection residuals, the invariant-density spectrum and the
-stochastic rows must match at rtol 1e-9 / atol 1e-12, so a refactor cannot
-drift the numbers unseen.
+Verdicts and ranks must match exactly.  Decay points, the kappa of the
+group-inverse certificate, projection residuals, the invariant-density
+spectrum and the stochastic rows must match at rtol 1e-9 / atol 1e-12, so a
+refactor cannot drift the numbers unseen.
 
 The data file is written by running this module as a script from the
 repository root:

@@ -407,7 +407,7 @@ def test_emitted_mean_factors_rebuild_the_projector(tmp_path):
         out = tmp_path / f"{sc.name}.json"
         emit(run(sc), "report-json", out)
         report = load_report(out)
-        assert report.data["schema_version"] == "1.1"
+        assert report.data["schema_version"] == "1.2"
         mean = report.data["results"]["mean"]
         algebra = sc.algebra
         units = [algebra.from_vec(u) for u in np.eye(algebra.dim)]
@@ -454,6 +454,26 @@ def test_heisenberg_run_computes_one_mean_projection(monkeypatch):
     monkeypatch.setattr(neveu, "mean_ergodic_projection", counting_projection)
     assert run(sc).passed
     assert calls == ["schrodinger"]
+
+
+def test_heisenberg_run_scans_each_picture_for_summands_once(monkeypatch):
+    """The split into uncoupled summands is cached on each action: a
+    Heisenberg run of every task scans its action and the density picture
+    once each, though the projection, the fixed space, the dual projection
+    and the spectrum all read the split."""
+    (sc,) = [s for s in gallery() if s.name == "classical-transient-chain"]
+    scans = []
+    scan = SemigroupAction._scan_summands
+
+    def counting_scan(self):
+        scans.append(self.picture)
+        return scan(self)
+
+    monkeypatch.setattr(SemigroupAction, "_scan_summands", counting_scan)
+    report = run(sc)
+    assert {"decompose", "mean", "certify", "stochastic"} <= set(report.data["results"])
+    assert sorted(scans) == ["heisenberg", "schrodinger"]
+    assert len(sc.action._summands()) == 2
 
 
 def test_heisenberg_run_dualises_the_mean_projection_once(monkeypatch):

@@ -393,14 +393,20 @@ class Projection(Operator):
         """Build sum_k v_k v_k* blockwise from orthonormal column lists.
 
         The caller vouches for orthonormality; a block's rank is its column
-        count, and an empty (or ``None``) list gives a zero block.
+        count, and an empty (or ``None``) list gives a zero block.  n
+        orthonormal columns span C^n: such a block is exactly the identity.
         """
         Vs = [
             np.column_stack(cols) if cols else np.zeros((n, 0), dtype=complex)
             for n, cols in zip(algebra.blocks, vec_lists)
         ]
         return cls._built(
-            algebra, [V @ V.conj().T for V in Vs], [V.shape[1] for V in Vs]
+            algebra,
+            [
+                np.eye(n, dtype=complex) if V.shape[1] == n else V @ V.conj().T
+                for n, V in zip(algebra.blocks, Vs)
+            ],
+            [V.shape[1] for V in Vs],
         )
 
     def complement(self):

@@ -43,7 +43,7 @@ def _add_common(p, need_scenario=True):
     )
     p.add_argument("--seed", type=int, help="override the scenario seed")
     p.add_argument(
-        "--tol-fixed", type=float, help="fixed-point eigenvalue cluster tolerance"
+        "--tol-fixed", type=float, help="rank cutoff on singular values of S - 1 or L"
     )
     p.add_argument("--decay-tol", type=float, help="decay pass threshold")
     p.add_argument(

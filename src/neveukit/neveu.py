@@ -13,8 +13,8 @@ projection e2 is itself a weakly wandering witness: the observable-picture
 averages A_a(e2) decay in operator norm, which is certified on a finite
 schedule rather than assumed.
 
-The mean ergodic projection is computed spectrally (Schur form plus a
-Sylvester solve per generator, intersected across generators) and then
+The mean ergodic projection is computed from one SVD per generator (the
+null vectors of G = S - 1, multiplied across generators) and then
 certified by its group inverse (C. D. Meyer, SIAM Review 17, 1975): a
 singular P - G, or kappa = ||(P - G)^-1||_1 above ``KAPPA_BOUND``, raises
 instead of returning a silently wrong projector (:func:`_group_inverse`).
@@ -29,12 +29,12 @@ again in its own picture.
 
 When no generator moves mass between two groups of algebra blocks, L1
 splits into invariant central summands, and E, its fixed space and the
-averages split the same way.  The spectral work (Schur forms, the
-fixed-space SVD, the group inverses, the residuals) then runs once per
-uncoupled summand, E holds exact zeros between summands, and each
-fixed-basis element lives in one summand.  Every check stays that of the
-whole matrices: one SVD rank cutoff over all summands, Frobenius residuals
-combined as the 2-norm of the per-summand ones, and kappa as its maximum.
+averages split the same way.  The spectral work (the SVDs, the group
+inverses, the residuals) then runs once per uncoupled summand, E holds
+exact zeros between summands, and each fixed-basis element lives in one
+summand.  Every check stays that of the whole matrices: one SVD rank
+cutoff over all summands, Frobenius residuals combined as the 2-norm of
+the per-summand ones, and kappa as its maximum.
 The action caches its summands only: callers that reuse a projection pass
 it on with ``projection=``, as the tasks of one scenario run do.
 """
@@ -76,7 +76,6 @@ __all__ = [
     "wandering_sum",
 ]
 
-FIXED_SVD_TOL = 1e-9
 PROJECTION_RESIDUAL_TOL = 1e-9
 INVARIANCE_TOL = 1e-9
 ABSENCE_TOL = 1e-12
@@ -85,9 +84,10 @@ ORTHOGONALITY_TOL = 1e-10
 DEFAULT_SCHEDULE = (1, 2, 4, 8, 16, 32, 64)
 SLOPE_WINDOW = 5
 SLOPE_THRESHOLD = -0.9
-# on the hard spectra (an eigenvalue 1 - delta beside 1) ||E - E*||_F is at
-# most 4.3 u kappa (u = 2^-53), so kappa <= 1e-9 / (4 u) = 2.25e6 keeps it
-# near 1e-9; a factor 4.5 would refuse the chain at delta = 1e-6 (kappa 2e6)
+# on the hard spectra (an eigenvalue 1 - delta beside 1, alone or in a
+# Jordan block), the SVD projector is off by ||E - E*||_F <= 0.86 u kappa
+# (u = 2^-53; 2.5e-16 where G is normal), so kappa <= 1e-9 / (4 u) = 2.25e6
+# keeps it under 2.2e-10, a factor 4.6 inside the residual tolerance
 KAPPA_BOUND = PROJECTION_RESIDUAL_TOL / (4 * 2.0**-53)
 
 
@@ -107,29 +107,40 @@ def _stacked_generator_matrices(action):
     return [m - eye for m in mats]
 
 
-def fixed_space(action, tol=FIXED_SVD_TOL):
+def fixed_space(action, tol=1e-9):
     """tau-orthonormal basis of the joint fixed subspace of the action.
 
     Stacks the generator conditions (S_i - 1, or the flow generators L_i)
-    and reads the null space off one SVD per uncoupled central summand of
-    the action; singular values below tol * max(1, sigma_max), with
-    sigma_max the largest over all summands, count as zero, which is the
-    rank the SVD of the whole stacked matrix decides.  Each basis element
-    lives in one summand, and the elements come summand by summand.
+    and reads the null space off one SVD per uncoupled central summand,
+    cut as the whole stacked matrix is (:func:`_null_spaces`).  Each basis
+    element lives in one summand, and the elements come summand by summand.
     """
     action.require_commuting()
     parts = action._summands()
-    svds = [
-        np.linalg.svd(
-            np.vstack(_stacked_generator_matrices(sub)), full_matrices=False
-        )
-        for _, sub in parts
-    ]
+    stacks = [np.vstack(_stacked_generator_matrices(sub)) for _, sub in parts]
+    return _fixed_basis(action.algebra, parts, _null_spaces(stacks, tol))
+
+
+def _null_spaces(mats, tol):
+    """``[(X, F)]`` for the summand pieces ``mats`` of one block-diagonal
+    matrix: its right null vectors as columns and its left ones as rows, by
+    one SVD per piece.  Singular values up to tol * max(1, sigma_max), with
+    sigma_max the largest of all pieces, count as zero: the rank the SVD of
+    the whole matrix decides.  A stacked (tall) matrix gets only part of F."""
+    svds = [np.linalg.svd(m, full_matrices=False) for m in mats]
     cutoff = tol * max(1.0, *(sig[0] for _, sig, _ in svds))
-    algebra = action.algebra
+    nulls = []
+    for u, sig, vh in svds:
+        r = int(np.sum(sig > cutoff))
+        nulls.append((vh[r:].conj().T, u[:, r:].conj().T))
+    return nulls
+
+
+def _fixed_basis(algebra, parts, nulls):
+    """The fixed basis from the null spaces ``nulls`` of the summands
+    ``parts``, tau-orthonormal per summand and embedded in the algebra."""
     basis = []
-    for (coords, sub), (_, sig, vh) in zip(parts, svds):
-        null = vh[int(np.sum(sig > cutoff)):].conj().T
+    for (coords, sub), (null, _) in zip(parts, nulls):
         ortho, _ = _tau_orthonormal(null, sub.algebra.weight_vec)
         vecs = np.zeros((algebra.dim, ortho.shape[1]), dtype=complex)
         vecs[coords] = ortho
@@ -154,30 +165,6 @@ def _vec_columns(elements, dim):
     matrix (dim x 0 for no elements)."""
     vecs = np.array([y.vec() for y in elements], dtype=complex)
     return vecs.reshape(len(elements), dim).T
-
-
-def _cluster_projector(mat, center, tol):
-    """Spectral projector onto the eigenvalue cluster |lambda - center| <= tol.
-
-    Complex Schur form with the cluster sorted to the top-left, then one
-    Sylvester solve for the invariant complement:
-    P = Q [[I, Y], [0, 0]] Q*.
-    """
-    dim = mat.shape[0]
-    t, q, sdim = scipy.linalg.schur(
-        mat, output="complex", sort=lambda lam: abs(lam - center) <= tol
-    )
-    k = int(sdim)
-    if k == 0:
-        return np.zeros((dim, dim), dtype=complex)
-    if k == dim:
-        return np.eye(dim, dtype=complex)
-    t11, t12, t22 = t[:k, :k], t[:k, k:], t[k:, k:]
-    y = scipy.linalg.solve_sylvester(t11, -t22, t12)
-    inner = np.zeros((dim, dim), dtype=complex)
-    inner[:k, :k] = np.eye(k)
-    inner[:k, k:] = y
-    return q @ inner @ q.conj().T
 
 
 @dataclass(frozen=True)
@@ -215,33 +202,48 @@ class MeanErgodicProjection:
 def mean_ergodic_projection(action, tol_fixed=1e-9):
     """The limit projector E of the Foelner averages A_a of the action.
 
-    Per generator the eigenvalue cluster at 1 (at 0 for flow generators) is
-    split off in Schur form; the commuting per-generator projectors are then
-    multiplied.  Four independent validations guard the result: idempotency
-    and generator invariance residuals, agreement of its range with the SVD
-    fixed space (in rank, then as subspaces through the factor residual
+    Per generator, one SVD of G = S - 1 (L for a flow) gives its right and
+    left null vectors X and F, cut at ``tol_fixed`` (:func:`_null_spaces`),
+    and P = X (F X)^-1 F, since the eigenvalue 1 of a contraction is
+    semisimple (M. M. Wolf, Quantum Channels & Operations, 2012); the
+    commuting per-generator projectors are then multiplied.  Four
+    independent validations guard the result: idempotency and generator
+    invariance residuals, agreement of its range with the SVD fixed space
+    (in rank, then as subspaces through the factor residual
     ``||X F - E||_F``), and the :func:`_group_inverse` certificate of each
-    generator's projector; commuting generators have commuting spectral
-    projections, so certified factors make E the joint one.  A finite
-    group's E is the exact group average, with kappa None.
+    generator's projector, which also refuses a wrong rank cut; commuting
+    generators have commuting spectral projections, so certified factors
+    make E the joint one.  With one generator, that SVD also gives the fixed
+    space.  A finite group's E is the exact group average, with kappa None.
     The residuals ``||E^2 - E||`` and ``||S E - E||``, ``||E S - E||`` (for
     flows ``||L E||``, ``||E L||`` over ``max(1, ||L||_2)``) are Frobenius
     norms, upper bounds on the spectral norm, checked against 1e-9.
 
     When no generator couples two groups of algebra blocks, E splits along
-    these uncoupled central summands: the Schur forms, the fixed-space SVD,
-    the group inverses and the residuals run per summand, E holds exact
-    zeros between summands, and each fixed-basis element lives in one
-    summand.  Every check stays that of the whole matrices: Frobenius
-    residuals combine as the 2-norm of the per-summand ones, kappa (of a
-    block-diagonal inverse) is the maximum over summands, and the spectral
-    rank must match the fixed-space dimension in each summand and in total.
+    these uncoupled central summands: the SVDs, the group inverses and the
+    residuals run per summand, E holds exact zeros between summands, and
+    each fixed-basis element lives in one summand.  Every check stays that
+    of the whole matrices: Frobenius residuals combine as the 2-norm of the
+    per-summand ones, kappa (of a block-diagonal inverse) is the maximum
+    over summands, and the spectral rank must match the fixed-space
+    dimension in each summand and in total.
     """
     action.require_commuting()
     algebra = action.algebra
     dim = algebra.dim
     parts = action._summands()
-    pieces, kappas = zip(*(_summand_projector(sub, tol_fixed) for _, sub in parts))
+    conditions = [_stacked_generator_matrices(sub) for _, sub in parts]
+    joint = _null_spaces([np.vstack(c) for c in conditions], tol_fixed)
+    basis = _fixed_basis(algebra, parts, joint)
+    if action.scheme.kind == "finite-group":
+        pieces, kappa = [average_super(sub, 1).matrix for _, sub in parts], None
+    else:
+        # one generator: its null spaces are the joint ones
+        each = [joint] if len(conditions[0]) == 1 else [
+            _null_spaces(mats, tol_fixed) for mats in zip(*conditions)
+        ]
+        pieces, kappas = zip(*map(_summand_projector, conditions, zip(*each)))
+        kappa = max(kappas)
     if len(parts) == 1:
         e = pieces[0]
     else:
@@ -250,7 +252,6 @@ def mean_ergodic_projection(action, tol_fixed=1e-9):
             e[_square(coords)] = piece
 
     residuals = _projector_residuals(parts, e)
-    basis = fixed_space(action, tol=FIXED_SVD_TOL)
     ranks = [int(round(np.trace(piece).real)) for piece in pieces]
     rank = sum(ranks)
     if rank != len(basis):
@@ -277,7 +278,6 @@ def mean_ergodic_projection(action, tol_fixed=1e-9):
         algebra.operator([m.T for m in algebra.from_vec(row / w).block_mats])
         for row in f
     ]
-    kappa = None if kappas[0] is None else max(kappas)
     cross = {"kappa": kappa, "kappa_bound": KAPPA_BOUND}
     sup = SuperOperator(algebra, e, source="mean-ergodic-projection")
     return MeanErgodicProjection(
@@ -285,25 +285,23 @@ def mean_ergodic_projection(action, tol_fixed=1e-9):
     )
 
 
-def _summand_projector(action, tol_fixed):
-    """``(E, kappa)`` for one uncoupled summand: the product of the
-    per-generator cluster projectors with the largest kappa of their
-    group-inverse certificates, or the group average with None."""
-    if action.scheme.kind == "finite-group":
-        return average_super(action, 1).matrix, None
-    eye = np.eye(action.algebra.dim, dtype=complex)
-    flow = action.scheme.kind == "r-plus-cube"
-    e, kappas = eye, []
-    for m in action.matrices:
-        p = _cluster_projector(m, 0.0 if flow else 1.0, tol_fixed)
-        kappas.append(_group_inverse(p, m if flow else m - eye)[1])
-        e = p @ e
+def _summand_projector(gens, nulls):
+    """``(E, kappa)`` on one uncoupled summand: the product of the
+    projectors X (F X)^-1 F of the generator conditions ``gens`` with their
+    null spaces ``nulls``, and the largest kappa of their certificates."""
+    e, kappas = None, []
+    for g, (x, f) in zip(gens, nulls):
+        # a singular F X (the cut null vectors meet the range of G) leaves a
+        # P that is no projector, which the certificate or residuals refuse
+        p = x @ np.linalg.pinv(f @ x) @ f
+        kappas.append(_group_inverse(p, g)[1])
+        e = p if e is None else p @ e
     return e, max(kappas)
 
 
 def _group_inverse(p, g):
     """``(Z, kappa)``: Z = (P - G)^-1 by one LU and kappa = ||Z||_1, for a
-    cluster projector P and G = S - 1 (L for a flow); raises
+    null-space projector P and G = S - 1 (L for a flow); raises
     :class:`MeanErgodicValidationError` when P - G is singular or kappa
     exceeds ``KAPPA_BOUND``.
 
@@ -659,12 +657,7 @@ def _decompose(schr, heis, proj, e_heis, schedule, seed, decay_tol):
     verdicts["orthogonality"] = "pass" if ortho <= ORTHOGONALITY_TOL else "fail"
     detail["density_on_e2"] = float(ortho)
 
-    ws = wandering_sum([e2])
-    # an e2 of rank 0 is zero up to the rounding of a full-rank e1, which
-    # support would refuse as not positive
-    sup_ws = support(ws) if any(e2.ranks) else Projection.from_eigvecs(
-        algebra, [None] * algebra.n_blocks
-    )
+    sup_ws = support(wandering_sum([e2]))
     agree = sup_ws.ranks == e2.ranks and op_norm(sup_ws - e2) <= UNIQUENESS_TOL
     verdicts["wandering_sum_agreement"] = "pass" if agree else "fail"
 

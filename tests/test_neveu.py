@@ -259,20 +259,21 @@ def test_mean_projection_validation_catches_a_wrong_fixed_subspace(monkeypatch):
     """A tau-orthonormal basis of the right dimension but the wrong subspace
     passes a rank comparison; the factor residual must refuse it."""
     wrong = E00 * np.sqrt(2.0)  # tau(wrong* wrong) = 1, but 1 spans the fixed space
-    monkeypatch.setattr(neveu, "fixed_space", lambda action, tol: [wrong])
+    monkeypatch.setattr(neveu, "_fixed_basis", lambda algebra, parts, nulls: [wrong])
     with pytest.raises(MeanErgodicValidationError, match="not the fixed space"):
         mean_ergodic_projection(AD)
 
 
 def test_mean_projection_validation_catches_1e8_perturbation(monkeypatch):
-    exact = neveu._cluster_projector
+    exact = neveu._summand_projector
     noise = np.random.default_rng(11).standard_normal((4, 4))
     noise *= 1e-8 / np.linalg.norm(noise, 2)
 
-    def perturbed(mat, center, tol):
-        return exact(mat, center, tol) + noise
+    def perturbed(gens, nulls):
+        e, kappa = exact(gens, nulls)
+        return e + noise, kappa
 
-    monkeypatch.setattr(neveu, "_cluster_projector", perturbed)
+    monkeypatch.setattr(neveu, "_summand_projector", perturbed)
     # a fresh action: the projection of AD may already be memoised
     with pytest.raises(MeanErgodicValidationError, match="residuals"):
         mean_ergodic_projection(zplus_action(amplitude_damping(M2, 0.5)))
@@ -286,8 +287,8 @@ def test_mean_projection_validation_catches_a_dropped_fixed_direction(monkeypatc
     drop = np.zeros((4, 4))
     drop[0, 0] = 1.0  # vec coordinate 0 is the E00 entry
 
-    def dropping(action, tol_fixed):
-        e, kappa = exact(action, tol_fixed)
+    def dropping(gens, nulls):
+        e, kappa = exact(gens, nulls)
         return e - drop, kappa
 
     monkeypatch.setattr(neveu, "_summand_projector", dropping)
@@ -308,7 +309,7 @@ def test_mean_projection_validation_catches_a_summand_misplaced_basis(monkeypatc
     action = zplus_action(from_classical(algebra, kernel))
     assert len(action._summands()) == 2
     first = [algebra.diag([1.0, 1.0, 0.0, 0.0]), algebra.diag([1.0, -1.0, 0.0, 0.0])]
-    monkeypatch.setattr(neveu, "fixed_space", lambda action, tol: first)
+    monkeypatch.setattr(neveu, "_fixed_basis", lambda algebra, parts, nulls: first)
     with pytest.raises(MeanErgodicValidationError, match=r"\[1, 1\] != .* \[2, 0\]"):
         mean_ergodic_projection(action)
 
@@ -598,10 +599,36 @@ def summand_blocks(action):
     return groups
 
 
+def cluster_projector(mat, center, tol):
+    """Spectral projector onto the eigenvalue cluster |lambda - center| <= tol.
+
+    Complex Schur form with the cluster sorted to the top-left, then one
+    Sylvester solve for the invariant complement:
+    P = Q [[I, Y], [0, 0]] Q*.
+    """
+    dim = mat.shape[0]
+    t, q, sdim = scipy.linalg.schur(
+        mat, output="complex", sort=lambda lam: abs(lam - center) <= tol
+    )
+    k = int(sdim)
+    if k == 0:
+        return np.zeros((dim, dim), dtype=complex)
+    if k == dim:
+        return np.eye(dim, dtype=complex)
+    t11, t12, t22 = t[:k, :k], t[:k, k:], t[k:, k:]
+    y = scipy.linalg.solve_sylvester(t11, -t22, t12)
+    inner = np.zeros((dim, dim), dtype=complex)
+    inner[:k, :k] = np.eye(k)
+    inner[:k, k:] = y
+    return q @ inner @ q.conj().T
+
+
 def whole_matrix_projection(action):
-    """The oracle ``(E, kappa)``: the cluster projectors P of the generators
-    on the whole matrices, multiplied, and the largest ||(P - G)^-1||_1; a
-    finite group's E from its non-identity elements, with kappa None."""
+    """The oracle ``(E, kappa)``: the eigenvalue-cluster projectors P of the
+    generators on the whole matrices (Schur form and Sylvester solve, an
+    independent path from the SVD null spaces of the package), multiplied,
+    and the largest ||(P - G)^-1||_1; a finite group's E from its
+    non-identity elements, with kappa None."""
     flow = action.scheme.kind == "r-plus-cube"
     mats = action.matrices
     if action.scheme.kind == "finite-group":
@@ -609,7 +636,7 @@ def whole_matrix_projection(action):
     eye = np.eye(action.algebra.dim, dtype=complex)
     e, kappas = eye, []
     for m in mats:
-        p = neveu._cluster_projector(m, 0.0 if flow else 1.0, 1e-9)
+        p = cluster_projector(m, 0.0 if flow else 1.0, 1e-9)
         kappas.append(np.linalg.norm(np.linalg.inv(p - (m if flow else m - eye)), 1))
         e = p @ e
     return e, (None if action.scheme.kind == "finite-group" else max(kappas))
@@ -827,6 +854,32 @@ def test_fixed_space_cutoff_is_the_whole_matrix_one():
     assert len(fixed_space(action)) == 4 - whole_rank == 3
 
 
+@pytest.mark.parametrize("kind", ["zplus-box", "flow"])
+def test_one_generator_projection_takes_one_svd_per_summand(kind, monkeypatch):
+    """A swap beside a symmetric kernel: two summands, so the projector and
+    the fixed space of one generator come from two SVDs, one per summand."""
+    kernel = np.zeros((4, 4))
+    kernel[:2, :2] = [[0.0, 1.0], [1.0, 0.0]]
+    kernel[2:, 2:] = [[0.75, 0.25], [0.25, 0.75]]
+    algebra = TracialAlgebra.commutative([0.1, 0.2, 0.3, 0.4])
+    if kind == "flow":
+        flow = FolnerScheme("r-plus-cube", d=1)
+        action = SemigroupAction(algebra, "heisenberg", flow, [kernel - np.eye(4)])
+    else:
+        action = zplus_action(from_classical(algebra, kernel))
+    shapes = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    proj = mean_ergodic_projection(action)
+    assert proj.rank == 2
+    assert shapes == [(2, 2), (2, 2)]
+
+
 # ---------------------------------------------------------------------------
 # hard spectra: an eigenvalue 1 - delta near the fixed space
 # ---------------------------------------------------------------------------
@@ -835,33 +888,80 @@ HARD_SPECTRUM_TOL = 1e-9
 
 
 def _symmetric_kernel(delta):
-    return [[1 - delta / 2, delta / 2], [delta / 2, 1 - delta / 2]]
+    return [[1 - delta / 2, delta / 2], [delta / 2, 1 - delta / 2]], [0.5] * 2
 
 
 def _absorbing_chain(delta):
-    return [[1.0, 0.0, 0.0], [delta, 1 - delta, 0.0], [0.0, 1 - delta, delta]]
+    kernel = [[1.0, 0.0, 0.0], [delta, 1 - delta, 0.0], [0.0, 1 - delta, delta]]
+    return kernel, [1 / 3] * 3
 
 
-# (kernel, picture, delta); the exact E* is 1/2 ones for the symmetric kernel
-# in both pictures, and f -> f(0) 1 for the chain.  The certificate's kappa
-# is 1/delta (symmetric) and 2/delta (chain), so every delta below 1e-6 is
-# refused: the symmetric kernel at 1e-7 and 3e-8 and the chain at 1e-7 and
-# 1e-8 would otherwise return E off by 4.7e-9, 9.4e-10, 1.3e-9 and 9.7e-9.
+def _jordan_pair(delta):
+    """A Jordan block at 1 - delta: atom 1 moves to atom 2, which drains
+    into the absorbing atom 0.  Atom 1 weighs 1e4 times atom 2, so the
+    density-picture G holds 1e4 delta below its diagonal -delta."""
+    kernel = [[1.0, 0.0, 0.0], [0.0, 1 - delta, delta], [delta, 0.0, 1 - delta]]
+    return kernel, [0.5, 0.5e4 / (1 + 1e4), 0.5 / (1 + 1e4)]
+
+
+def _weighted_chain(delta):
+    """A Jordan block of size 8 at 1 - delta: atoms 1, ..., 8 move on one
+    by one, and atom 8 drains into the absorbing atom 0; each atom weighs
+    half of the one before."""
+    kernel = (1 - delta) * np.eye(9) + delta * np.roll(np.eye(9), 1, axis=1)
+    kernel[0] = np.eye(9)[0]
+    weights = 2.0 ** -np.arange(9)
+    return kernel, list(weights / weights.sum())
+
+
+# (kernel, picture, delta, returned); the exact E* is 1/n ones for the
+# symmetric kernel, and f -> f(0) 1 for the others in the observable picture.
+# The certificate's kappa is 1/delta (symmetric), 2/delta (chain), 3/delta
+# and 36/delta (Jordan pair, weighted chain) in the observable picture, and
+# 1e4/delta and 2.6e2/delta for the last two in the density picture, so every
+# kappa above 2.25e6 is refused.  In the density picture at delta = 1e-6 the
+# Jordan pair's sigma_r = 1.4e-10 falls under the rank cutoff 1e-9, and that
+# wrong rank raises too.
 HARD_SPECTRA = [
-    pytest.param(_symmetric_kernel, picture, delta, id=f"symmetric-{picture}-{delta:g}")
+    pytest.param(
+        _symmetric_kernel,
+        picture,
+        delta,
+        delta >= 1e-6,
+        id=f"symmetric-{picture}-{delta:g}",
+    )
     for picture in ("heisenberg", "schrodinger")
     for delta in (1e-9, 1e-8, 3e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3)
 ] + [
-    pytest.param(_absorbing_chain, "heisenberg", delta, id=f"absorbing-chain-{delta:g}")
+    pytest.param(
+        _absorbing_chain,
+        "heisenberg",
+        delta,
+        delta >= 1e-6,
+        id=f"absorbing-chain-{delta:g}",
+    )
     for delta in (1e-9, 1e-8, 1e-7, 1e-6, 1e-4, 1e-2)
+] + [
+    pytest.param(
+        kernel, picture, delta, delta >= smallest, id=f"{name}-{picture}-{delta:g}"
+    )
+    for kernel, name, smallest_returned in (
+        (_jordan_pair, "jordan-pair", {"heisenberg": 1e-4, "schrodinger": 1e-2}),
+        (_weighted_chain, "weighted-chain", {"heisenberg": 1e-4, "schrodinger": 1e-3}),
+    )
+    for picture, smallest in smallest_returned.items()
+    for delta in (1e-2, 1e-3, 1e-4, 1e-6)
 ]
 
 
-@pytest.mark.parametrize("kernel, picture, delta", HARD_SPECTRA)
-def test_hard_spectrum_gives_a_correct_projector_or_raises(kernel, picture, delta):
-    """From delta = 1e-6 up, E is returned and correct; below, it raises."""
+@pytest.mark.parametrize("kernel, picture, delta, returned", HARD_SPECTRA)
+def test_hard_spectrum_gives_a_correct_projector_or_raises(
+    kernel, picture, delta, returned
+):
+    """Where kappa is within its bound, E is returned and correct; where
+    it is not, or the rank cutoff is wrong, the projection raises."""
     action, exact = hard_spectrum_case(kernel, picture, delta)
-    if delta < 1e-6:
+    if not returned:
         with pytest.raises(MeanErgodicValidationError):
             mean_ergodic_projection(action)
         return
@@ -871,28 +971,52 @@ def test_hard_spectrum_gives_a_correct_projector_or_raises(kernel, picture, delt
 
 def hard_spectrum_case(kernel, picture, delta):
     """The action of a hard-spectra kernel and its exact E*."""
-    k = np.array(kernel(delta))
+    k, weights = kernel(delta)
+    k, w = np.array(k), np.array(weights)
     n = k.shape[0]
-    algebra = TracialAlgebra.commutative([1.0 / n] * n)
+    algebra = TracialAlgebra.commutative(weights)
     action = zplus_action(from_classical(algebra, k)).to_picture(picture)
     if kernel is _symmetric_kernel:
         exact = np.full((n, n), 1.0 / n)
     else:
         exact = np.zeros((n, n))
         exact[:, 0] = 1.0
+    if picture == "schrodinger":
+        # the dual under tau: E*_ij = E_ji w_j / w_i
+        exact = exact.T * w[None, :] / w[:, None]
     return action, exact
 
 
+@pytest.mark.parametrize(
+    "kernel, ratio", [(_jordan_pair, 2e-4), (_weighted_chain, 1e-2)]
+)
+def test_hard_spectra_hold_strongly_non_normal_generators(kernel, ratio):
+    """In the density picture, the smallest nonzero singular value of
+    G = S - 1 lies far below delta, its smallest nonzero |eigenvalue|: the
+    inputs where an SVD rank cutoff and an eigenvalue cluster disagree.  In
+    the observable picture G is the row-substochastic kernel minus 1, whose
+    sigma_r stays within the chain length of delta (1.0 and 0.35 delta)."""
+    for delta in (1e-2, 1e-4):
+        action, _ = hard_spectrum_case(kernel, "schrodinger", delta)
+        (m,) = action.matrices
+        g = m - np.eye(m.shape[0])
+        lam = np.sort(np.abs(np.linalg.eigvals(g)))
+        assert lam[0] <= 1e-15 and lam[1] == pytest.approx(delta, rel=1e-3)
+        assert np.linalg.svd(g, compute_uv=False)[-2] <= ratio * delta
+
+
 def test_mean_projection_validation_catches_an_ill_conditioned_cluster(monkeypatch):
-    """The symmetric kernel at delta = 1e-7 leaves its eigenvalue 1 - delta
-    outside the cluster at 1.  The projector passes every residual and rank
-    check and is still off by 4.7e-9; only its kappa = 1e7 refuses it."""
+    """The symmetric kernel at delta = 1e-7 puts its eigenvalue 1 - delta
+    beside 1, and kappa = 1e7 refuses the projector.  G is normal, so its
+    SVD is its eigendecomposition and the refused E is exact to rounding:
+    the bound refuses on kappa alone, as it must where G is not normal."""
     action, exact = hard_spectrum_case(_symmetric_kernel, "heisenberg", 1e-7)
     with pytest.raises(MeanErgodicValidationError, match="1.000e\\+07 above"):
         mean_ergodic_projection(action)
     monkeypatch.setattr(neveu, "KAPPA_BOUND", np.inf)
     proj = mean_ergodic_projection(action)
-    assert np.linalg.norm(proj.superop.matrix - exact) > HARD_SPECTRUM_TOL
+    assert proj.cross_validation["kappa"] == pytest.approx(1e7, rel=1e-6)
+    assert np.linalg.norm(proj.superop.matrix - exact) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -1014,8 +1138,9 @@ def test_decompose_classical_absorbing_chain():
 
 def test_decompose_a_rotated_automorphism_with_no_wandering_corner():
     """Conjugation by a rotated 3-cycle on M_3 conserves everything, so
-    e2 = 1 - e1 has rank 0 but holds the rounding of e1; the wandering-sum
-    check must read it as the zero projection, not ask for its support."""
+    e1 is the support of a full-rank density: exactly the identity, and
+    e2 = 1 - e1 is exactly zero, whose support the wandering-sum check
+    takes."""
     M3 = TracialAlgebra.full_matrix(3)
     w = random_unitary(3, np.random.default_rng(1))
     cycle = np.roll(np.eye(3), 1, axis=0)
@@ -1023,7 +1148,7 @@ def test_decompose_a_rotated_automorphism_with_no_wandering_corner():
     gen = from_conjugation(M3, [w @ cycle @ w.conj().T])
     dec = neveu_decompose(SemigroupAction(M3, "heisenberg", scheme, [gen]))
     assert dec.e2.ranks == (0,)
-    assert 0.0 < op_norm(dec.e2) <= 1e-12
+    assert op_norm(dec.e2) == 0.0
     assert dec.verdicts["wandering_sum_agreement"] == "pass"
 
 

@@ -230,24 +230,27 @@ def test_run_produces_passing_report():
 
 
 def test_decompose_mean_certify_share_one_schrodinger_projection(monkeypatch):
-    import scipy.linalg
-
     doc = base_doc()
     doc["tasks"] = ["decompose", "mean", "certify"]
     sc = scenario_from_dict(doc)
-    calls = []
-    schur = scipy.linalg.schur
+    (s,) = sc.action.to_picture("schrodinger").matrices
+    density_g = s - np.eye(4)
+    shapes, matches = [], []
+    svd = np.linalg.svd
 
-    def counting_schur(*args, **kwargs):
-        calls.append(1)
-        return schur(*args, **kwargs)
+    def counting_svd(a, *args, **kwargs):
+        shapes.append(a.shape)
+        matches.append(a.shape == (4, 4) and np.allclose(a, density_g, atol=1e-15))
+        return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
     report = run(sc)
     assert report.passed
-    # one Schur form for the single generator: decompose and certify share
-    # the Schroedinger projection, and mean reads its dual
-    assert len(calls) == 1
+    # one SVD of the density-picture G = S - 1 for the single generator:
+    # decompose and certify share the Schroedinger projection, mean reads
+    # its dual, and every other SVD is of a 2 x 2 algebra block
+    assert shapes.count((4, 4)) == sum(matches) == 1
+    assert set(shapes) <= {(4, 4), (2, 2)}
 
 
 def near_degenerate_kernel_doc(tasks):

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
+import scipy  # scipy.linalg loads on first use, in _orbit_vectors of a flow
 
 from .algebra import (
     BOUNDARY_SNAP,

@@ -31,7 +31,9 @@ integrals involving the matrix exponential", IEEE TAC 23(3), 1978): the
 top-right block of expm(a [[L_i, B], [0, 0]]) is int_0^a exp(t L_i) dt B.
 :func:`averages` takes B = vec(x), a single column, and :func:`average_super`
 takes B = 1.  ``scipy.linalg.expm`` handles defective generators directly,
-so no generator needs a fallback.
+so no generator needs a fallback.  The module imports plain ``scipy``, which
+loads its ``linalg`` subpackage on the first ``scipy.linalg`` lookup: only a
+flow run pays for that import.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from .algebra import Operator, TracialAlgebra
 from .maps import (

@@ -45,7 +45,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import (
     Operator,
@@ -151,12 +150,12 @@ def _fixed_basis(algebra, parts, nulls):
 def _tau_orthonormal(cols, w):
     """``(cols L^-*, L)``: a tau-orthonormal basis of the span of the vec
     columns ``cols``, with L L* the Cholesky factorisation of their Gram
-    matrix cols* W cols under the trace weights ``w``."""
+    matrix cols* W cols under the trace weights ``w``.  cols L^-* is
+    (L^-1 cols*)*, by a numpy solve with the triangular L (r x r for r
+    fixed directions, so its LU costs no more than the Gram matrix)."""
     gram = cols.conj().T @ (w[:, None] * cols)
     chol = np.linalg.cholesky(gram)
-    ortho = scipy.linalg.solve_triangular(
-        chol, cols.conj().T, lower=True
-    ).conj().T
+    ortho = np.linalg.solve(chol, cols.conj().T).conj().T
     return ortho, chol
 
 

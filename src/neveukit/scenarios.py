@@ -27,6 +27,7 @@ Formats understood by :func:`render` and :func:`emit`:
 from __future__ import annotations
 
 import cmath
+import functools
 import importlib.resources
 import json
 import math
@@ -94,9 +95,11 @@ def _data_root():
     return importlib.resources.files("neveukit") / "data"
 
 
-def _schema():
+@functools.cache
+def _validator():
+    """The scenario schema's validator, read and built once per process."""
     with (_data_root() / "scenario.schema.json").open("r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return jsonschema.Draft202012Validator(json.load(fh))
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +237,7 @@ def _finite_tolerances(tolerances, origin):
 
 def scenario_from_dict(doc, origin="<dict>"):
     """Validate a scenario document and build its objects."""
-    validator = jsonschema.Draft202012Validator(_schema())
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
+    errors = sorted(_validator().iter_errors(doc), key=lambda e: list(e.absolute_path))
     if errors:
         err = errors[0]
         path = "/".join(str(p) for p in err.absolute_path) or "<root>"

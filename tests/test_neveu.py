@@ -490,6 +490,49 @@ def test_dual_projection_checks_what_it_is_given():
         neveu._dual_projection(noisy, AD, dual(noisy.superop))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    blocks=st.lists(
+        st.tuples(st.integers(1, 3), st.floats(0.05, 2.0)), min_size=1, max_size=3
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    log_cond=st.floats(0.0, 8.0),
+    data=st.data(),
+)
+def test_tau_orthonormal_matches_the_triangular_solve(blocks, seed, log_cond, data):
+    """cols L^-* by a general solve with the Cholesky factor L agrees with
+    scipy's triangular solve, and is tau-orthonormal, for 1 to D columns
+    whose weighted Gram matrix has condition number up to 1e8; and the
+    conserved functionals X conj(L) that ``_dual_projection`` pairs with it
+    give the identity, evaluated as traces of operator products.  The
+    observable-picture projections of real actions are checked in
+    ``test_dual_projection_is_the_heisenberg_mean_projection``."""
+    algebra = TracialAlgebra([n for n, _ in blocks], [w for _, w in blocks])
+    dim, w = algebra.dim, algebra.weight_vec
+    r = data.draw(st.integers(1, dim), label="columns")
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r))
+    u = np.linalg.qr(g)[0]
+    sig = np.logspace(0.0, -log_cond / 2, r)
+    # cols* W cols = V diag(sig^2) V*, with condition number (sig_0 / sig_r)^2
+    cols = (u * sig) @ random_unitary(r, rng).conj().T / np.sqrt(w)[:, None]
+    cond = (sig[0] / sig[-1]) ** 2
+    ortho, chol = neveu._tau_orthonormal(cols, w)
+    oracle = scipy.linalg.solve_triangular(chol, cols.conj().T, lower=True).conj().T
+    eye = np.eye(r)
+    root = np.sqrt(w)[:, None]
+    gram = (root * ortho).conj().T @ (root * ortho)
+    assert np.linalg.norm(gram - eye, 2) <= 1e-12 * cond
+    assert np.linalg.norm(root * (ortho - oracle), 2) <= 1e-12 * cond
+    # x_j with tau(psi_i x_j) = delta_ij for the psi_i = the columns
+    perm = neveu._transpose_perm(algebra.blocks)
+    xs = np.linalg.pinv((w[:, None] * cols[perm]).T)
+    conserved = [algebra.from_vec(v) for v in (xs @ chol.conj()).T]
+    fixed = [algebra.from_vec(v) for v in ortho.T]
+    paired = np.array([[trace(c @ f) for f in fixed] for c in conserved]).reshape(r, r)
+    assert np.linalg.norm(paired - eye, 2) <= 1e-12 * cond
+
+
 def test_mean_projection_finite_group():
     swap = from_conjugation(M2, [np.array([[0.0, 1.0], [1.0, 0.0]])])
     scheme = FolnerScheme("finite-group", order=2, table=((0, 1), (1, 0)))

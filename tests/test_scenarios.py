@@ -94,6 +94,27 @@ def test_schema_rejects_bad_picture():
         scenario_from_dict(doc)
 
 
+def test_schema_validator_is_built_once(monkeypatch):
+    """The schema file is read on the first validation only, and a bad
+    document gets the same message before and after a valid one."""
+    from neveukit import scenarios
+
+    reads = []
+    data_root = scenarios._data_root
+    monkeypatch.setattr(scenarios, "_data_root", lambda: reads.append(1) or data_root())
+    scenarios._validator.cache_clear()
+    bad = base_doc()
+    bad["action"]["picture"] = "interaction"
+    messages = []
+    for doc in (bad, base_doc(), bad):
+        try:
+            scenario_from_dict(doc)
+        except ScenarioError as exc:
+            messages.append(str(exc))
+    assert len(reads) == 1
+    assert len(messages) == 2 and messages[0] == messages[1]
+
+
 def test_kernel_row_sum_error_names_row():
     doc = base_doc()
     doc["algebra"] = {"blocks": [1, 1], "weights": [0.5, 0.5], "normalized": True}

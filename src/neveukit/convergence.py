@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy  # scipy.linalg loads on first use, in _orbit_vectors of a flow
 
 from .algebra import (
     BOUNDARY_SNAP,
@@ -51,7 +50,7 @@ from .algebra import (
     op_norm,
     trace_norm,
 )
-from .dynamics import _average_stacks
+from .dynamics import _average_stacks, _expm
 from .maps import CheckReport, PreconditionError
 from .neveu import (
     DEFAULT_SCHEDULE,
@@ -651,7 +650,7 @@ def _orbit_vectors(action, x, a):
         times = np.linspace(0.0, float(a), 17)
         cols = [v]
         for L in action.matrices:
-            flows = [scipy.linalg.expm(t * L) for t in times]
+            flows = [_expm(t * L) for t in times]
             cols = [f @ c for c in cols for f in flows]
         return cols
     a = int(a)

@@ -14,8 +14,9 @@ and ``results.mean.dual_basis`` the conserved functionals psi_i of the dual
 action (conserved observables when the scenario is in the density picture),
 with ``factor_residual`` the Frobenius gap between the factored and the
 dense E.  :func:`render` turns a report into the text of one format, and
-:func:`emit` writes that text to a file atomically (temp file then rename);
-the command line prints the same text when no output file is given.
+:func:`emit` writes that text to a file, by a temp file and a rename unless
+the target is a FIFO, a device or a symlink; the command line prints the
+same text when no output file is given.
 
 Formats understood by :func:`render` and :func:`emit`:
 
@@ -35,6 +36,7 @@ import math
 import numbers
 import os
 import re
+import stat
 import tempfile
 import time
 from dataclasses import dataclass
@@ -799,7 +801,13 @@ def _write_json(o, ind, parts):
         parts.append(json.dumps(o))
 
 
-def _atomic_write(path, text):
+def _write_text(path, text):
+    """Write ``text`` to ``path``; a rename would replace a FIFO, a device or
+    a symlink by a regular file, so those are written through."""
+    if os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        return
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
@@ -849,8 +857,8 @@ def render(report, fmt):
 
 
 def emit(report, fmt, out_path):
-    """Write :func:`render` of the report to ``out_path``, atomically."""
-    _atomic_write(out_path, render(report, fmt))
+    """Write :func:`render` of the report to ``out_path`` (see :func:`_write_text`)."""
+    _write_text(out_path, render(report, fmt))
     return out_path
 
 

@@ -1,12 +1,12 @@
-"""A cold start loads neither ``scipy.linalg`` (but for a flow) nor
-``jsonschema``.
+"""A cold start loads neither ``scipy`` nor ``jsonschema``.
 
 Each check runs in a fresh interpreter, since a module once imported stays
-in ``sys.modules`` for the rest of the process.  The package imports plain
-``scipy``; its ``linalg`` subpackage is loaded on the first
-``scipy.linalg`` lookup, which only the matrix exponentials of an
-``r-plus-cube`` action make.  Scenario documents are checked against the
-shipped schema by the package itself, so no run imports ``jsonschema``.
+in ``sys.modules`` for the rest of the process.  The package depends on
+numpy alone: the flow averages of an ``r-plus-cube`` action take the
+package's own matrix exponential, and scenario documents are checked
+against the shipped schema by the package itself.  So no run imports scipy
+or jsonschema, and every gallery scenario also runs in an interpreter that
+refuses to import scipy.
 """
 
 import json
@@ -17,13 +17,21 @@ import sys
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-# prints its findings as one JSON line; "linalg" is whether scipy.linalg is
-# loaded, "jsonschema" whether jsonschema is
-GALLERY_RUN = """
-import json, os, sys, tempfile
+# prints its findings as one JSON line; "scipy" is whether any scipy module
+# is loaded, "jsonschema" whether jsonschema is.  The runs taken are named by
+# the first argument: "flow" (the r-plus-cube scenarios), "non-flow" or "all".
+LOADED = """
+import sys
+
+def loaded(top):
+    return any(m == top or m.startswith(top + ".") for m in sys.modules)
+"""
+
+GALLERY_RUN = LOADED + """
+import json, os, tempfile
 from neveukit import cli, scenarios
 
-flow = sys.argv[1] == "flow"
+which = sys.argv[1]
 data = os.path.join(os.path.dirname(scenarios.__file__), "data")
 codes = {}
 with tempfile.TemporaryDirectory() as tmp:
@@ -31,18 +39,32 @@ with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(data, name + ".scn")
         with open(path, encoding="utf-8") as fh:
             kind = json.load(fh)["action"]["scheme"]["kind"]
-        if (kind == "r-plus-cube") == flow:
+        flow = "flow" if kind == "r-plus-cube" else "non-flow"
+        if which in ("all", flow):
             out = os.path.join(tmp, name + ".json")
             codes[name] = cli.main(["run", "--scenario", path, "--out", out])
 print(json.dumps({
     "codes": codes,
-    "linalg": "scipy.linalg" in sys.modules,
-    "jsonschema": "jsonschema" in sys.modules,
+    "scipy": loaded("scipy"),
+    "jsonschema": loaded("jsonschema"),
 }))
 """
 
-DOCUMENT_RUN = """
-import json, sys
+# a finder ahead of every other one on sys.meta_path that refuses scipy
+REFUSE_SCIPY = """
+import sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ModuleNotFoundError(f"no module named {name!r} here", name=name)
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+"""
+
+DOCUMENT_RUN = LOADED + """
+import json
 from neveukit import scenarios
 
 doc = json.load(sys.stdin)
@@ -52,8 +74,8 @@ canonical = report.canonical_bytes()
 print(json.dumps({
     "verdicts": report.data["verdicts"],
     "sizes": [len(text), len(canonical)],
-    "linalg": "scipy.linalg" in sys.modules,
-    "jsonschema": "jsonschema" in sys.modules,
+    "scipy": loaded("scipy"),
+    "jsonschema": loaded("jsonschema"),
 }))
 """
 
@@ -102,9 +124,9 @@ def star_damping_doc():
 
 def test_import_leaves_scipy_linalg_unloaded():
     # every test here also finds jsonschema unloaded
-    code = (
-        "import json, sys, neveukit\n"
-        "print(json.dumps([m in sys.modules for m in ('scipy.linalg', 'jsonschema')]))"
+    code = LOADED + (
+        "import json, neveukit\n"
+        "print(json.dumps([loaded('scipy'), loaded('jsonschema')]))"
     )
     assert fresh(code) == [False, False]
 
@@ -113,7 +135,14 @@ def test_non_flow_gallery_runs_leave_scipy_linalg_unloaded():
     found = fresh(GALLERY_RUN, "non-flow")
     assert len(found["codes"]) == 7
     assert set(found["codes"].values()) == {0}
-    assert found["linalg"] is False
+    assert found["scipy"] is False
+    assert found["jsonschema"] is False
+
+
+def test_a_flow_run_passes_and_leaves_scipy_unloaded():
+    found = fresh(GALLERY_RUN, "flow")
+    assert found["codes"] == {"lindblad-rplus": 0}
+    assert found["scipy"] is False
     assert found["jsonschema"] is False
 
 
@@ -123,12 +152,20 @@ def test_report_pipeline_of_a_heisenberg_document_leaves_scipy_linalg_unloaded()
         ["decompose", "mean", "certify", "stochastic"], "pass"
     )
     assert min(found["sizes"]) > 0
-    assert found["linalg"] is False
+    assert found["scipy"] is False
     assert found["jsonschema"] is False
 
 
-def test_a_flow_run_passes_and_loads_scipy_linalg():
-    found = fresh(GALLERY_RUN, "flow")
-    assert found["codes"] == {"lindblad-rplus": 0}
-    assert found["linalg"] is True
-    assert found["jsonschema"] is False
+def test_every_gallery_scenario_runs_where_scipy_cannot_be_imported():
+    probe = REFUSE_SCIPY + (
+        "import json\n"
+        "try:\n"
+        "    import scipy.linalg\n"
+        "except ImportError:\n"
+        "    print(json.dumps('refused'))\n"
+    )
+    assert fresh(probe) == "refused"
+    found = fresh(REFUSE_SCIPY + GALLERY_RUN, "all")
+    assert len(found["codes"]) == 8
+    assert set(found["codes"].values()) == {0}
+    assert found["scipy"] is False

@@ -1,4 +1,7 @@
+import cmath
 import itertools
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from neveukit.dynamics import (
     average,
     average_super,
     averages,
+    _expm,
     _square,
     continuous_average_super,
     folner_ratio,
@@ -26,6 +30,8 @@ from neveukit.maps import (
     dual,
     pairing,
 )
+from neveukit.neveu import reference_density
+from neveukit.scenarios import gallery
 
 M2 = TracialAlgebra.full_matrix(2)
 
@@ -577,6 +583,115 @@ def test_continuous_average_two_axes_multiplies():
     got = op_norm(average(action, x, 2.0))
     want = ((1.0 - np.exp(-2.0)) / 2.0) * ((1.0 - np.exp(-4.0)) / 4.0)
     assert got == pytest.approx(want, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the matrix exponential
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("t", [1.0, 10.0])
+@pytest.mark.parametrize("b", [0.0, 1.0, 1e2, 1e4, 1e6, 1e8])
+def test_expm_of_a_triangular_pair_matches_the_closed_form(b, t):
+    """exp(t [[-1, b], [0, -1.2]]) entry by entry; a scaling chosen from
+    ||a||_1 alone, not from the d_k, overscales it and misses this bound for
+    every b >= 1e4."""
+    l1, l2 = -t, -1.2 * t
+    corner = t * b * math.exp(l2) * math.expm1(l1 - l2) / (l1 - l2)
+    want = np.array([[math.exp(l1), corner], [0.0, math.exp(l2)]])
+    got = _expm(t * np.array([[-1.0, b], [0.0, -1.2]]))
+    assert got[1, 0] == 0.0
+    nz = want != 0
+    assert np.max(np.abs(got - want)[nz] / np.abs(want[nz])) <= 1e-13
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("t", [1.0, 2.0, 8.0, 32.0, 128.0])
+def test_expm_of_a_jordan_chain_matches_the_closed_form(mu, t):
+    # exp(t (N - mu 1)) = e^(-mu t) sum_k t^k N^k / k! for the shift N on C^8
+    n = 8
+    N = np.eye(n, k=1)
+    want = math.exp(-mu * t) * sum(
+        np.linalg.matrix_power(t * N, k) / math.factorial(k) for k in range(n)
+    )
+    got = _expm(t * (N - mu * np.eye(n)))
+    nz = want != 0
+    assert np.all(got[~nz] == 0.0)
+    assert np.max(np.abs(got - want)[nz] / np.abs(want[nz])) <= 1e-13
+
+
+@pytest.mark.parametrize("x", [10.0, 1e2, 1e4])
+def test_expm_of_a_rank_one_nilpotent_is_one_plus_it(x):
+    """a = x [[1, 1], [-1, -1]] has a^2 = 0, so every d_k is 0; only the
+    backward-error squarings keep the degree-3 approximant off a large |a|
+    (without them the error is 2.3e-13 at x = 1e2 and 1e-9 at x = 1e4)."""
+    a = x * np.array([[1.0, 1.0], [-1.0, -1.0]])
+    want = np.eye(2) + a
+    assert np.max(np.abs(_expm(a) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_expm_matches_scipy_on_random_complex_matrices_at_every_pade_degree(monkeypatch):
+    from neveukit import dynamics
+
+    degrees = []
+    pade = dynamics._pade
+
+    def recording_pade(a, powers, m, s):
+        degrees.append(m)
+        return pade(a, powers, m, s)
+
+    monkeypatch.setattr(dynamics, "_pade", recording_pade)
+    rng = np.random.default_rng(20)
+    for n in (2, 7, 30, 100):
+        for norm in (1e-3, 0.05, 0.3, 1.0, 2.0, 5.0, 40.0):
+            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            a *= norm / np.abs(a).sum(axis=0).max()
+            got, want = _expm(a), scipy.linalg.expm(a)
+            err = np.abs(got - want).sum(axis=0).max()
+            assert err <= 1e-13 * np.abs(want).sum(axis=0).max(), (n, norm, degrees[-1])
+    assert set(degrees) == {3, 5, 7, 9, 13}
+
+
+@pytest.mark.parametrize("picture", ["schrodinger", "heisenberg"])
+def test_expm_matches_scipy_on_the_gallery_flow_walks(picture):
+    """The augmented matrices a [[L, B], [0, 0]] that the averages of the
+    shipped flow scenario exponentiate, with B = vec(1 / tau(1)) and B = 1."""
+    (sc,) = [sc for sc in gallery() if sc.name == "lindblad-rplus"]
+    action = sc.action.to_picture(picture)
+    alg = action.algebra
+    (L,) = action.flow_generators
+    phi0 = reference_density(alg).vec()[:, None]
+    for b in (phi0, np.eye(alg.dim)):
+        aug = np.zeros((alg.dim + b.shape[1],) * 2, dtype=complex)
+        aug[: alg.dim, : alg.dim], aug[: alg.dim, alg.dim :] = L, b
+        for a in sc.schedule:
+            got, want = _expm(a * aug), scipy.linalg.expm(a * aug)
+            err = np.abs(got - want).sum(axis=0).max()
+            assert err <= 1e-13 * np.abs(want).sum(axis=0).max()
+
+
+def test_expm_of_zero_is_the_identity_and_of_a_scalar_is_exp():
+    for n in (1, 2, 5):
+        assert np.array_equal(_expm(np.zeros((n, n))), np.eye(n))
+        assert np.array_equal(_expm(np.zeros((n, n), dtype=complex)), np.eye(n))
+    for z in (0.3 + 1.7j, -40.0 + 0j, 2.5 - 0.25j):
+        assert _expm(np.array([[z]]))[0, 0] == cmath.exp(z)
+
+
+def test_expm_raises_no_runtime_warning_on_extreme_inputs():
+    rng = np.random.default_rng(3)
+    h = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    cases = [
+        np.zeros((4, 4)),
+        np.array([[0.0, 1e150], [0.0, 0.0]]),  # nilpotent: every d_k is 0
+        1e-300 * h,  # even powers underflow to 0
+        1e3 * (h - h.conj().T),  # skew-hermitian: many squarings, unitary result
+        128.0 * (np.eye(8, k=1) - np.eye(8)),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in cases:
+            assert np.all(np.isfinite(_expm(a)))
 
 
 # ---------------------------------------------------------------------------

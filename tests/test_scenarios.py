@@ -3,6 +3,8 @@ import dataclasses
 import gc
 import json
 import os
+import stat
+import threading
 
 import numpy as np
 import pytest
@@ -741,6 +743,40 @@ def test_emit_leaves_no_temp_files(tmp_path):
     report = run(scenario_from_dict(base_doc()))
     emit(report, "report-json", tmp_path / "r.json")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+def test_emit_writes_through_a_named_pipe_and_leaves_it_a_pipe(tmp_path):
+    # a rename over the target would replace the pipe by a regular file and
+    # leave the reader waiting for a writer that never comes
+    report = run(scenario_from_dict(base_doc()))
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+
+    def read():
+        with open(fifo, "rb") as fh:
+            got.append(fh.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    emit(report, "report-json", fifo)
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert got == [render(report, "report-json").encode("utf-8")]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe"]
+
+
+def test_emit_through_a_symlink_keeps_the_link(tmp_path):
+    report = run(scenario_from_dict(base_doc()))
+    target, link = tmp_path / "r.json", tmp_path / "link.json"
+    target.write_text("old", encoding="utf-8")
+    link.symlink_to(target)
+    emit(report, "report-json", link)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == render(report, "report-json").encode("utf-8")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "r.json"]
 
 
 _EDGE_FLOATS = st.sampled_from(

@@ -30,6 +30,19 @@ decision (``_hermitian_mask``) and the |x| formulas it uses are those of
 :meth:`Operator.is_hermitian` and :func:`abs_op`, so every matrix is bitwise
 ``abs_op`` of its slice.
 
+Hermitian basis.  The orthonormal hermitian matrix units of each block,
+
+    E_ii,  (E_ij + E_ji) / sqrt(2),  i (E_ij - E_ji) / sqrt(2)   (i < j),
+
+form a unitary B on vec coordinates, with the coordinate of E_ii at the vec
+position of (i, i), and those of the two others at the positions of (i, j)
+and (j, i).  A hermitian element has real coordinates B* vec(x), and a map
+that sends self-adjoint elements to self-adjoint ones has the real matrix
+B* S B.  ``_to_hermitian`` and ``_to_vec`` apply B* and B by index arithmetic
+in O(D^2), with the index arrays cached by block size; ``_real_part`` keeps
+the real part of such coordinates and refuses an imaginary part above
+rounding.  The spectral layer runs on these real matrices.
+
 All functions are pure and operators are treated as immutable.  Each
 ``Operator`` decomposes its hermitian part at most once (:meth:`Operator.eigh`)
 and every spectral function reads that cached decomposition, so the block
@@ -41,6 +54,7 @@ their trace weights are equal as floats.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 
@@ -419,6 +433,96 @@ class Projection(Operator):
 
     def __repr__(self):
         return f"Projection(ranks={list(self.ranks)})"
+
+
+# ---------------------------------------------------------------------------
+# the hermitian basis
+# ---------------------------------------------------------------------------
+
+# the 2 x 2 mixes of the coordinates at the (i, j) and (j, i) positions that
+# B* and B apply to a vector; a right factor B (B*) of a matrix mixes its
+# columns by the transpose of B's (B*'s) mix
+_B_STAR = math.sqrt(0.5) * np.array([[1, 1], [-1j, 1j]])
+_MIXES = {"B*": _B_STAR, "B": _B_STAR.conj().T}
+_MIXES |= {"B^T": _MIXES["B"].T, "B*^T": _B_STAR.T}
+
+
+@functools.cache
+def _block_pairs(n):
+    """The vec positions of (i, j) and (j, i), i < j, in one n x n block."""
+    i, j = np.triu_indices(n, 1)
+    return j * n + i, i * n + j
+
+
+@functools.cache
+def _herm_index(blocks):
+    """``(diag, up, lo)``: the vec positions of (i, i), (i, j) and (j, i),
+    i < j, in every block."""
+    diag, up, lo, off = [], [], [], 0
+    for n in blocks:
+        u, l = _block_pairs(n)
+        diag.append(off + np.arange(n) * (n + 1))
+        up.append(off + u)
+        lo.append(off + l)
+        off += n * n
+    return tuple(np.concatenate(ix) for ix in (diag, up, lo))
+
+
+@functools.cache
+def _mixer(blocks, mix, trailing):
+    """``(i1, i2, c1, c2)``: coordinate k of the mix ``mix`` of a is
+    c1[k] a[i1[k]] + c2[k] a[i2[k]]; a diagonal coordinate keeps its value
+    (c1 = 1, c2 = 0).  c1 and c2 are shaped to broadcast along an axis
+    with ``trailing`` axes after it."""
+    _, up, lo = _herm_index(blocks)
+    c = _MIXES[mix]
+    dim = sum(n * n for n in blocks)
+    i1, i2 = np.arange(dim), np.arange(dim)
+    c1, c2 = np.ones(dim, dtype=complex), np.zeros(dim, dtype=complex)
+    for rows, (a, b) in ((up, c[0]), (lo, c[1])):
+        i1[rows], i2[rows], c1[rows], c2[rows] = up, lo, a, b
+    shape = (-1,) + (1,) * trailing
+    return i1, i2, c1.reshape(shape), c2.reshape(shape)
+
+
+def _mix(a, blocks, mix, axis):
+    """A new complex array: ``a`` with the (up, lo) coordinate pairs along
+    ``axis`` mixed by ``_MIXES[mix]``."""
+    if max(blocks) == 1:  # 1 x 1 blocks only: B = 1
+        return a.astype(complex)
+    i1, i2, c1, c2 = _mixer(blocks, mix, a.ndim - 1 - axis)
+    out = a.take(i1, axis).astype(complex, copy=False)
+    out *= c1
+    other = a.take(i2, axis).astype(complex, copy=False)
+    other *= c2
+    out += other
+    return out
+
+
+def _to_hermitian(algebra, a, matrix=False):
+    """B* a for vec coordinates (the rows of a), or B* a B for a matrix."""
+    out = _mix(np.asarray(a), algebra.blocks, "B*", 0)
+    return _mix(out, algebra.blocks, "B^T", 1) if matrix else out
+
+
+def _to_vec(algebra, a, matrix=False):
+    """B a for hermitian-basis coordinates (the rows of a), or B a B* for a
+    matrix."""
+    out = _mix(np.asarray(a), algebra.blocks, "B", 0)
+    return _mix(out, algebra.blocks, "B*^T", 1) if matrix else out
+
+
+def _real_part(a, what):
+    """The real part of hermitian-basis coordinates ``a``; raises ValueError,
+    naming ``what``, when the largest imaginary entry is above 1e-12 of the
+    largest real one, or of 1 when that is smaller (a flow generator that is
+    zero up to rounding, such as S - 1 on a block C, has a real part at
+    rounding level too)."""
+    if np.iscomplexobj(a) and a.size:
+        residue = np.abs(a.imag).max()
+        if residue > HERMITIAN_RTOL * max(np.abs(a.real).max(), 1.0):
+            raise ValueError(f"{what}: imaginary part {residue:.3e} in the hermitian basis")
+    return np.ascontiguousarray(a.real)
 
 
 # ---------------------------------------------------------------------------

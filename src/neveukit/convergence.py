@@ -122,7 +122,7 @@ def _witnesses(basis, eigs, counts, outside):
         rows = (base @ v.transpose(0, 2, 1)[..., None])[..., 0]
         n = base.shape[0]
         active = np.zeros((len(v), n, n), dtype=complex)
-        for r in np.unique(count):
+        for r in sorted(set(count.tolist())):
             if r:
                 idx = np.flatnonzero(count == r)
                 V = np.ascontiguousarray(rows[idx, :r].transpose(0, 2, 1))

@@ -18,8 +18,8 @@ axis: max(schedule) - 1 matvecs for d = 1 (63 on 1, 2, ..., 64, against 120
 for a fresh sum per point), twice that for z-symmetric windows.  For d >= 2
 only axis 0 is shared, as later axes act on a different vector per a.
 :func:`average_super` builds each per-axis sum of powers by binary doubling
-in O(d log a) D x D products; a scenario run builds none but a finite
-group's, and tests and demos use them as oracles.  Summation order is fixed
+in O(d log a) D x D products; a scenario run builds none, and tests and
+demos use them as oracles.  Summation order is fixed
 (ascending k for the zplus matvecs, the bits of a for the doubling, then
 ascending axis) so results are bitwise reproducible.  Brute-force
 cross-checks over small boxes and against the literal sums live in the
@@ -29,8 +29,14 @@ Flow averages factor the same way, A_a = prod_i (1/a) int_0^a exp(t L_i) dt,
 and each factor is one block exponential (C. F. Van Loan, "Computing
 integrals involving the matrix exponential", IEEE TAC 23(3), 1978): the
 top-right block of expm(a [[L_i, B], [0, 0]]) is int_0^a exp(t L_i) dt B.
-:func:`averages` takes B = vec(x), a single column, and :func:`average_super`
-takes B = 1.  The exponential is the package's own :func:`_expm`, scaling
+:func:`averages` takes for B the hermitian-basis coordinates of x, one or
+two real columns, and :func:`average_super` takes B = 1.
+
+Every walk and flow average runs on the real generator matrices of the
+action (``SemigroupAction.real``) and on the real hermitian-basis
+coordinates of its input (see :mod:`neveukit.algebra`); the results go back
+to vec coordinates, so a hermitian input has exactly hermitian averages.
+The exponential is the package's own :func:`_expm`, scaling
 and squaring with Pade degrees 3 to 13 (A. H. Al-Mohy and N. J. Higham, "A
 new scaling and squaring algorithm for the matrix exponential", SIAM J.
 Matrix Anal. Appl. 31(3), 2009, Algorithm 5.1) with exact 1-norms in place
@@ -46,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Operator, TracialAlgebra
+from .algebra import Operator, TracialAlgebra, _to_hermitian, _to_vec
 from .maps import (
     CheckReport,
     PreconditionError,
@@ -151,6 +157,23 @@ def folner_ratio(scheme, a, g):
     return 2.0 / (2 * a + 1)
 
 
+class GeneratorError(ValueError):
+    """A generator refused at construction; ``index`` is its position."""
+
+    def __init__(self, index, message):
+        super().__init__(f"generators[{index}]: {message}")
+        self.index = index
+
+
+def _real_generator(index, s):
+    """The real hermitian-basis matrix of the map ``s``, generator
+    ``index``."""
+    try:
+        return s.real_hermitian()
+    except ValueError as exc:
+        raise GeneratorError(index, str(exc)) from None
+
+
 class SemigroupAction:
     """A commuting family of positive contractions indexed by a scheme.
 
@@ -162,6 +185,12 @@ class SemigroupAction:
 
     ``matrices`` holds the generator matrices: the flow generators L_i of an
     ``r-plus-cube`` scheme, the superoperator matrices of the maps otherwise.
+    ``real`` holds the same matrices in the hermitian basis of
+    :mod:`neveukit.algebra`, and ``real_inverses`` the z-symmetric inverses:
+    each generator must map self-adjoint elements to self-adjoint ones, so
+    these are real up to rounding, and a larger imaginary part is refused
+    with a :class:`GeneratorError`.  The averages, the mean projection and
+    the spectra run on them.
 
     Only the Lamperti reports and the split into uncoupled summands are
     cached on the instance; :meth:`dual` builds a new action on each call.
@@ -178,7 +207,7 @@ class SemigroupAction:
         self.checks = {}
         self._lamperti = None
         self._parts = None
-        self.inverses = None
+        self._inverses = self.real_inverses = None
 
         if scheme.kind == "r-plus-cube":
             mats = []
@@ -194,6 +223,9 @@ class SemigroupAction:
             self.generators = None
             self.flow_generators = tuple(mats)
             self.matrices = self.flow_generators
+            self.real = tuple(
+                _real_generator(i, SuperOperator(algebra, m)) for i, m in enumerate(mats)
+            )
             self.checks["commuting"] = check_commuting(self.flow_generators)
             return
 
@@ -207,24 +239,37 @@ class SemigroupAction:
         self.generators = tuple(gens)
         self.flow_generators = None
         self.matrices = tuple(s.matrix for s in gens)
+        self.real = tuple(
+            _real_generator(i, s) for i, s in enumerate(gens)
+        )
 
         if scheme.kind == "z-symmetric-box":
             invs = []
-            for s in gens:
+            for m in self.real:
                 try:
-                    inv = np.linalg.inv(s.matrix)
+                    inv = np.linalg.inv(m)
                 except np.linalg.LinAlgError as exc:
                     raise ValueError("z-symmetric-box generators must be invertible") from exc
-                if np.linalg.norm(s.matrix @ inv - np.eye(algebra.dim), 2) > INVERSE_TOL:
+                if np.linalg.norm(m @ inv - np.eye(algebra.dim), 2) > INVERSE_TOL:
                     raise ValueError("generator inverse residual above 1e-10")
                 invs.append(inv)
-            self.inverses = tuple(invs)
+            self.real_inverses = tuple(invs)
 
         if scheme.kind == "finite-group":
             self.checks["representation"] = self._check_representation()
         else:
             self.checks["commuting"] = check_commuting(self.generators)
         self.checks["contraction"] = self._check_contractions()
+
+    @property
+    def inverses(self):
+        """The z-symmetric inverses in vec coordinates, from
+        ``real_inverses`` on first use (``None`` for other schemes)."""
+        if self._inverses is None and self.real_inverses is not None:
+            self._inverses = tuple(
+                _to_vec(self.algebra, m, matrix=True) for m in self.real_inverses
+            )
+        return self._inverses
 
     # -- construction-time checks ------------------------------------------
 
@@ -304,8 +349,10 @@ class SemigroupAction:
     def _summands(self):
         """The action split along its uncoupled central summands.
 
-        A summand is a group of algebra blocks that no generator matrix (nor
-        a z-symmetric inverse) couples to the other blocks: union-find over
+        A summand is a group of algebra blocks that no real generator matrix
+        (nor a z-symmetric inverse) couples to the other blocks (B is block
+        diagonal, so these are the blocks that the vec matrices couple, save
+        for an imaginary part at rounding that the real ones drop): union-find over
         the off-diagonal block pairs holding any nonzero entry, with no
         tolerance, so an entry of 1e-300 still couples.  Returns one
         ``(coords, sub)`` pair per summand, in the order of its first block:
@@ -333,7 +380,7 @@ class SemigroupAction:
                 b = root[b]
             return b
 
-        for m in self.matrices + (self.inverses or ()):
+        for m in self.real + (self.real_inverses or ()):
             pairs = np.logical_or.reduceat(m != 0, offsets[:-1], axis=0)
             pairs = np.logical_or.reduceat(pairs, offsets[:-1], axis=1)
             for b, c in zip(*np.nonzero(pairs)):
@@ -366,9 +413,10 @@ class SemigroupAction:
         # a summand's blocks are coupled: it has one summand
         sub.checks, sub._lamperti, sub._parts = self.checks, None, []
         sub.matrices = tuple(m[_square(coords)] for m in self.matrices)
-        sub.inverses = None
-        if self.inverses is not None:
-            sub.inverses = tuple(m[_square(coords)] for m in self.inverses)
+        sub.real = tuple(m[_square(coords)] for m in self.real)
+        sub._inverses = sub.real_inverses = None
+        if self.real_inverses is not None:
+            sub.real_inverses = tuple(m[_square(coords)] for m in self.real_inverses)
         if self.generators is None:
             sub.generators, sub.flow_generators = None, sub.matrices
         else:
@@ -431,11 +479,12 @@ def _ascending(schedule):
 
 
 def _cesaro_walk(action, axis, v, schedule):
-    """Per-axis Cesaro means of v for every a of an ascending schedule: one
-    running sum over k = 0..a-1 (zplus-box, ascending k) or k = -a..a
+    """Per-axis Cesaro means of the real hermitian-basis coordinates v (one
+    vector or columns) for every a of an ascending schedule: one running
+    sum over k = 0..a-1 (zplus-box, ascending k) or k = -a..a
     (z-symmetric-box, S^k v then S^-k v for k = 1, 2, ...)."""
     symmetric = action.scheme.kind == "z-symmetric-box"
-    s = action.matrices[axis]
+    s = action.real[axis]
     acc, lo, hi, top = v.copy(), v, v, 0
     means = []
     for a in schedule:
@@ -444,7 +493,7 @@ def _cesaro_walk(action, axis, v, schedule):
             hi = s @ hi
             acc += hi
             if symmetric:
-                lo = action.inverses[axis] @ lo
+                lo = action.real_inverses[axis] @ lo
                 acc += lo
         means.append(acc / (2 * a + 1 if symmetric else a))
     return means
@@ -498,29 +547,39 @@ def _average_stacks(action, x, schedule):
     """:func:`averages` as one (k, n, n) stack per block: slice j of block b
     is block b of A_a(x) for the j-th a of the schedule.
 
-    The walk's k vectors are reshaped, not copied, so each slice is bitwise
-    the block that :func:`averages` hands back.
+    The walk runs on the real hermitian-basis coordinates of x: one vector
+    when x is hermitian (its coordinates have no imaginary part), else the
+    coordinates of its hermitian and anti-hermitian parts as two columns.
+    The k results go back to vec coordinates in one step, and each slice is
+    a reshaped view of them.
     """
     if not isinstance(x, Operator) or x.algebra != action.algebra:
         raise ValueError("element is not in the action's algebra")
     schedule = _ascending(schedule)
-    v = x.vec()
-    stacks = action.algebra._stacks
+    algebra = action.algebra
+    r = _to_hermitian(algebra, x.vec())
+    v = np.column_stack([r.real, r.imag]) if r.imag.any() else r.real
+    means = np.stack(_walk(action, v, schedule), axis=1)
+    means = means.reshape(algebra.dim, len(schedule), -1)
+    means = means[..., 0] + 1j * means[..., 1] if means.shape[2] == 2 else means[..., 0]
+    return algebra._stacks(_to_vec(algebra, means).T)
+
+
+def _walk(action, v, schedule):
+    """The averages of :func:`averages` for the real hermitian-basis
+    coordinates v (one vector or columns) of x."""
     if action.scheme.kind == "r-plus-cube":
-        return stacks([_flow_average(action, v[:, None], a)[:, 0] for a in schedule])
+        return [_flow_average(action, v.reshape(len(v), -1), a) for a in schedule]
     schedule = [int(a) for a in schedule]
     if schedule[0] < 1:
         raise ValueError("Foelner index a must be >= 1")
     action.require_commuting()
     if action.scheme.kind == "finite-group":
-        acc = np.zeros(action.algebra.dim, dtype=complex)
-        for s in action.generators:
-            acc += s.matrix @ v
-        return stacks([acc / action.scheme.order] * len(schedule))
+        return [sum(m @ v for m in action.real) / action.scheme.order] * len(schedule)
     vecs = _cesaro_walk(action, 0, v, schedule)
     for axis in range(1, action.scheme.d):
         vecs = [_cesaro_walk(action, axis, w, [a])[0] for w, a in zip(vecs, schedule)]
-    return stacks(vecs)
+    return vecs
 
 
 def average_super(action, a):
@@ -542,18 +601,20 @@ def average_super(action, a):
 
 
 def _flow_average(action, b, a):
-    """(1/a^d) int_{[0,a]^d} exp(sum t_i L_i) dt applied to the columns of b.
+    """(1/a^d) int_{[0,a]^d} exp(sum t_i L_i) dt applied to the columns of
+    b, real hermitian-basis coordinates.
 
-    Per axis, b <- top-right block of expm(a [[L_i, b], [0, 0]]) / a; the
-    augmented matrix has D + (number of columns of b) rows.
+    Per axis, b <- top-right block of expm(a [[L_i, b], [0, 0]]) / a, with
+    L_i the real generator matrix; the augmented matrix has D + (number of
+    columns of b) rows.
     """
     a = float(a)
     if a <= 0:
         raise ValueError("cube side a must be > 0")
     action.require_commuting()
     dim = action.algebra.dim
-    aug = np.zeros((dim + b.shape[1],) * 2, dtype=complex)
-    for L in action.flow_generators:
+    aug = np.zeros((dim + b.shape[1],) * 2)
+    for L in action.real:
         aug[:dim, :dim] = L
         aug[:dim, dim:] = b
         b = _expm(a * aug)[:dim, dim:] / a
@@ -564,7 +625,8 @@ def continuous_average_super(action, a):
     """The matrix of (1/a^d) int_{[0,a]^d} exp(sum t_i L_i) dt."""
     if action.scheme.kind != "r-plus-cube":
         raise ValueError("continuous averages require an r-plus-cube scheme")
-    return _flow_average(action, np.eye(action.algebra.dim, dtype=complex), a)
+    algebra = action.algebra
+    return _to_vec(algebra, _flow_average(action, np.eye(algebra.dim), a), matrix=True)
 
 
 # the [m/m] Pade approximant r_m of exp keeps its backward error below

@@ -27,7 +27,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
-    Operator, TracialAlgebra, op_norm, order_leq, spectral_projection, trace
+    Operator,
+    TracialAlgebra,
+    _real_part,
+    _to_hermitian,
+    _to_vec,
+    op_norm,
+    order_leq,
+    spectral_projection,
+    trace,
 )
 
 __all__ = [
@@ -85,7 +93,12 @@ class CheckReport:
 
 
 class SuperOperator:
-    """A linear map on a tracial algebra in vectorised form."""
+    """A linear map on a tracial algebra in vectorised form.
+
+    ``matrix`` is its D x D matrix on vec coordinates, and :meth:`hermitian`
+    its matrix B* S B in the hermitian basis of :mod:`neveukit.algebra`,
+    computed once, or given (:meth:`from_hermitian`).
+    """
 
     def __init__(self, algebra, matrix, source="matrix", attestations=None):
         matrix = np.asarray(matrix, dtype=complex)
@@ -95,8 +108,34 @@ class SuperOperator:
             )
         self.algebra = algebra
         self.matrix = matrix
+        self._hermitian = None
         self.source = source
         self.attestations = dict(attestations or {})
+
+    @classmethod
+    def from_hermitian(cls, algebra, herm, source="matrix", attestations=None):
+        """The map with the matrix ``herm`` in the hermitian basis."""
+        s = cls(algebra, _to_vec(algebra, herm, matrix=True), source, attestations)
+        s._hermitian = herm
+        return s
+
+    def hermitian(self):
+        """B* S B: real up to rounding when S maps self-adjoint elements to
+        self-adjoint ones, and its real part once :meth:`real_hermitian` has
+        checked that."""
+        if self._hermitian is None:
+            self._hermitian = _to_hermitian(self.algebra, self.matrix, matrix=True)
+        return self._hermitian
+
+    def real_hermitian(self):
+        """The real part of :meth:`hermitian`, kept in its place; raises
+        ValueError when its imaginary part is above rounding (see
+        ``algebra._real_part``): S does not map self-adjoint elements to
+        self-adjoint ones."""
+        self._hermitian = _real_part(
+            self.hermitian(), "does not map self-adjoint elements to self-adjoint ones"
+        )
+        return self._hermitian
 
     def __call__(self, x):
         if not isinstance(x, Operator) or x.algebra != self.algebra:
@@ -206,11 +245,12 @@ def dual(s):
 
     For block-scalar weights this is S -> P S^T P with P the transpose
     permutation; for block-mixing maps (classical kernels on non-uniform
-    weights) the weight ratio enters entrywise.
+    weights) the weight ratio enters entrywise.  In the hermitian basis P
+    is diagonal with entries +-1 and cancels: the dual is W^-1 H^T W, taken
+    there too when S holds H.
     """
-    perm, w = _transpose_perm(s.algebra.blocks), s.algebra.weight_vec
-    t = s.matrix[np.ix_(perm, perm)].T
-    mat = t * (w[np.newaxis, :] / w[:, np.newaxis])
+    w = s.algebra.weight_vec
+    ratio = w[np.newaxis, :] / w[:, np.newaxis]
     att = {}
     for name in ("complete-positivity", "positivity-sampled"):
         rep = s.attestations.get(name)
@@ -226,7 +266,12 @@ def dual(s):
         att["contraction"] = CheckReport(
             "contraction", "pass", detail={"derived": "dual"}
         )
-    return SuperOperator(s.algebra, mat, source=s.source, attestations=att)
+    perm = _transpose_perm(s.algebra.blocks)
+    mat = s.matrix[np.ix_(perm, perm)].T * ratio
+    out = SuperOperator(s.algebra, mat, source=s.source, attestations=att)
+    if s._hermitian is not None:
+        out._hermitian = s._hermitian.T * ratio
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -416,26 +461,10 @@ def check_contraction(s, samples=20, seed=1):
     )
 
 
-def _herm_basis(algebra):
-    """Real orthonormal (Frobenius) basis of the hermitian subspace."""
-    basis = []
-    for b, n in enumerate(algebra.blocks):
-        for i in range(n):
-            e = algebra.basis_element(b, i, i)
-            basis.append(e.vec())
-        for i in range(n):
-            for j in range(i + 1, n):
-                e = algebra.basis_element(b, i, j)
-                f = algebra.basis_element(b, j, i)
-                basis.append((e.vec() + f.vec()) / np.sqrt(2))
-                basis.append(1j * (e.vec() - f.vec()) / np.sqrt(2))
-    return np.column_stack(basis)
-
-
 def _herm_norm_estimate(s, rng, iters=200):
-    """Dominant singular value of S restricted to hermitian coordinates."""
-    B = _herm_basis(s.algebra)
-    R = np.real(B.conj().T @ s.matrix @ B)
+    """Dominant singular value of S restricted to hermitian elements: of the
+    real part of its hermitian-basis matrix."""
+    R = s.hermitian().real
     d = R.shape[0]
     v = rng.standard_normal(d)
     v /= np.linalg.norm(v)
@@ -451,7 +480,7 @@ def _herm_norm_estimate(s, rng, iters=200):
             sigma = new_sigma
             break
         sigma = new_sigma
-    h_star = s.algebra.from_vec(B @ v)
+    h_star = s.algebra.from_vec(_to_vec(s.algebra, v))
     return sigma, h_star
 
 

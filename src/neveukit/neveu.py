@@ -37,6 +37,16 @@ cutoff over all summands, Frobenius residuals combined as the 2-norm of
 the per-summand ones, and kappa as its maximum.
 The action caches its summands only: callers that reuse a projection pass
 it on with ``projection=``, as the tasks of one scenario run do.
+
+The spectral work runs on the real generator matrices of the action in the
+hermitian basis (``SemigroupAction.real``, see :mod:`neveukit.algebra`): the
+SVDs, the projectors, the group inverses and the residuals.  E is real
+there, and goes back to vec coordinates once for its ``SuperOperator``.
+kappa is still the 1-norm of (P - G)^-1 in vec coordinates, where
+``KAPPA_BOUND`` is calibrated.  The fixed and dual bases are hermitian, and
+each fixed-basis vector x has the sign that makes tau(x) > 0, or (where
+tau(x) is near 0) its largest-modulus coordinate positive
+(:func:`_sign_gauge`), so the sign does not follow the SVD.
 """
 
 from __future__ import annotations
@@ -49,14 +59,17 @@ import numpy as np
 from .algebra import (
     Operator,
     Projection,
+    _herm_index,
+    _to_hermitian,
+    _to_vec,
     op_norm,
     op_norms,
     support,
     trace,
     trace_norm,
 )
-from .dynamics import _ascending, _square, average_super, averages
-from .maps import SuperOperator, _transpose_perm, dual
+from .dynamics import _ascending, _square, averages
+from .maps import SuperOperator, dual
 
 __all__ = [
     "MeanErgodicProjection",
@@ -80,6 +93,7 @@ INVARIANCE_TOL = 1e-9
 ABSENCE_TOL = 1e-12
 UNIQUENESS_TOL = 1e-8
 ORTHOGONALITY_TOL = 1e-10
+GAUGE_TOL = 1e-10
 DEFAULT_SCHEDULE = (1, 2, 4, 8, 16, 32, 64)
 SLOPE_WINDOW = 5
 SLOPE_THRESHOLD = -0.9
@@ -96,7 +110,7 @@ class MeanErgodicValidationError(ArithmeticError):
 
 
 def _stacked_generator_matrices(action):
-    mats = action.matrices
+    mats = action.real
     if action.scheme.kind == "r-plus-cube":
         return list(mats)
     if action.scheme.kind == "finite-group":
@@ -117,39 +131,69 @@ def fixed_space(action, tol=1e-9):
     action.require_commuting()
     parts = action._summands()
     stacks = [np.vstack(_stacked_generator_matrices(sub)) for _, sub in parts]
-    return _fixed_basis(action.algebra, parts, _null_spaces(stacks, tol))
+    algebra = action.algebra
+    return _elements(algebra, _fixed_columns(algebra, parts, _null_spaces(stacks, tol)))
 
 
 def _null_spaces(mats, tol):
-    """``[(X, F)]`` for the summand pieces ``mats`` of one block-diagonal
-    matrix: its right null vectors as columns and its left ones as rows, by
-    one SVD per piece.  Singular values up to tol * max(1, sigma_max), with
-    sigma_max the largest of all pieces, count as zero: the rank the SVD of
-    the whole matrix decides.  A stacked (tall) matrix gets only part of F."""
+    """``[(X, F)]`` for the real summand pieces ``mats`` of one
+    block-diagonal matrix: its right null vectors as columns and its left
+    ones as rows, by one SVD per piece.  Singular values up to tol *
+    max(1, sigma_max), with sigma_max the largest of all pieces, count as
+    zero: the rank the SVD of the whole matrix decides.  A stacked (tall)
+    matrix gets only part of F."""
     svds = [np.linalg.svd(m, full_matrices=False) for m in mats]
     cutoff = tol * max(1.0, *(sig[0] for _, sig, _ in svds))
     nulls = []
     for u, sig, vh in svds:
         r = int(np.sum(sig > cutoff))
-        nulls.append((vh[r:].conj().T, u[:, r:].conj().T))
+        nulls.append((vh[r:].T, u[:, r:].T))
     return nulls
 
 
-def _fixed_basis(algebra, parts, nulls):
-    """The fixed basis from the null spaces ``nulls`` of the summands
-    ``parts``, tau-orthonormal per summand and embedded in the algebra."""
-    basis = []
+def _fixed_columns(algebra, parts, nulls):
+    """The hermitian-basis coordinates, as real columns, of the fixed basis
+    from the real null spaces ``nulls`` of the summands ``parts``:
+    tau-orthonormal per summand in the gauge of :func:`_sign_gauge`, and
+    embedded in the algebra."""
+    cols = np.zeros((algebra.dim, sum(null.shape[1] for null, _ in nulls)))
+    k = 0
     for (coords, sub), (null, _) in zip(parts, nulls):
-        ortho, _ = _tau_orthonormal(null, sub.algebra.weight_vec)
-        vecs = np.zeros((algebra.dim, ortho.shape[1]), dtype=complex)
-        vecs[coords] = ortho
-        basis += [algebra.from_vec(v) for v in vecs.T]
-    return basis
+        w = sub.algebra.weight_vec
+        ortho, _ = _sign_gauge(sub.algebra, *_tau_orthonormal(null, w))
+        cols[coords, k : k + ortho.shape[1]] = ortho
+        k += ortho.shape[1]
+    return cols
+
+
+def _elements(algebra, cols):
+    """The elements with the hermitian-basis coordinates ``cols``."""
+    return [algebra.from_vec(v) for v in _to_vec(algebra, cols).T]
+
+
+def _sign_gauge(algebra, ortho, chol):
+    """``(ortho, chol)`` of :func:`_tau_orthonormal` for real columns, each
+    column of both multiplied by the sign that makes tau(x) > 0 for its
+    column x, or, where |tau(x)| <= 1e-10 (x is tau-normalised, so |tau(x)|
+    <= tau(1)^(1/2)), the largest-modulus coordinate of x positive: the
+    first coordinate within 1e-9 (relative) of the largest, so that the
+    choice does not follow rounding.  ortho L^-* stays ortho L^-* and the
+    pairing X L of :func:`_dual_projection` stays dual to it."""
+    diag = _herm_index(algebra.blocks)[0]
+    key = algebra.weight_vec[diag] @ ortho[diag]
+    weak = np.abs(key) <= GAUGE_TOL
+    if weak.any():
+        mags = np.abs(ortho)
+        lead = np.argmax(mags >= (1.0 - 1e-9) * mags.max(axis=0), axis=0)
+        key = np.where(weak, ortho[lead, np.arange(len(key))], key)
+    sign = np.copysign(1.0, key)
+    return ortho * sign, chol * sign
 
 
 def _tau_orthonormal(cols, w):
-    """``(cols L^-*, L)``: a tau-orthonormal basis of the span of the vec
-    columns ``cols``, with L L* the Cholesky factorisation of their Gram
+    """``(cols L^-*, L)``: a tau-orthonormal basis of the span of the
+    columns ``cols``, in vec or hermitian-basis coordinates (B commutes with
+    the weights), with L L* the Cholesky factorisation of their Gram
     matrix cols* W cols under the trace weights ``w``.  cols L^-* is
     (L^-1 cols*)*, by a numpy solve with the triangular L (r x r for r
     fixed directions, so its LU costs no more than the Gram matrix)."""
@@ -159,11 +203,13 @@ def _tau_orthonormal(cols, w):
     return ortho, chol
 
 
-def _vec_columns(elements, dim):
-    """The vec coordinates of the elements as the columns of a dim x r
-    matrix (dim x 0 for no elements)."""
+def _hermitian_columns(algebra, elements):
+    """The real parts of the hermitian-basis coordinates of the elements as
+    the columns of a dim x r matrix (dim x 0 for no elements): their
+    coordinates where the elements are hermitian, as the bases of a
+    projection built here are."""
     vecs = np.array([y.vec() for y in elements], dtype=complex)
-    return vecs.reshape(len(elements), dim).T
+    return _to_hermitian(algebra, vecs.reshape(len(elements), algebra.dim).T).real
 
 
 @dataclass(frozen=True)
@@ -233,32 +279,35 @@ def mean_ergodic_projection(action, tol_fixed=1e-9):
     parts = action._summands()
     conditions = [_stacked_generator_matrices(sub) for _, sub in parts]
     joint = _null_spaces([np.vstack(c) for c in conditions], tol_fixed)
-    basis = _fixed_basis(algebra, parts, joint)
+    # the basis is hermitian: x holds its real coordinates
+    x = _fixed_columns(algebra, parts, joint)
+    basis = _elements(algebra, x)
     if action.scheme.kind == "finite-group":
-        pieces, kappa = [average_super(sub, 1).matrix for _, sub in parts], None
+        pieces = [sum(sub.real) / sub.scheme.order for _, sub in parts]
+        kappa = None
     else:
         # one generator: its null spaces are the joint ones
         each = [joint] if len(conditions[0]) == 1 else [
             _null_spaces(mats, tol_fixed) for mats in zip(*conditions)
         ]
-        pieces, kappas = zip(*map(_summand_projector, conditions, zip(*each)))
+        subs = [sub for _, sub in parts]
+        pieces, kappas = zip(*map(_summand_projector, subs, conditions, zip(*each)))
         kappa = max(kappas)
     if len(parts) == 1:
         e = pieces[0]
     else:
-        e = np.zeros((dim, dim), dtype=complex)
+        e = np.zeros((dim, dim))
         for (coords, _), piece in zip(parts, pieces):
             e[_square(coords)] = piece
 
     residuals = _projector_residuals(parts, e)
-    ranks = [int(round(np.trace(piece).real)) for piece in pieces]
+    ranks = [int(round(np.trace(piece))) for piece in pieces]
     rank = sum(ranks)
     if rank != len(basis):
         raise MeanErgodicValidationError(
             f"spectral rank {rank} != fixed-space dimension {len(basis)}"
         )
     w = algebra.weight_vec
-    x = _vec_columns(basis, dim)
     if len(parts) > 1:
         # the basis elements that reach into each summand
         held = [int(np.any(x[coords] != 0, axis=0).sum()) for coords, _ in parts]
@@ -267,40 +316,41 @@ def mean_ergodic_projection(action, tol_fixed=1e-9):
                 f"spectral ranks {ranks} != fixed-space dimensions {held} "
                 f"per uncoupled summand"
             )
-    # E = X F with X the fixed basis as vec columns and F = X* W E, since
-    # X X* W is the tau-orthogonal projector onto the fixed space; this holds
-    # only when range(E) is that space, not merely of its dimension
-    f = x.conj().T @ (w[:, None] * e)
+    # E = X F with X the fixed basis as columns and F = X^T W E, since
+    # X X^T W is the tau-orthogonal projector onto the fixed space; this
+    # holds only when range(E) is that space, not merely of its dimension
+    f = x.T @ (w[:, None] * e)
     factor_residual = _factor_residual(x, f, e)
-    # tau(psi y) = F_i . vec(y) pairs psi's entry (p, q) with y's (q, p)
-    dual_basis = [
-        algebra.operator([m.T for m in algebra.from_vec(row / w).block_mats])
-        for row in f
-    ]
+    # tau(psi y) = F_i . y for y in the hermitian basis: psi_i is hermitian,
+    # with the coordinates F_i / w
     cross = {"kappa": kappa, "kappa_bound": KAPPA_BOUND}
-    sup = SuperOperator(algebra, e, source="mean-ergodic-projection")
+    sup = SuperOperator.from_hermitian(algebra, e, source="mean-ergodic-projection")
+    dual_basis = _elements(algebra, (f / w).T)
     return MeanErgodicProjection(
         sup, basis, dual_basis, residuals, cross, rank, factor_residual
     )
 
 
-def _summand_projector(gens, nulls):
-    """``(E, kappa)`` on one uncoupled summand: the product of the
-    projectors X (F X)^-1 F of the generator conditions ``gens`` with their
-    null spaces ``nulls``, and the largest kappa of their certificates."""
+def _summand_projector(sub, gens, nulls):
+    """``(E, kappa)`` on the uncoupled summand ``sub``: the product of the
+    projectors X (F X)^-1 F of the real generator conditions ``gens`` with
+    their null spaces ``nulls``, and the largest kappa of their
+    certificates."""
     e, kappas = None, []
     for g, (x, f) in zip(gens, nulls):
         # a singular F X (the cut null vectors meet the range of G) leaves a
         # P that is no projector, which the certificate or residuals refuse
         p = x @ np.linalg.pinv(f @ x) @ f
-        kappas.append(_group_inverse(p, g)[1])
+        kappas.append(_group_inverse(p, g, sub.algebra)[1])
         e = p if e is None else p @ e
     return e, max(kappas)
 
 
-def _group_inverse(p, g):
-    """``(Z, kappa)``: Z = (P - G)^-1 by one LU and kappa = ||Z||_1, for a
-    null-space projector P and G = S - 1 (L for a flow); raises
+def _group_inverse(p, g, algebra):
+    """``(Z, kappa)``: Z = (P - G)^-1 by one LU, for a null-space projector
+    P and G = S - 1 (L for a flow), real matrices in the hermitian basis of
+    ``algebra``, and kappa = ||B Z B*||_1, the 1-norm of Z in vec
+    coordinates, where ``KAPPA_BOUND`` is calibrated; raises
     :class:`MeanErgodicValidationError` when P - G is singular or kappa
     exceeds ``KAPPA_BOUND``.
 
@@ -315,7 +365,7 @@ def _group_inverse(p, g):
         raise MeanErgodicValidationError(
             "E - G is singular: the projector is not the spectral one"
         ) from None
-    kappa = float(np.linalg.norm(z, 1))
+    kappa = float(np.linalg.norm(_to_vec(algebra, z, matrix=True), 1))
     if not kappa <= KAPPA_BOUND:
         raise MeanErgodicValidationError(
             f"group-inverse certificate: ||(E - G)^-1||_1 = {kappa:.3e} "
@@ -325,16 +375,23 @@ def _group_inverse(p, g):
 
 
 def _projector_residuals(parts, e):
-    """Idempotency and invariance residuals of the dense projector ``e`` of
-    an action split into the ``(coords, sub)`` summands ``parts``; raises
-    :class:`MeanErgodicValidationError` above 1e-9.
+    """Idempotency and invariance residuals of the dense projector ``e``, in
+    the hermitian basis, of an action split into the ``(coords, sub)``
+    summands ``parts``; raises :class:`MeanErgodicValidationError` above
+    1e-9.
 
     Each residual is computed per summand on the diagonal blocks of ``e``,
     and they combine to the norms of the whole matrices: Frobenius norms as
     the 2-norm of the per-summand ones, and the flow scale as the largest
     per-summand spectral norm.  So ``e`` must hold exact zeros between the
-    summands, which is checked.
+    summands, which is checked.  The products run in real arithmetic on R,
+    with e = R + iI: I is zero for a projector built here, and a projector
+    given from outside that does not preserve adjoints has I != 0, which
+    enters by the bounds ||E^2 - E|| <= ||R^2 - R|| + ||I|| (||I|| + 2 ||R||
+    + 1) and ||G E|| <= ||G R|| + ||G|| ||I|| (Frobenius norms, G the
+    generator condition), so each residual bounds the complex one.
     """
+    fro = np.linalg.norm
     pieces = [(sub, e[_square(coords)]) for coords, sub in parts]
     if len(parts) > 1 and np.count_nonzero(e) != sum(
         np.count_nonzero(block) for _, block in pieces
@@ -343,26 +400,32 @@ def _projector_residuals(parts, e):
             "projector couples summands that no generator couples"
         )
     continuous = parts[0][1].scheme.kind == "r-plus-cube"
+    pieces = [
+        (sub, b.real, fro(b.imag) if b.dtype.kind == "c" else 0.0) for sub, b in pieces
+    ]
     # Frobenius norms bound the spectral norm from above, so the residual
     # checks are at least as strict as spectral ones; the flow scale stays
     # spectral, since a larger divisor would loosen them
-    residuals = {
-        "idempotency": math.hypot(
-            *(np.linalg.norm(b @ b - b, "fro") for _, b in pieces)
-        )
-    }
+    idem = []
+    for _, r, i in pieces:
+        idem.append(fro(r @ r - r) + (i * (i + 2 * fro(r) + 1) if i else 0.0))
+    residuals = {"idempotency": math.hypot(*idem)}
     inv = 0.0
-    for i in range(len(parts[0][1].matrices)):
-        mats = [(sub.matrices[i], b) for sub, b in pieces]
-        if continuous:
-            scale = max(1.0, *(np.linalg.norm(m, 2) for m, _ in mats))
-            left = math.hypot(*(np.linalg.norm(m @ b, "fro") for m, b in mats))
-            right = math.hypot(*(np.linalg.norm(b @ m, "fro") for m, b in mats))
-            inv = max(inv, left / scale, right / scale)
-        else:
-            left = math.hypot(*(np.linalg.norm(m @ b - b, "fro") for m, b in mats))
-            right = math.hypot(*(np.linalg.norm(b @ m - b, "fro") for m, b in mats))
-            inv = max(inv, left, right)
+    for k in range(len(parts[0][1].real)):
+        left, right, scale = [], [], 1.0
+        for sub, r, i in pieces:
+            g = sub.real[k]
+            if continuous:
+                scale = max(scale, np.linalg.norm(g, 2))
+                moved = (g @ r, r @ g)
+            else:
+                moved = (g @ r - r, r @ g - r)
+            bound = 0.0
+            if i:
+                bound = i * fro(g if continuous else g - np.eye(len(g)))
+            left.append(fro(moved[0]) + bound)
+            right.append(fro(moved[1]) + bound)
+        inv = max(inv, math.hypot(*left) / scale, math.hypot(*right) / scale)
     residuals["invariance"] = float(inv)
     bad = {k: v for k, v in residuals.items() if v > PROJECTION_RESIDUAL_TOL}
     if bad:
@@ -391,26 +454,30 @@ def _dual_projection(proj, heis, sup):
 
     E_h = dual(E) acts as E_h(b) = sum_i tau(x_i b) psi_i, so the psi_i of
     ``proj`` span its range and its x_i are the functionals that E_h
-    conserves.  With L L* the Cholesky factorisation of the Gram matrix of
-    the psi_i, the fixed basis Psi L^-* is tau-orthonormal and the dual
-    basis X conj(L) pairs with it to the identity.  The certificate is
+    conserves.  With L L^T the Cholesky factorisation of the Gram matrix of
+    the psi_i, in the hermitian basis where all of them are real, the fixed
+    basis Psi L^-T is tau-orthonormal and the dual basis X L pairs with it
+    to the identity; both take the signs of :func:`_sign_gauge`.  The certificate is
     that of ``proj``; the residuals and the factor residual are measured
     again on E_h, in the observable picture, and raise as in
     :func:`mean_ergodic_projection`.
     """
     algebra = heis.algebra
     w = algebra.weight_vec
-    e = sup.matrix
+    e = sup.hermitian()
     residuals = _projector_residuals(heis._summands(), e)
-    fixed, chol = _tau_orthonormal(_vec_columns(proj.dual_basis, algebra.dim), w)
-    conserved = _vec_columns(proj.fixed_basis, algebra.dim) @ chol.conj()
-    # tau(psi y) = F_i . vec(y) pairs psi's entry (p, q) with y's (q, p)
-    f = (w[:, None] * conserved[_transpose_perm(algebra.blocks)]).T
+    r = len(proj.dual_basis)
+    cols = _hermitian_columns(algebra, proj.dual_basis + proj.fixed_basis)
+    fixed, chol = _sign_gauge(algebra, *_tau_orthonormal(cols[:, :r], w))
+    conserved = cols[:, r:] @ chol
+    # tau(c y) = (w c) . y for a hermitian c and y in the hermitian basis
+    f = (w[:, None] * conserved).T
     factor_residual = _factor_residual(fixed, f, e)
+    elements = _elements(algebra, np.hstack([fixed, conserved]))
     return MeanErgodicProjection(
         sup,
-        [algebra.from_vec(v) for v in fixed.T],
-        [algebra.from_vec(v) for v in conserved.T],
+        elements[:r],
+        elements[r:],
         residuals,
         dict(proj.cross_validation),
         proj.rank,
@@ -469,9 +536,13 @@ def _invariant_density(schr, phi0, projection):
 def _invariance_defect(schr, y):
     dev = 0.0
     if schr.scheme.kind == "r-plus-cube":
-        for L in schr.matrices:
+        # L y in the hermitian basis, where the hermitian y is real
+        algebra = schr.algebra
+        coords = _to_hermitian(algebra, y.vec()).real
+        for L in schr.real:
             scale = max(1.0, np.linalg.norm(L, 2))
-            dev = max(dev, trace_norm(schr.algebra.from_vec(L @ y.vec())) / scale)
+            moved = algebra.from_vec(_to_vec(algebra, L @ coords))
+            dev = max(dev, trace_norm(moved) / scale)
         return dev
     for s in schr.generators:
         dev = max(dev, trace_norm(s(y) - y))

@@ -47,7 +47,7 @@ import numpy as np
 
 from . import convergence, neveu
 from .algebra import TracialAlgebra, op_norm
-from .dynamics import FolnerScheme, SemigroupAction, _average_stacks
+from .dynamics import FolnerScheme, GeneratorError, SemigroupAction, _average_stacks
 from .maps import (
     PreconditionError,
     dual,
@@ -363,7 +363,9 @@ def scenario_from_dict(doc, origin="<dict>"):
     try:
         action = SemigroupAction(algebra, picture, scheme, gens)
     except ValueError as exc:
-        raise ScenarioError(f"{origin}: action: {exc}") from exc
+        # a refused generator names itself: action.generators[i]
+        sep = "." if isinstance(exc, GeneratorError) else ": "
+        raise ScenarioError(f"{origin}: action{sep}{exc}") from exc
 
     tolerances = _finite_tolerances(
         {**DEFAULT_TOLERANCES, **doc.get("tolerances", {})}, origin
@@ -440,16 +442,21 @@ def load_report(path):
 # ---------------------------------------------------------------------------
 
 
+def _spectrum_order(lam):
+    """The stable order of the eigenvalues ``lam`` by real, then imaginary
+    part, each rounded to 12 decimals."""
+    return np.lexsort((np.round(lam.imag, 12), np.round(lam.real, 12)))
+
+
 def _spectrum_payload(action):
-    # a generator's spectrum is the union of its uncoupled summands' spectra
+    # a generator's spectrum is the union of its uncoupled summands'
+    # spectra, each that of its real matrix in the hermitian basis
     parts = action._summands()
     out = []
-    for i in range(len(action.matrices)):
-        lam = chain.from_iterable(
-            np.linalg.eigvals(sub.matrices[i]) for _, sub in parts
-        )
-        lam = sorted(lam, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
-        out.append([_encode_complex(z) for z in lam])
+    for i in range(len(action.real)):
+        lam = np.concatenate([np.linalg.eigvals(sub.real[i]) for _, sub in parts])
+        lam = lam[_spectrum_order(lam)]
+        out.append(np.stack((lam.real, lam.imag), -1).tolist())
     return out
 
 

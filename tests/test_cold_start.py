@@ -1,4 +1,5 @@
-"""A cold start loads neither ``scipy`` nor ``jsonschema``.
+"""A cold start loads neither ``scipy`` nor ``jsonschema``, and a run does
+not load ``numpy.ma``.
 
 Each check runs in a fresh interpreter, since a module once imported stays
 in ``sys.modules`` for the rest of the process.  The package depends on
@@ -6,7 +7,9 @@ numpy alone: the flow averages of an ``r-plus-cube`` action take the
 package's own matrix exponential, and scenario documents are checked
 against the shipped schema by the package itself.  So no run imports scipy
 or jsonschema, and every gallery scenario also runs in an interpreter that
-refuses to import scipy.
+refuses to import scipy.  numpy loads ``numpy.ma`` on the first call of
+``np.unique``, which costs a fresh process tens of milliseconds; no run
+needs it.
 """
 
 import json
@@ -18,7 +21,8 @@ import sys
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # prints its findings as one JSON line; "scipy" is whether any scipy module
-# is loaded, "jsonschema" whether jsonschema is.  The runs taken are named by
+# is loaded, "jsonschema" whether jsonschema is, "numpy_ma" whether numpy.ma
+# is.  The runs taken are named by
 # the first argument: "flow" (the r-plus-cube scenarios), "non-flow" or "all".
 LOADED = """
 import sys
@@ -47,6 +51,7 @@ print(json.dumps({
     "codes": codes,
     "scipy": loaded("scipy"),
     "jsonschema": loaded("jsonschema"),
+    "numpy_ma": loaded("numpy.ma"),
 }))
 """
 
@@ -76,6 +81,7 @@ print(json.dumps({
     "sizes": [len(text), len(canonical)],
     "scipy": loaded("scipy"),
     "jsonschema": loaded("jsonschema"),
+    "numpy_ma": loaded("numpy.ma"),
 }))
 """
 
@@ -137,6 +143,7 @@ def test_non_flow_gallery_runs_leave_scipy_linalg_unloaded():
     assert set(found["codes"].values()) == {0}
     assert found["scipy"] is False
     assert found["jsonschema"] is False
+    assert found["numpy_ma"] is False
 
 
 def test_a_flow_run_passes_and_leaves_scipy_unloaded():
@@ -144,6 +151,7 @@ def test_a_flow_run_passes_and_leaves_scipy_unloaded():
     assert found["codes"] == {"lindblad-rplus": 0}
     assert found["scipy"] is False
     assert found["jsonschema"] is False
+    assert found["numpy_ma"] is False
 
 
 def test_report_pipeline_of_a_heisenberg_document_leaves_scipy_linalg_unloaded():
@@ -154,6 +162,7 @@ def test_report_pipeline_of_a_heisenberg_document_leaves_scipy_linalg_unloaded()
     assert min(found["sizes"]) > 0
     assert found["scipy"] is False
     assert found["jsonschema"] is False
+    assert found["numpy_ma"] is False
 
 
 def test_every_gallery_scenario_runs_where_scipy_cannot_be_imported():

@@ -9,7 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neveukit.algebra import TracialAlgebra, op_norm, trace
+from neveukit.algebra import TracialAlgebra, _to_hermitian, _to_vec, op_norm, trace
 from neveukit.dynamics import (
     FolnerScheme,
     SemigroupAction,
@@ -357,33 +357,38 @@ def test_average_index_validation():
         average(action, x, 0)
 
 
-def literal_averages(action, x, schedule):
+def literal_averages(action, x, schedule, hermitian=False):
     """A_a(x) point by point, each window summed afresh: the reference for
-    the schedule walk of :func:`averages`."""
-    kind, dim = action.scheme.kind, action.algebra.dim
+    the schedule walk of :func:`averages`.  With ``hermitian``, for a
+    hermitian x, the sums run on the real hermitian-basis coordinates of x
+    and the real generator matrices, and go back to vec coordinates."""
+    kind, algebra, dim = action.scheme.kind, action.algebra, action.algebra.dim
+    matrices, inverses = action.matrices, action.inverses
+    if hermitian:
+        matrices, inverses = action.real, action.real_inverses
     out = []
     for a in schedule:
-        v = x.vec()
+        v = _to_hermitian(algebra, x.vec()).real if hermitian else x.vec()
         if kind == "finite-group":
-            v = sum(m @ v for m in action.matrices) / action.scheme.order
+            v = sum(m @ v for m in matrices) / action.scheme.order
         elif kind == "r-plus-cube":
-            for L in action.matrices:
+            for L in matrices:
                 aug = np.zeros((dim + 1, dim + 1), dtype=complex)
                 aug[:dim, :dim], aug[:dim, dim] = L, v
                 v = scipy.linalg.expm(a * aug)[:dim, dim] / a
         else:
-            for axis, s in enumerate(action.matrices):
+            for axis, s in enumerate(matrices):
                 back = a if kind == "z-symmetric-box" else 0
                 size = 2 * a + 1 if back else a
                 cur = v
                 for _ in range(back):
-                    cur = action.inverses[axis] @ cur
+                    cur = inverses[axis] @ cur
                 acc = cur.copy()
                 for _ in range(size - 1):
                     cur = s @ cur
                     acc += cur
                 v = acc / size
-        out.append(v)
+        out.append(_to_vec(algebra, v) if hermitian else v)
     return out
 
 
@@ -424,11 +429,12 @@ def test_averages_walk_matches_literal_per_point_sums(name, schedule):
     want = literal_averages(action, x, schedule)
     assert len(got) == len(schedule)
     for g, w in zip(got, want):
-        if name == "zplus-d1":
-            # same matvecs in the same order: bitwise equal
+        assert np.linalg.norm(g - w) <= 1e-13 * np.linalg.norm(w)
+    if name == "zplus-d1":
+        # the same matvecs in the same order, in the hermitian basis where
+        # the walk runs: bitwise equal
+        for g, w in zip(got, literal_averages(action, x, schedule, hermitian=True)):
             assert np.array_equal(g, w)
-        else:
-            assert np.linalg.norm(g - w) <= 1e-13 * np.linalg.norm(w)
 
 
 @pytest.mark.parametrize("schedule", [[2, 1], [1, 1], [1, 4, 4, 8], []])

@@ -10,6 +10,8 @@ from neveukit import neveu
 from neveukit.algebra import (
     Projection,
     TracialAlgebra,
+    _to_hermitian,
+    _to_vec,
     op_norm,
     support,
     trace,
@@ -18,6 +20,7 @@ from neveukit.algebra import (
 from neveukit.dynamics import FolnerScheme, SemigroupAction, average, average_super
 from neveukit.maps import (
     SuperOperator,
+    _transpose_perm,
     dual,
     from_classical,
     from_conjugation,
@@ -180,7 +183,9 @@ def random_block_channel(algebra, rng):
 )
 def test_mean_projection_residuals_bound_spectral_norms(blocks, seed, kind):
     """The reported residuals are at least the spectral norms of the same
-    matrices, on multi-block algebras with non-uniform weights."""
+    matrices, on multi-block algebras with non-uniform weights.  They are
+    measured on E and the generators in the hermitian basis, where the
+    spectral norms are those of the vec matrices (B is unitary)."""
     algebra = TracialAlgebra([n for n, _ in blocks], [w for _, w in blocks])
     s = random_block_channel(algebra, np.random.default_rng(seed))
     if kind == "flow":
@@ -193,10 +198,10 @@ def test_mean_projection_residuals_bound_spectral_norms(blocks, seed, kind):
     else:
         action = zplus_action(s).to_picture(kind)
     proj = mean_ergodic_projection(action)
-    e = proj.superop.matrix
+    e = proj.superop.hermitian()
     idempotency = np.linalg.norm(e @ e - e, 2)
     invariance = 0.0
-    for m in action.matrices:
+    for m in action.real:
         if kind == "flow":
             scale = max(1.0, np.linalg.norm(m, 2))
             pair = (np.linalg.norm(m @ e, 2) / scale, np.linalg.norm(e @ m, 2) / scale)
@@ -259,7 +264,8 @@ def test_mean_projection_validation_catches_a_wrong_fixed_subspace(monkeypatch):
     """A tau-orthonormal basis of the right dimension but the wrong subspace
     passes a rank comparison; the factor residual must refuse it."""
     wrong = E00 * np.sqrt(2.0)  # tau(wrong* wrong) = 1, but 1 spans the fixed space
-    monkeypatch.setattr(neveu, "_fixed_basis", lambda algebra, parts, nulls: [wrong])
+    cols = _to_hermitian(M2, wrong.vec()[:, None]).real
+    monkeypatch.setattr(neveu, "_fixed_columns", lambda algebra, parts, nulls: cols)
     with pytest.raises(MeanErgodicValidationError, match="not the fixed space"):
         mean_ergodic_projection(AD)
 
@@ -269,8 +275,8 @@ def test_mean_projection_validation_catches_1e8_perturbation(monkeypatch):
     noise = np.random.default_rng(11).standard_normal((4, 4))
     noise *= 1e-8 / np.linalg.norm(noise, 2)
 
-    def perturbed(gens, nulls):
-        e, kappa = exact(gens, nulls)
+    def perturbed(sub, gens, nulls):
+        e, kappa = exact(sub, gens, nulls)
         return e + noise, kappa
 
     monkeypatch.setattr(neveu, "_summand_projector", perturbed)
@@ -285,10 +291,10 @@ def test_mean_projection_validation_catches_a_dropped_fixed_direction(monkeypatc
     only the rank comparison with the fixed space can refuse it."""
     exact = neveu._summand_projector
     drop = np.zeros((4, 4))
-    drop[0, 0] = 1.0  # vec coordinate 0 is the E00 entry
+    drop[0, 0] = 1.0  # coordinate 0 is that of E00, in vec and hermitian bases
 
-    def dropping(gens, nulls):
-        e, kappa = exact(gens, nulls)
+    def dropping(sub, gens, nulls):
+        e, kappa = exact(sub, gens, nulls)
         return e - drop, kappa
 
     monkeypatch.setattr(neveu, "_summand_projector", dropping)
@@ -308,25 +314,27 @@ def test_mean_projection_validation_catches_a_summand_misplaced_basis(monkeypatc
     algebra = TracialAlgebra.commutative([0.1, 0.2, 0.3, 0.4])
     action = zplus_action(from_classical(algebra, kernel))
     assert len(action._summands()) == 2
-    first = [algebra.diag([1.0, 1.0, 0.0, 0.0]), algebra.diag([1.0, -1.0, 0.0, 0.0])]
-    monkeypatch.setattr(neveu, "_fixed_basis", lambda algebra, parts, nulls: first)
+    # an algebra of 1 x 1 blocks has B = 1: coordinates are the diagonals
+    first = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0]]).T
+    monkeypatch.setattr(neveu, "_fixed_columns", lambda algebra, parts, nulls: first)
     with pytest.raises(MeanErgodicValidationError, match=r"\[1, 1\] != .* \[2, 0\]"):
         mean_ergodic_projection(action)
 
 
 def certificate_inputs(action):
-    """The mean ergodic projection E of a one-generator zplus action and its
-    G = S - 1."""
-    (s,) = action.matrices
-    return mean_ergodic_projection(action).superop.matrix, s - np.eye(s.shape[0])
+    """The mean ergodic projection E of a one-generator zplus action, its
+    G = S - 1, both in the hermitian basis, and the algebra."""
+    (s,) = action.real
+    e = mean_ergodic_projection(action).superop.hermitian()
+    return e, s - np.eye(s.shape[0]), action.algebra
 
 
 def test_group_inverse_certificate_passes_the_exact_projector():
     """On amplitude damping, kappa = ||(E - G)^-1||_1 = 2 + sqrt(2) (the
     hand computation is in test_mean_projection_residuals_within_tolerance)
     and Z inverts E - G."""
-    e, g = certificate_inputs(AD)
-    z, kappa = neveu._group_inverse(e, g)
+    e, g, algebra = certificate_inputs(AD)
+    z, kappa = neveu._group_inverse(e, g, algebra)
     assert kappa == pytest.approx(2.0 + np.sqrt(2.0), rel=1e-12)
     assert np.abs(z @ (e - g) - np.eye(4)).max() <= 1e-15
 
@@ -336,29 +344,30 @@ def test_group_inverse_certificate_refuses_a_missing_fixed_direction():
     has one fixed direction, and E - G with E = 0 has a zero row, so the LU
     meets an exact zero pivot; the chain with two absorbing atoms loses
     x_0 tau(psi_0 .), and E - G is singular up to rounding."""
-    e, g = certificate_inputs(AD)
+    e, g, _ = certificate_inputs(AD)
     with pytest.raises(MeanErgodicValidationError, match="singular"):
-        neveu._group_inverse(np.zeros_like(e), g)
+        neveu._group_inverse(np.zeros_like(e), g, M2)
     algebra = TracialAlgebra.commutative([0.5, 0.3, 0.2])
     kernel = np.array([[1.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.0, 1.0]])
     action = zplus_action(from_classical(algebra, kernel))
     proj = mean_ergodic_projection(action)
     assert proj.rank == 2
-    e, g = certificate_inputs(action)
-    x0 = proj.fixed_basis[0].vec()
-    f0 = x0.conj() @ (algebra.weight_vec[:, None] * e)
+    e, g, _ = certificate_inputs(action)
+    # an algebra of 1 x 1 blocks has B = 1: coordinates are the diagonals
+    x0 = proj.fixed_basis[0].vec().real
+    f0 = x0 @ (algebra.weight_vec[:, None] * e)
     with pytest.raises(MeanErgodicValidationError):
-        neveu._group_inverse(e - np.outer(x0, f0), g)
+        neveu._group_inverse(e - np.outer(x0, f0), g, algebra)
 
 
 def test_group_inverse_certificate_refuses_kappa_above_the_bound(monkeypatch):
     """With the bound below 2 + sqrt(2) the exact amplitude-damping E is
     refused, and with it below 1, under every kappa of the gallery, every
     gallery projection is."""
-    e, g = certificate_inputs(AD)
+    e, g, algebra = certificate_inputs(AD)
     monkeypatch.setattr(neveu, "KAPPA_BOUND", 3.0)
     with pytest.raises(MeanErgodicValidationError, match="3.414e\\+00 above"):
-        neveu._group_inverse(e, g)
+        neveu._group_inverse(e, g, algebra)
     monkeypatch.setattr(neveu, "KAPPA_BOUND", 0.5)
     for scenario in gallery():
         with pytest.raises(MeanErgodicValidationError, match="group-inverse"):
@@ -525,7 +534,7 @@ def test_tau_orthonormal_matches_the_triangular_solve(blocks, seed, log_cond, da
     assert np.linalg.norm(gram - eye, 2) <= 1e-12 * cond
     assert np.linalg.norm(root * (ortho - oracle), 2) <= 1e-12 * cond
     # x_j with tau(psi_i x_j) = delta_ij for the psi_i = the columns
-    perm = neveu._transpose_perm(algebra.blocks)
+    perm = _transpose_perm(algebra.blocks)
     xs = np.linalg.pinv((w[:, None] * cols[perm]).T)
     conserved = [algebra.from_vec(v) for v in (xs @ chol.conj()).T]
     fixed = [algebra.from_vec(v) for v in ortho.T]
@@ -770,10 +779,11 @@ def test_averages_obey_the_group_inverse_identity(kind, picture, blocks, seed):
     algebra = TracialAlgebra([n for n, _ in blocks], [w for _, w in blocks])
     rng = np.random.default_rng(seed)
     action = random_heisenberg_action(algebra, kind, rng).to_picture(picture)
-    e = mean_ergodic_projection(action).superop.matrix
-    (m,) = action.matrices
+    proj = mean_ergodic_projection(action)
+    (m,) = action.real
     g = m if kind == "flow" else m - np.eye(algebra.dim)
-    z, kappa = neveu._group_inverse(e, g)
+    z, kappa = neveu._group_inverse(proj.superop.hermitian(), g, algebra)
+    e, z = proj.superop.matrix, _to_vec(algebra, z, matrix=True)
     for a in (1, 16, 64):
         want = average_super(action, a).matrix - e
         got = group_inverse_average(action, e, z, a)

@@ -46,11 +46,9 @@ from .neveu import (
     MeanErgodicProjection,
     NeveuDecomposition,
     fixed_space,
-    inf_profile,
     invariant_state,
     mean_ergodic_projection,
     neveu_decompose,
-    wandering_sum,
     weakly_wandering_certificate,
 )
 from .convergence import (

@@ -732,11 +732,16 @@ def support(x):
     if not x.is_positive():
         raise ValueError("support requires a positive operator")
     eigs = x.eigh()
-    theta = SUPPORT_RTOL * max(max(lam.max() for lam, _ in eigs), 1.0)
+    theta = _support_cutoff(eigs)
     return Projection.from_eigvecs(
         x.algebra,
         [[V[:, k] for k in np.flatnonzero(lam > theta)] for lam, V in eigs],
     )
+
+
+def _support_cutoff(eigs):
+    """theta of :func:`support` from the per-block ``(lam, V)`` of eigh()."""
+    return SUPPORT_RTOL * max(max(lam.max() for lam, _ in eigs), 1.0)
 
 
 def distribution(x, eps):

@@ -452,6 +452,7 @@ def stochastic_run(
     which follows from Cauchy-Schwarz for the positive operator A_a(x); the
     inequality is checked numerically row by row, not assumed.  The schedule
     must be strictly ascending; a missing ``decomposition`` is computed here.
+    ``seed`` has no effect: nothing here draws at random.
     """
     return _stochastic_run(
         action,
@@ -460,15 +461,12 @@ def stochastic_run(
         eps,
         delta,
         decomposition,
-        seed,
         decay_tol,
         lambda schedule: _average_stacks(action, x, schedule),
     )
 
 
-def _stochastic_run(
-    action, x, schedule, eps, delta, decomposition, seed, decay_tol, walk
-):
+def _stochastic_run(action, x, schedule, eps, delta, decomposition, decay_tol, walk):
     """:func:`stochastic_run`, with ``walk(schedule)`` giving the averages
     of x as per-block stacks."""
     if action.picture != "schrodinger":
@@ -481,9 +479,7 @@ def _stochastic_run(
         raise ValueError("eps and delta must be > 0")
     schedule = list(schedule if schedule is not None else DEFAULT_SCHEDULE)
     if decomposition is None:
-        decomposition = neveu_decompose(
-            action, schedule=schedule, seed=seed, decay_tol=decay_tol
-        )
+        decomposition = neveu_decompose(action, schedule=schedule, decay_tol=decay_tol)
     e1, e2 = decomposition.e1, decomposition.e2
     algebra = action.algebra
 

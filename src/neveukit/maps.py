@@ -28,7 +28,6 @@ import numpy as np
 
 from .algebra import (
     Operator,
-    TracialAlgebra,
     _real_part,
     _to_hermitian,
     _to_vec,
@@ -50,7 +49,6 @@ __all__ = [
     "check_contraction",
     "check_lamperti",
     "check_commuting",
-    "check_schwarz",
 ]
 
 UNITARY_TOL = 1e-12
@@ -174,36 +172,15 @@ class SuperOperator:
         }
         return cls(algebra, np.eye(algebra.dim), source="conjugation", attestations=att)
 
-    @classmethod
-    def convex_combination(cls, pairs):
-        """sum_k c_k S_k for nonnegative c_k; keeps jointly held attestations."""
-        pairs = list(pairs)
-        if not pairs:
-            raise ValueError("empty combination")
-        if any(c < 0 for c, _ in pairs):
-            raise ValueError("coefficients must be >= 0")
-        total = sum(c for c, _ in pairs)
-        # attestations below (subunital, contraction) survive only convex mixing
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"coefficients sum to {total:.6g}, need 1")
-        algebra = pairs[0][1].algebra
-        mat = sum(c * s.matrix for c, s in pairs)
-        att = pairs[0][1].attestations
-        for _, s in pairs[1:]:
-            att = _composable(att, s.attestations, drop=("lamperti",))
-        return cls(algebra, mat, source="composite", attestations=att)
-
     def __repr__(self):
         att = {k: v.verdict for k, v in self.attestations.items()}
         return f"SuperOperator(source={self.source!r}, attestations={att})"
 
 
-def _composable(att_a, att_b, drop=()):
-    """Attestations preserved under composition / convex combination."""
+def _composable(att_a, att_b):
+    """Attestations preserved under composition."""
     out = {}
     for name in ("complete-positivity", "positivity-sampled", "subunital", "lamperti"):
-        if name in drop:
-            continue
         ra, rb = att_a.get(name), att_b.get(name)
         if ra is not None and rb is not None and ra.passed and rb.passed:
             out[name] = CheckReport(name, "pass", detail={"derived": "composition"})
@@ -297,9 +274,12 @@ def from_kraus(algebra, kraus_ops):
         ops.append(k)
     blocks = []
     for i in range(algebra.n_blocks):
-        blocks.append(
-            sum(np.kron(k.block_mats[i].T, k.block_mats[i].conj().T) for k in ops)
-        )
+        # sum_j kron(K_j^T, K_j*) as one product of the stacked operators:
+        # T[(a, b), (c, d)] = sum_j K_j[a, b] conj(K_j[c, d]), permuted
+        n = algebra.blocks[i]
+        stack = np.stack([k.block_mats[i] for k in ops]).reshape(len(ops), n * n)
+        t = stack.T @ stack.conj()
+        blocks.append(t.reshape(n, n, n, n).transpose(1, 3, 0, 2).reshape(n * n, n * n))
     mat = _blockdiag(algebra, blocks)
     one = algebra.identity()
     lam1 = sum((k.H @ k for k in ops), algebra.zero())
@@ -562,22 +542,3 @@ def check_commuting(maps):
         witness=worst_pair,
         detail={"max_commutator_norm": worst},
     )
-
-
-def check_schwarz(s, trials=10, seed=3):
-    """Sampled Kadison-Schwarz inequality S(x)^2 <= S(x^2) on hermitian x.
-
-    Holds for every positive subunital map restricted to a single hermitian
-    element, since the restriction to the abelian algebra it generates is
-    completely positive.
-    """
-    if not s.positivity_attested:
-        raise PreconditionError("check_schwarz requires a positivity-attested map")
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        x = s.algebra.random_hermitian(rng)
-        if not order_leq(s(x) @ s(x), s(x @ x)):
-            return CheckReport(
-                "schwarz", "fail", witness=(x,), samples=trials, seed=seed
-            )
-    return CheckReport("schwarz", "pass", samples=trials, seed=seed)

@@ -5,9 +5,12 @@ algebra, an action, and a task list; the schema ships with the package and
 is enforced on load by the package's own checker, which implements exactly
 the keywords the schema uses and reports jsonschema's messages.  Running a
 scenario produces a :class:`Report` whose payload is plain JSON: matrices
-appear as nested lists with complex scalars encoded ``[re, im]``.  Reports
-are deterministic for a fixed scenario and seed up to the wall-clock field,
-which :meth:`Report.canonical_bytes` excludes.  Report schema 1.1 writes the
+appear as nested lists with complex scalars encoded ``[re, im]``.  A report
+records the seed, but no run draws from it yet: the seed changes only that
+field.  The wall-clock field is excluded from :meth:`Report.canonical_bytes`.
+Report schema 1.3 keeps the ``decay``, ``invariance`` and ``wandering``
+verdicts of the decomposition and adds ``detail.support_margin``.  Report
+schema 1.1 writes the
 mean ergodic projection by its rank-r factors, E(y) = sum_i tau(psi_i y)
 x_i: ``results.mean.fixed_basis`` holds the tau-orthonormal fixed points x_i
 and ``results.mean.dual_basis`` the conserved functionals psi_i of the dual
@@ -71,7 +74,7 @@ __all__ = [
     "gallery_names",
 ]
 
-SCHEMA_VERSION = "1.2"
+SCHEMA_VERSION = "1.3"
 DEFAULT_TOLERANCES = {
     "eps": 0.25,
     "delta": 0.1,
@@ -511,9 +514,8 @@ class _RunContext:
     again for every task that needs it, so they all record the same error.
     """
 
-    def __init__(self, scenario, seed, tolerances, schedule):
+    def __init__(self, scenario, tolerances, schedule):
         self.scenario = scenario
-        self.seed = seed
         self.tolerances = tolerances
         self.schedule = schedule
         self.phi0 = neveu.reference_density(scenario.algebra)
@@ -558,7 +560,6 @@ class _RunContext:
             self.projection,
             self.projection_dual,
             self.schedule,
-            self.seed,
             self.tolerances["decay_tol"],
         )
 
@@ -566,10 +567,9 @@ class _RunContext:
 def _run_decompose(ctx, results):
     dec = ctx.decomposition
     if dec.invariant_density is not None:
-        lam = np.concatenate(
-            [np.linalg.eigvalsh(m) for m in dec.invariant_density.block_mats]
-        )
-        results["spectrum"]["invariant_density"] = [float(v) for v in sorted(lam)]
+        # the eigendecomposition that support() took of Y
+        lam = np.concatenate([lam for lam, _ in dec.invariant_density.eigh()])
+        results["spectrum"]["invariant_density"] = np.sort(lam).tolist()
     return {
         "e1": _encode_element(dec.e1),
         "e1_ranks": _plain(dec.e1.ranks),
@@ -629,7 +629,6 @@ def _run_stochastic(ctx, results):
         ctx.tolerances["eps"],
         ctx.tolerances["delta"],
         ctx.decomposition,
-        ctx.seed,
         ctx.tolerances["decay_tol"],
         lambda schedule: ctx.walk,
     )
@@ -700,7 +699,7 @@ def run(scenario, seed=None, tolerances=None, schedule=None):
     )
     eff_schedule = list(schedule) if schedule is not None else list(scenario.schedule)
 
-    ctx = _RunContext(scenario, eff_seed, eff_tol, eff_schedule)
+    ctx = _RunContext(scenario, eff_tol, eff_schedule)
     results = {"spectrum": {"generators": _spectrum_payload(scenario.action)}}
     verdicts = {}
     for task in scenario.tasks:

@@ -11,7 +11,6 @@ from neveukit.maps import (
     check_commuting,
     check_contraction,
     check_lamperti,
-    check_schwarz,
     dual,
     from_classical,
     from_conjugation,
@@ -169,6 +168,30 @@ def test_from_kraus_applies_the_kraus_sum(blocks, count, seed):
         assert op_norm(s(x) - direct) <= 1e-12 * max(1.0, op_norm(x))
 
 
+@pytest.mark.parametrize(
+    "blocks, weights, count",
+    [([3], [1.0], 1), ([5], [1.0], 6), ([4, 2, 1], [0.5, 1.5, 1.0], 3), ([1, 1], [0.5, 0.5], 2)],
+)
+def test_from_kraus_matches_the_kron_sum(blocks, weights, count):
+    """The one product of the stacked Kraus operators per block is the block
+    sum_j kron(K_j^T, K_j*) of x -> sum_j K_j* x K_j in vec coordinates,
+    within 1e-14 relative (not bitwise: the sums run in another order)."""
+    algebra = TracialAlgebra(blocks, weights)
+    rng = np.random.default_rng(7)
+    ks = [random_op(algebra, rng) for _ in range(count)]
+    scale = 0.9 / np.sqrt(op_norm(sum((k.H @ k for k in ks), algebra.zero())))
+    ks = [scale * k for k in ks]
+    want = np.zeros((algebra.dim, algebra.dim), dtype=complex)
+    off = 0
+    for i, n in enumerate(blocks):
+        want[off : off + n * n, off : off + n * n] = sum(
+            np.kron(k.block_mats[i].T, k.block_mats[i].conj().T) for k in ks
+        )
+        off += n * n
+    got = from_kraus(algebra, ks).matrix
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
 def test_from_classical_negative_entry_names_position():
     kernel = np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, -0.2, 1.0]])
     with pytest.raises(ValueError, match=r"\(2, 1\)"):
@@ -206,20 +229,15 @@ def test_identity_superoperator():
     assert op_norm(s(x) - x) == 0.0
 
 
-def test_convex_combination_keeps_joint_attestations():
+def test_composition_keeps_joint_attestations():
     a = amplitude_damping(M2, 0.5)
     b = from_conjugation(M2, [np.array([[0.0, 1.0], [1.0, 0.0]])])
-    mix = SuperOperator.convex_combination([(0.5, a), (0.5, b)])
-    assert mix.is_attested("complete-positivity")
-    assert mix.is_attested("subunital")
-    # lamperti is not preserved by mixing and must have been dropped
-    assert not mix.is_attested("lamperti")
-
-
-def test_convex_combination_weights_must_be_a_distribution():
-    a = SuperOperator.identity(M2)
-    with pytest.raises(ValueError):
-        SuperOperator.convex_combination([(0.7, a), (0.7, a)])
+    both = a @ b
+    assert both.is_attested("complete-positivity")
+    assert both.is_attested("subunital")
+    # lamperti holds for b alone, so the composite does not keep it
+    assert not both.is_attested("lamperti")
+    assert (b @ b).is_attested("lamperti")
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +323,7 @@ def test_lamperti_requires_positivity_attestation():
 
 
 # ---------------------------------------------------------------------------
-# commutation and schwarz
+# commutation
 # ---------------------------------------------------------------------------
 
 
@@ -330,16 +348,6 @@ def test_commuting_pass_for_anticommuting_pauli_conjugations():
     sx = from_conjugation(M2, [np.array([[0.0, 1.0], [1.0, 0.0]])])
     sz = from_conjugation(M2, [np.array([[1.0, 0.0], [0.0, -1.0]])])
     assert check_commuting([sx, sz]).passed
-
-
-def test_schwarz_holds_for_channels():
-    assert check_schwarz(amplitude_damping(M2, 0.5)).passed
-    assert check_schwarz(depolarizing(M2)).passed
-
-
-def test_schwarz_requires_positivity_attestation():
-    with pytest.raises(PreconditionError):
-        check_schwarz(SuperOperator(M2, np.eye(4)))
 
 
 # ---------------------------------------------------------------------------

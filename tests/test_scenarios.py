@@ -512,12 +512,58 @@ def test_run_is_deterministic_modulo_wall_clock():
 
 
 def test_run_seed_changes_echo_only_not_verdicts():
-    sc = scenario_from_dict(base_doc())
+    # on M_3 in a rotated basis, level 2 decays (with loss) into a conserved
+    # M_2 corner, so invariant densities vary with the initial one and the
+    # spectral work rounds: a random density drawn from the seed would move
+    # the numbers
+    w, _ = np.linalg.qr(np.arange(9.0).reshape(3, 3) + np.eye(3) * (2.0 + 1.0j))
+    kraus = [np.diag([1.0, 1.0, np.sqrt(0.4)]), np.zeros((3, 3))]
+    kraus[1][0, 2] = np.sqrt(0.5)
+    doc = base_doc()
+    doc["algebra"] = {"blocks": [3], "weights": [1 / 3], "normalized": True}
+    doc["action"]["generators"][0]["payload"]["operators"] = [
+        [[[[z.real, z.imag] for z in row] for row in w @ k @ w.conj().T]] for k in kraus
+    ]
+    doc["tasks"] = ["decompose", "mean", "certify", "stochastic"]
+    sc = scenario_from_dict(doc)
     r1 = run(sc, seed=11)
     r2 = run(sc, seed=12)
+    assert r1.passed
     assert r1.verdicts == r2.verdicts
     assert r1.data["seed"] == 11
     assert r2.data["seed"] == 12
+    # no run draws from the seed: the reports differ in that field alone
+    masked = [Report({**r.data, "seed": None}).canonical_bytes() for r in (r1, r2)]
+    assert masked[0] == masked[1]
+
+
+def test_run_reports_the_support_margin_of_the_invariant_density():
+    """On every gallery scenario with an invariant density Y, the cutoff of
+    support(Y) lies below the smallest eigenvalue of Y that e1 keeps and at
+    or above the largest it drops, which is null exactly when Y is faithful;
+    without an invariant density the margin is null."""
+    for sc in gallery():
+        report = run(sc)
+        dec = report.data["results"]["decompose"]
+        margin = dec["detail"]["support_margin"]
+        lam = report.data["results"]["spectrum"]["invariant_density"]
+        cutoff = margin["cutoff"]
+        kept = [v for v in lam if v > cutoff]
+        assert margin["kept_min"] == min(kept) > cutoff, sc.name
+        assert len(kept) == sum(dec["e1_ranks"]), sc.name
+        if sum(dec["e2_ranks"]) == 0:
+            assert margin["dropped_max"] is None, sc.name
+        else:
+            assert cutoff >= margin["dropped_max"] == max(v for v in lam if v <= cutoff)
+    doc = base_doc()
+    doc["algebra"] = {"blocks": [1, 1], "weights": [0.5, 0.5], "normalized": True}
+    leak = {"kernel": [[0.25, 0.25], [0.25, 0.25]]}
+    doc["action"]["generators"] = [{"source": "classical-kernel", "payload": leak}]
+    report = run(scenario_from_dict(doc))
+    assert report.verdicts == {"decompose": "pass"}
+    dec = report.data["results"]["decompose"]
+    assert dec["invariant_density"] is None
+    assert dec["detail"]["support_margin"] is None
 
 
 def test_run_noncommuting_records_failure_and_continues():
@@ -581,7 +627,7 @@ def test_emitted_mean_factors_rebuild_the_projector(tmp_path):
         out = tmp_path / f"{sc.name}.json"
         emit(run(sc), "report-json", out)
         report = load_report(out)
-        assert report.data["schema_version"] == "1.2"
+        assert report.data["schema_version"] == "1.3"
         mean = report.data["results"]["mean"]
         algebra = sc.algebra
         units = [algebra.from_vec(u) for u in np.eye(algebra.dim)]

@@ -100,7 +100,8 @@ class TracialAlgebra:
     :param blocks: block sizes ``n_i >= 1``.
     :param weights: finite, strictly positive trace weights ``w_i``; defaults to the
         uniform normalised choice ``w_i = 1 / sum_j n_j``.
-    :param normalized: if given, assert that ``sum_i w_i n_i == 1`` matches.
+    :param normalized: if True, refuse weights with tau(1) = ``sum_i w_i n_i``
+        more than 1e-12 from 1.
     """
 
     def __init__(self, blocks, weights=None, normalized=None):
@@ -120,7 +121,7 @@ class TracialAlgebra:
         mass = sum(w * n for w, n in zip(weights, blocks))
         is_normalized = abs(mass - 1.0) <= 1e-12
         if normalized is True and not is_normalized:
-            raise ValueError(f"tau(1) = {mass!r}, not a tracial state")
+            raise ValueError(f"declared normalized but tau(1) = {mass!r}")
         self.blocks = blocks
         self.weights = weights
         self.normalized = is_normalized

@@ -576,7 +576,7 @@ def _stochastic_run(action, x, schedule, eps, delta, decomposition, decay_tol, w
     )
 
 
-def corner_compatibility(action, decomposition, x, generator_index=None, tol=CORNER_COMPAT_TOL):
+def corner_compatibility(action, decomposition, x):
     """Check that the Neveu corners commute with the density evolution.
 
     For disjointness-preserving (Lamperti) L1 maps the corners of the image
@@ -592,22 +592,16 @@ def corner_compatibility(action, decomposition, x, generator_index=None, tol=COR
             f"corner compatibility needs Lamperti-attested maps; generator(s) "
             f"{failing} failed the disjointness probe"
         )
-    idxs = (
-        range(len(schr.generators))
-        if generator_index is None
-        else [int(generator_index)]
-    )
     scale = max(1.0, trace_norm(x))
     worst = 0.0
     witness = None
-    for i in idxs:
-        g = schr.generators[i]
+    for i, g in enumerate(schr.generators):
         for e in (decomposition.e1, decomposition.e2):
             dev = trace_norm(e @ g(x) @ e - g(e @ x @ e))
             if dev > worst:
                 worst = dev
                 witness = (i, e)
-    verdict = "pass" if worst <= tol * scale else "fail"
+    verdict = "pass" if worst <= CORNER_COMPAT_TOL * scale else "fail"
     return CheckReport(
         "corner-compatibility",
         verdict,

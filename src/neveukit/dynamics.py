@@ -57,6 +57,7 @@ from .maps import (
     CheckReport,
     PreconditionError,
     SuperOperator,
+    _weight_ratio,
     check_commuting,
     check_contraction,
     check_lamperti,
@@ -174,6 +175,17 @@ def _real_generator(index, s):
         raise GeneratorError(index, str(exc)) from None
 
 
+def _real_inverse(index, m):
+    """The inverse of the real generator matrix ``m``, generator ``index``."""
+    try:
+        inv = np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        raise GeneratorError(index, "z-symmetric-box generators must be invertible") from None
+    if np.linalg.norm(m @ inv - np.eye(len(m)), 2) > INVERSE_TOL:
+        raise GeneratorError(index, "generator inverse residual above 1e-10")
+    return inv
+
+
 class SemigroupAction:
     """A commuting family of positive contractions indexed by a scheme.
 
@@ -183,8 +195,9 @@ class SemigroupAction:
     not raised: operations that need a property guard on it explicitly, so
     that a scenario with a broken action still produces a report.
 
-    ``matrices`` holds the generator matrices: the flow generators L_i of an
-    ``r-plus-cube`` scheme, the superoperator matrices of the maps otherwise.
+    ``generators`` holds :class:`SuperOperator`s, for an ``r-plus-cube``
+    scheme the flow generators L_i (source ``"flow-generator"``, no
+    attestations), and ``matrices`` their vec-coordinate matrices.
     ``real`` holds the same matrices in the hermitian basis of
     :mod:`neveukit.algebra`, and ``real_inverses`` the z-symmetric inverses:
     each generator must map self-adjoint elements to self-adjoint ones, so
@@ -192,8 +205,9 @@ class SemigroupAction:
     with a :class:`GeneratorError`.  The averages, the mean projection and
     the spectra run on them.
 
-    Only the Lamperti reports and the split into uncoupled summands are
-    cached on the instance; :meth:`dual` builds a new action on each call.
+    The construction checks run in ``__init__`` only: the other picture
+    (:meth:`dual`, a new action on each call) and the uncoupled summands
+    (:meth:`_summands`, cached with the Lamperti reports) share ``checks``.
     A scenario run shares its derived work through a run context instead.
     The generators are not meant to change after construction.
     """
@@ -201,65 +215,37 @@ class SemigroupAction:
     def __init__(self, algebra, picture, scheme, generators):
         if picture not in ("heisenberg", "schrodinger"):
             raise ValueError(f"unknown picture {picture!r}")
-        self.algebra = algebra
-        self.picture = picture
-        self.scheme = scheme
-        self.checks = {}
-        self._lamperti = None
-        self._parts = None
-        self._inverses = self.real_inverses = None
-
-        if scheme.kind == "r-plus-cube":
-            mats = []
-            for L in generators:
-                L = np.asarray(L, dtype=complex)
-                if L.shape != (algebra.dim, algebra.dim):
-                    raise ValueError(
-                        f"flow generator shape {L.shape} != ({algebra.dim}, {algebra.dim})"
-                    )
-                mats.append(L)
-            if len(mats) != scheme.d:
-                raise ValueError(f"need {scheme.d} flow generators, got {len(mats)}")
-            self.generators = None
-            self.flow_generators = tuple(mats)
-            self.matrices = self.flow_generators
-            self.real = tuple(
-                _real_generator(i, SuperOperator(algebra, m)) for i, m in enumerate(mats)
-            )
-            self.checks["commuting"] = check_commuting(self.flow_generators)
-            return
-
         gens = list(generators)
+        if scheme.kind == "r-plus-cube":
+            gens = [SuperOperator(algebra, L, source="flow-generator") for L in gens]
         for s in gens:
             if not isinstance(s, SuperOperator) or s.algebra != algebra:
                 raise ValueError("generators must be SuperOperators on the algebra")
         expected = scheme.order if scheme.kind == "finite-group" else scheme.d
         if len(gens) != expected:
-            raise ValueError(f"need {expected} generator maps, got {len(gens)}")
-        self.generators = tuple(gens)
-        self.flow_generators = None
-        self.matrices = tuple(s.matrix for s in gens)
-        self.real = tuple(
-            _real_generator(i, s) for i, s in enumerate(gens)
-        )
-
+            raise ValueError(f"need {expected} generators, got {len(gens)}")
+        real = [_real_generator(i, s) for i, s in enumerate(gens)]
+        invs = None
         if scheme.kind == "z-symmetric-box":
-            invs = []
-            for m in self.real:
-                try:
-                    inv = np.linalg.inv(m)
-                except np.linalg.LinAlgError as exc:
-                    raise ValueError("z-symmetric-box generators must be invertible") from exc
-                if np.linalg.norm(m @ inv - np.eye(algebra.dim), 2) > INVERSE_TOL:
-                    raise ValueError("generator inverse residual above 1e-10")
-                invs.append(inv)
-            self.real_inverses = tuple(invs)
+            invs = tuple(_real_inverse(i, m) for i, m in enumerate(real))
+        self._set(algebra, picture, scheme, gens, real, invs, {})
 
         if scheme.kind == "finite-group":
             self.checks["representation"] = self._check_representation()
         else:
             self.checks["commuting"] = check_commuting(self.generators)
-        self.checks["contraction"] = self._check_contractions()
+        if scheme.kind != "r-plus-cube":
+            self.checks["contraction"] = self._check_contractions()
+
+    def _set(self, algebra, picture, scheme, gens, real, real_inverses, checks, parts=None):
+        """Set every field: ``__init__``, :meth:`dual` and :meth:`_restricted` come here."""
+        self.algebra, self.picture, self.scheme = algebra, picture, scheme
+        self.generators = tuple(gens)
+        self.matrices = tuple(s.matrix for s in self.generators)
+        self.real, self.real_inverses = tuple(real), real_inverses
+        self.checks = checks
+        self._inverses = self._lamperti = None
+        self._parts = parts
 
     @property
     def inverses(self):
@@ -324,22 +310,35 @@ class SemigroupAction:
     # -- pictures --------------------------------------------------------------
 
     def dual(self):
-        """The same dynamics in the other picture, built anew on each call."""
+        """The same dynamics in the other picture, derived on each call.
+
+        Each generator becomes its dual (:func:`neveukit.maps.dual`), which
+        forms the real matrix W^-1 R^T W from this action's R (W the trace
+        weights); the z-symmetric inverses follow by the same rule, with no
+        second inversion.  No check runs again: the result shares ``checks``,
+        which duality carries over.  Maps commute iff their duals do, the
+        duals of a group representation represent the opposite group (whose
+        table is the transpose), and a positive map contracts the operator
+        norm iff its dual contracts L1.  So a shared verdict can differ from
+        a recomputed one only for a deviation within a factor max w / min w
+        of a check tolerance.
+        """
         picture = "schrodinger" if self.picture == "heisenberg" else "heisenberg"
-        if self.scheme.kind == "r-plus-cube":
-            gens = [dual(SuperOperator(self.algebra, L)).matrix for L in self.matrices]
-            return SemigroupAction(self.algebra, picture, self.scheme, gens)
         scheme = self.scheme
         if scheme.kind == "finite-group":
-            # the adjoints form a representation of the opposite group
-            n = scheme.order
-            table_op = tuple(
-                tuple(scheme.table[h][g] for h in range(n)) for g in range(n)
-            )
-            scheme = FolnerScheme("finite-group", order=n, table=table_op)
-        return SemigroupAction(
-            self.algebra, picture, scheme, [dual(s) for s in self.generators]
+            table_op = tuple(zip(*scheme.table))
+            scheme = FolnerScheme("finite-group", order=scheme.order, table=table_op)
+        gens = [dual(s) for s in self.generators]
+        invs = self.real_inverses
+        if invs is not None:
+            ratio = _weight_ratio(self.algebra)
+            invs = tuple(m.T * ratio for m in invs)
+        out = object.__new__(SemigroupAction)
+        out._set(
+            self.algebra, picture, scheme, gens,
+            [_real_generator(i, s) for i, s in enumerate(gens)], invs, self.checks,
         )
+        return out
 
     def to_picture(self, picture):
         return self if picture == self.picture else self.dual()
@@ -408,20 +407,17 @@ class SemigroupAction:
             [self.algebra.blocks[b] for b in blocks],
             [self.algebra.weights[b] for b in blocks],
         )
+        square = _square(coords)
+        invs = self.real_inverses
         sub = object.__new__(SemigroupAction)
-        sub.algebra, sub.picture, sub.scheme = algebra, self.picture, self.scheme
         # a summand's blocks are coupled: it has one summand
-        sub.checks, sub._lamperti, sub._parts = self.checks, None, []
-        sub.matrices = tuple(m[_square(coords)] for m in self.matrices)
-        sub.real = tuple(m[_square(coords)] for m in self.real)
-        sub._inverses = sub.real_inverses = None
-        if self.real_inverses is not None:
-            sub.real_inverses = tuple(m[_square(coords)] for m in self.real_inverses)
-        if self.generators is None:
-            sub.generators, sub.flow_generators = None, sub.matrices
-        else:
-            sub.generators = tuple(SuperOperator(algebra, m) for m in sub.matrices)
-            sub.flow_generators = None
+        sub._set(
+            algebra, self.picture, self.scheme,
+            [SuperOperator(algebra, m[square]) for m in self.matrices],
+            [m[square] for m in self.real],
+            None if invs is None else tuple(m[square] for m in invs),
+            self.checks, parts=[],
+        )
         return sub
 
     # -- Lamperti attestation ----------------------------------------------
@@ -429,16 +425,12 @@ class SemigroupAction:
     def lamperti_reports(self, trials=8, seed=11):
         """check_lamperti on every predual (L1-picture) map; cached."""
         if self._lamperti is None:
-            maps = (
-                self.generators
-                if self.picture == "schrodinger"
-                else self.dual().generators
-            )
-            if maps is None:
+            if self.scheme.kind == "r-plus-cube":
                 raise PreconditionError(
                     "Lamperti attestation of a continuous flow is not supported; "
                     "attest the time-1 maps instead"
                 )
+            maps = self.to_picture("schrodinger").generators
             self._lamperti = tuple(
                 check_lamperti(m, trials=trials, seed=seed + 7 * i)
                 for i, m in enumerate(maps)

@@ -217,6 +217,12 @@ def pairing(x, y):
     return trace(x @ y)
 
 
+def _weight_ratio(algebra):
+    """w_v / w_u at [u, v], w the ``weight_vec``: M^T * ratio is W^-1 M^T W."""
+    w = algebra.weight_vec
+    return w[np.newaxis, :] / w[:, np.newaxis]
+
+
 def dual(s):
     """Adjoint with respect to tau(dual(S)(x) . y) = tau(x . S(y)).
 
@@ -226,8 +232,7 @@ def dual(s):
     is diagonal with entries +-1 and cancels: the dual is W^-1 H^T W, taken
     there too when S holds H.
     """
-    w = s.algebra.weight_vec
-    ratio = w[np.newaxis, :] / w[:, np.newaxis]
+    ratio = _weight_ratio(s.algebra)
     att = {}
     for name in ("complete-positivity", "positivity-sampled"):
         rep = s.attestations.get(name)
@@ -524,7 +529,7 @@ def check_lamperti(s, trials=10, seed=2):
 
 def check_commuting(maps):
     """Pairwise commutation of superoperators within 1e-10 (norm-scaled)."""
-    mats = [m.matrix if isinstance(m, SuperOperator) else np.asarray(m) for m in maps]
+    mats = [m.matrix for m in maps]
     worst = 0.0
     worst_pair = None
     for i in range(len(mats)):

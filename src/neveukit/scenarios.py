@@ -324,15 +324,11 @@ def scenario_from_dict(doc, origin="<dict>"):
 
     alg_spec = doc["algebra"]
     try:
-        algebra = TracialAlgebra(alg_spec["blocks"], alg_spec["weights"])
+        algebra = TracialAlgebra(
+            alg_spec["blocks"], alg_spec["weights"], alg_spec.get("normalized")
+        )
     except ValueError as exc:
         raise ScenarioError(f"{origin}: algebra: {exc}") from exc
-    if alg_spec.get("normalized", False):
-        total = sum(w * n for w, n in zip(algebra.weights, algebra.blocks))
-        if abs(total - 1.0) > 1e-12:
-            raise ScenarioError(
-                f"{origin}: algebra declared normalized but tau(1) = {total!r}"
-            )
 
     act = doc["action"]
     kind = act["scheme"]["kind"]

@@ -186,7 +186,7 @@ def test_criterion_03_classical_oracle_equivalence():
 
 def _generator_step_matrices(action):
     if action.scheme.kind == "r-plus-cube":
-        return [expm(L) for L in action.flow_generators]
+        return [expm(L) for L in action.matrices]
     return [s.matrix for s in action.generators]
 
 

@@ -548,7 +548,7 @@ def test_continuous_average_satisfies_defining_identity():
         [lindbladian(alg, np.random.default_rng(5))],
     )
     action = heis.dual()
-    (L,) = action.flow_generators
+    (L,) = action.matrices
     for a in (0.5, 3.0, 16.0, 64.0):
         got = a * L @ average_super(action, a).matrix
         want = scipy.linalg.expm(a * L) - np.eye(alg.dim)
@@ -665,7 +665,7 @@ def test_expm_matches_scipy_on_the_gallery_flow_walks(picture):
     (sc,) = [sc for sc in gallery() if sc.name == "lindblad-rplus"]
     action = sc.action.to_picture(picture)
     alg = action.algebra
-    (L,) = action.flow_generators
+    (L,) = action.matrices
     phi0 = reference_density(alg).vec()[:, None]
     for b in (phi0, np.eye(alg.dim)):
         aug = np.zeros((alg.dim + b.shape[1],) * 2, dtype=complex)
@@ -788,6 +788,13 @@ def test_heisenberg_schrodinger_heisenberg_gives_back_the_action(blocks, seed, k
     if kind == "s3-classical":
         assert action.checks["representation"].passed
         assert schr.scheme != action.scheme
+        # dual() shares the table check rather than running it: the duals
+        # represent the opposite group, and S_3 is not abelian, so they
+        # fail the table of the group itself
+        rebuilt = SemigroupAction(algebra, "schrodinger", schr.scheme, schr.generators)
+        assert rebuilt.checks["representation"].passed
+        rebuilt = SemigroupAction(algebra, "schrodinger", action.scheme, schr.generators)
+        assert rebuilt.checks["representation"].verdict == "fail"
     assert (schr.picture, back.picture) == ("schrodinger", "heisenberg")
     assert back.scheme == action.scheme
     assert len(back.matrices) == len(action.matrices)
@@ -833,7 +840,59 @@ def test_finite_group_dual_uses_opposite_table():
         C3, "heisenberg", scheme, [SuperOperator.identity(C3), shift, shift2]
     )
     assert action.checks["representation"].passed
+    # Z3 is abelian, so its opposite table is its table
     assert action.dual().checks["representation"].passed
+
+
+def test_dual_and_summands_run_no_construction_check(monkeypatch):
+    """The other picture and the uncoupled summands are derived: they share
+    the construction checks, and none runs again."""
+    actions = list(walk_actions().values())
+    actions.append(actions[0].dual())
+    calls = []
+
+    def counted(check):
+        def run(*args, **kwargs):
+            calls.append(check)
+            return check(*args, **kwargs)
+
+        return run
+
+    import neveukit.dynamics as dynamics
+
+    for name in ("check_commuting", "check_contraction"):
+        monkeypatch.setattr(dynamics, name, counted(getattr(dynamics, name)))
+    monkeypatch.setattr(
+        SemigroupAction,
+        "_check_representation",
+        counted(SemigroupAction._check_representation),
+    )
+    summands = 0
+    for action in actions:
+        derived = [action.dual(), action.dual().dual()]
+        for d in [action] + derived[:]:
+            derived += [sub for _, sub in d._summands() if sub is not d]
+        summands += len(derived) - 2
+        assert all(d.checks is action.checks for d in derived)
+    assert summands >= 10
+    assert calls == []
+
+
+def test_derived_z_symmetric_inverses_invert_the_derived_generators():
+    action = walk_actions()["z-symmetric"]
+    for act in (action.dual(), action.dual().dual()):
+        for m, inv in zip(act.real, act.real_inverses):
+            assert np.linalg.norm(m @ inv - np.eye(len(m)), 2) <= 1e-10
+    for got, want in zip(action.dual().dual().real_inverses, action.real_inverses):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_a_flow_generator_is_a_superoperator():
+    action = walk_actions()["r-plus-cube"]
+    for act in (action, action.dual()):
+        (gen,) = act.generators
+        assert gen.source == "flow-generator" and not gen.attestations
+        assert act.matrices[0] is gen.matrix
 
 
 def test_lamperti_reports_cached_and_attested():

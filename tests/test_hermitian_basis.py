@@ -206,6 +206,25 @@ def test_a_flow_generator_that_does_not_preserve_adjoints_exits_two(tmp_path, ca
     assert "Traceback" not in err
 
 
+def test_the_derived_picture_holds_the_real_matrices_of_the_duals():
+    """dual() reads each real matrix off the dual map, bitwise that of
+    dual(s), and twice it gives the real matrices back: on the gallery, and
+    on the benchmark's gallery and large-d documents."""
+    actions = [sc.action for sc in scenarios.gallery()]
+    gen = workloads()
+    for workload in ("gallery", "large-d"):
+        actions += [
+            scenarios.scenario_from_dict(doc).action
+            for doc in gen.generated_docs(workload, 1)
+        ]
+    for action in actions:
+        other = action.dual()
+        for i, s in enumerate(action.generators):
+            assert np.array_equal(other.real[i], dual(s).hermitian())
+        for got, want in zip(other.dual().real, action.real):
+            assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
 def test_a_projector_that_does_not_preserve_adjoints_fails_its_residuals():
     """A perturbation of E that is imaginary in the hermitian basis (so it
     does not preserve adjoints) leaves the real part of E exact; the residual

@@ -1001,6 +1001,34 @@ def test_cli_usage_error_exits_two():
     assert exc.value.code == 2
 
 
+def test_cli_singular_z_symmetric_generator_exits_two_naming_it(tmp_path, capsys):
+    """Amplitude damping at g = 1 is singular: no inverse walk exists."""
+    doc = base_doc()
+    one = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    k0 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    k1 = [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    doc["action"]["scheme"] = {"kind": "z-symmetric-box", "d": 2}
+    doc["action"]["generators"] = [
+        {"source": "conjugation", "payload": {"unitary": [one]}},
+        {"source": "kraus", "payload": {"operators": [[k0], [k1]]}},
+    ]
+    scn = write_doc(tmp_path, doc, "zsym.scn")
+    assert main(["run", "--scenario", scn]) == 2
+    err = capsys.readouterr().err
+    assert f"{scn}: action.generators[1]: " in err
+    assert "Traceback" not in err
+
+
+def test_cli_declared_normalized_algebra_with_tau_one_off_exits_two(tmp_path, capsys):
+    doc = base_doc()
+    doc["algebra"]["weights"] = [0.375]
+    scn = write_doc(tmp_path, doc)
+    assert main(["run", "--scenario", scn]) == 2
+    err = capsys.readouterr().err
+    assert f"{scn}: algebra: declared normalized but tau(1) = 0.75" in err
+    assert "Traceback" not in err
+
+
 def test_cli_out_writes_report(tmp_path, capsys):
     path = write_doc(tmp_path, base_doc())
     out = tmp_path / "report.json"

@@ -145,11 +145,10 @@ def _projections(algebra, stacks, ranks):
 
 
 class _Deviations:
-    """A certificate's input X_a - limit as one (k, n, n) stack per block.
-
-    With ``within`` given, every deviation must be supported in that
-    corner.  The measure and b.a.u. certificates of one input read the same
-    deviation stack and the same |d| stack.
+    """A certificate's input X_a - limit as one (k, n, n) stack per block,
+    supported in the corner ``within`` (None for the whole algebra).  The
+    measure and b.a.u. certificates of one input read the same deviation
+    stack and the same |d| stack.
     """
 
     def __init__(self, algebra, schedule, stacks, limit, within):
@@ -157,24 +156,6 @@ class _Deviations:
         self.schedule = schedule
         self.stacks = [s - m for s, m in zip(stacks, limit.block_mats)]
         self.within = within
-        if within is not None:
-            # one batched norm per block: the k inputs and the limit, whose
-            # largest norm scales the test, then the k leaks d - w d w
-            k = len(schedule)
-            norms = _max_norms(
-                [
-                    np.concatenate([s, m[None], d - w @ d @ w])
-                    for s, m, d, w in zip(
-                        stacks, limit.block_mats, self.stacks, within.block_mats
-                    )
-                ]
-            )
-            scale = max(1.0, *norms[: k + 1])
-            for leak in norms[k + 1 :]:
-                if leak > SUPPORT_LEAK_TOL * scale:
-                    raise ValueError(
-                        f"sequence is not supported in the given corner (leak {leak:.3e})"
-                    )
         self.basis, self.outside = _corner_basis(algebra, within)
 
     @cached_property
@@ -185,7 +166,9 @@ class _Deviations:
 def _deviations(sequence, limit, schedule, within):
     """:class:`_Deviations` of a list of operators.
 
-    The schedule defaults to 1, 2, ...
+    The schedule defaults to 1, 2, ...  With ``within`` given, every
+    deviation must be supported in that corner: the outside input is checked
+    here, while the stochastic run compresses its corners itself.
     """
     sequence = list(sequence)
     if not sequence:
@@ -198,6 +181,22 @@ def _deviations(sequence, limit, schedule, within):
     if any(x.algebra is not algebra and x.algebra != algebra for x in others):
         raise ValueError("operators live in different algebras")
     stacks = [np.array(mats) for mats in zip(*(x.block_mats for x in sequence))]
+    if within is not None:
+        # one batched norm per block: the k inputs and the limit, whose
+        # largest norm scales the test, then the k leaks d - w d w
+        k = len(schedule)
+        norms = _max_norms(
+            [
+                np.concatenate([s, m[None], (s - m) - w @ (s - m) @ w])
+                for s, m, w in zip(stacks, limit.block_mats, within.block_mats)
+            ]
+        )
+        scale = max(1.0, *norms[: k + 1])
+        for leak in norms[k + 1 :]:
+            if leak > SUPPORT_LEAK_TOL * scale:
+                raise ValueError(
+                    f"sequence is not supported in the given corner (leak {leak:.3e})"
+                )
     return _Deviations(algebra, schedule, stacks, limit, within)
 
 

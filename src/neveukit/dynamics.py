@@ -57,6 +57,8 @@ from .maps import (
     CheckReport,
     PreconditionError,
     SuperOperator,
+    _positive_contraction_report,
+    _transpose_perm,
     _weight_ratio,
     check_commuting,
     check_contraction,
@@ -206,8 +208,8 @@ class SemigroupAction:
     the spectra run on them.
 
     The construction checks run in ``__init__`` only: the other picture
-    (:meth:`dual`, a new action on each call) and the uncoupled summands
-    (:meth:`_summands`, cached with the Lamperti reports) share ``checks``.
+    (:meth:`dual`) and the uncoupled summands (:meth:`_summands`, cached
+    with the Lamperti reports) share ``checks``.
     A scenario run shares its derived work through a run context instead.
     The generators are not meant to change after construction.
     """
@@ -237,12 +239,12 @@ class SemigroupAction:
         if scheme.kind != "r-plus-cube":
             self.checks["contraction"] = self._check_contractions()
 
-    def _set(self, algebra, picture, scheme, gens, real, real_inverses, checks, parts=None):
+    def _set(self, algebra, picture, scheme, gens, real, invs, checks, parts=None, origin=None):
         """Set every field: ``__init__``, :meth:`dual` and :meth:`_restricted` come here."""
         self.algebra, self.picture, self.scheme = algebra, picture, scheme
         self.generators = tuple(gens)
         self.matrices = tuple(s.matrix for s in self.generators)
-        self.real, self.real_inverses = tuple(real), real_inverses
+        self.real, self.real_inverses, self._origin = tuple(real), invs, origin
         self.checks = checks
         self._inverses = self._lamperti = None
         self._parts = parts
@@ -279,10 +281,19 @@ class SemigroupAction:
         )
 
     def _check_contractions(self):
-        reports = []
+        """check_contraction in the observable picture; a certified positive
+        density-picture S is judged by dual(S)(1), the density of
+        y -> tau(S(y)), with no dual of S."""
+        reports, algebra, w = [], self.algebra, self.algebra.weight_vec
         for idx, s in enumerate(self.generators):
-            probe = s if self.picture == "heisenberg" else dual(s)
-            rep = check_contraction(probe)
+            if self.picture == "heisenberg":
+                rep = check_contraction(s)
+            elif s.positivity_certified:
+                unit = s.matrix.T @ (w * algebra.identity().vec())
+                unit = unit[_transpose_perm(algebra.blocks)] / w
+                rep = _positive_contraction_report(algebra.from_vec(unit))
+            else:
+                rep = check_contraction(dual(s))
             reports.append((idx, rep.verdict))
             if rep.verdict == "fail":
                 return CheckReport(
@@ -310,7 +321,10 @@ class SemigroupAction:
     # -- pictures --------------------------------------------------------------
 
     def dual(self):
-        """The same dynamics in the other picture, derived on each call.
+        """The same dynamics in the other picture.
+
+        An action derived here gives back its source (a back-reference from
+        the derived action only, so no cycle); any other derives a new one.
 
         Each generator becomes its dual (:func:`neveukit.maps.dual`), which
         forms the real matrix W^-1 R^T W from this action's R (W the trace
@@ -323,6 +337,8 @@ class SemigroupAction:
         a recomputed one only for a deviation within a factor max w / min w
         of a check tolerance.
         """
+        if self._origin is not None:
+            return self._origin
         picture = "schrodinger" if self.picture == "heisenberg" else "heisenberg"
         scheme = self.scheme
         if scheme.kind == "finite-group":
@@ -337,6 +353,7 @@ class SemigroupAction:
         out._set(
             self.algebra, picture, scheme, gens,
             [_real_generator(i, s) for i, s in enumerate(gens)], invs, self.checks,
+            origin=self,
         )
         return out
 

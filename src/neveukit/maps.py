@@ -405,13 +405,10 @@ def check_contraction(s, samples=20, seed=1):
     a "pass"-looking estimate without a certificate stays "unknown".
     """
     one = s.algebra.identity()
-    norm1 = op_norm(s(one))
+    image = s(one)
     if s.positivity_certified:
-        verdict = "pass" if norm1 <= 1.0 + CONTRACTION_SLACK else "fail"
-        witness = None if verdict == "pass" else (one,)
-        return CheckReport(
-            "contraction", verdict, witness=witness, detail={"norm_of_unit_image": norm1}
-        )
+        return _positive_contraction_report(image)
+    norm1 = op_norm(image)
     rng = np.random.default_rng(seed)
     for _ in range(samples):
         x = s.algebra.random_positive(rng)
@@ -443,6 +440,16 @@ def check_contraction(s, samples=20, seed=1):
         detail={"power_iteration_estimate": estimate, "norm_of_unit_image": norm1},
         samples=samples,
         seed=seed,
+    )
+
+
+def _positive_contraction_report(image):
+    """The exact contraction verdict of a positive map with unit image ``image``."""
+    norm1 = op_norm(image)
+    verdict = "pass" if norm1 <= 1.0 + CONTRACTION_SLACK else "fail"
+    witness = None if verdict == "pass" else (image.algebra.identity(),)
+    return CheckReport(
+        "contraction", verdict, witness=witness, detail={"norm_of_unit_image": norm1}
     )
 
 

@@ -11,7 +11,9 @@ applied to any faithful initial density.  When no invariant density exists
 (the projection annihilates every density) e1 = 0.  The complementary
 projection e2 is itself a weakly wandering witness: the observable-picture
 averages A_a(e2) decay in operator norm, which is certified on a finite
-schedule rather than assumed.  Every faithful initial density gives Y the
+schedule rather than assumed, and the observable-picture projection
+annihilates it, read off the factors of E below.  Every faithful initial
+density gives Y the
 same support, so the decomposition draws nothing at random, and reports the
 margin of Y's eigenvalues about the support cutoff, where rounding can move e1.
 
@@ -27,7 +29,8 @@ E_h(b) = sum_i tau(x_i b) psi_i, so a scenario run computes E once, in the
 density picture, and reads E_h off it (``_dual_projection``): the psi_i
 become the fixed basis and the x_i the conserved functionals.  E_h keeps
 the certificate of E and has its residuals and factor residual measured
-again in its own picture.
+again in its own picture.  Every invariance (of E, E_h and Y) is measured
+on the generator conditions G = S - 1, or L for a flow.
 
 When no generator moves mass between two groups of algebra blocks, L1
 splits into invariant central summands, and E, its fixed space and the
@@ -201,13 +204,9 @@ def _tau_orthonormal(cols, w):
     return ortho, chol
 
 
-def _hermitian_columns(algebra, elements):
-    """The real parts of the hermitian-basis coordinates of the elements as
-    the columns of a dim x r matrix (dim x 0 for no elements): their
-    coordinates where the elements are hermitian, as the bases of a
-    projection built here are."""
-    vecs = np.array([y.vec() for y in elements], dtype=complex)
-    return _to_hermitian(algebra, vecs.reshape(len(elements), algebra.dim).T).real
+def _vecs(algebra, elements):
+    """The vec coordinates of the elements as the rows of an r x D array."""
+    return np.array([y.vec() for y in elements], dtype=complex).reshape(-1, algebra.dim)
 
 
 @dataclass(frozen=True)
@@ -258,9 +257,9 @@ def mean_ergodic_projection(action, tol_fixed=1e-9):
     generators have commuting spectral projections, so certified factors
     make E the joint one.  With one generator, that SVD also gives the fixed
     space.  A finite group's E is the exact group average, with kappa None.
-    The residuals ``||E^2 - E||`` and ``||S E - E||``, ``||E S - E||`` (for
-    flows ``||L E||``, ``||E L||`` over ``max(1, ||L||_2)``) are Frobenius
-    norms, upper bounds on the spectral norm, checked against 1e-9.
+    The residuals ``||E^2 - E||``, ``||G E||`` and ``||E G||`` (over
+    ``max(1, ||L||_2)`` for a flow) are Frobenius norms, upper bounds on the
+    spectral norm, checked against 1e-9.
 
     When no generator couples two groups of algebra blocks, E splits along
     these uncoupled central summands: the SVDs, the group inverses and the
@@ -378,52 +377,32 @@ def _projector_residuals(parts, e):
     summands ``parts``; raises :class:`MeanErgodicValidationError` above
     1e-9.
 
-    Each residual is computed per summand on the diagonal blocks of ``e``,
-    and they combine to the norms of the whole matrices: Frobenius norms as
-    the 2-norm of the per-summand ones, and the flow scale as the largest
-    per-summand spectral norm.  So ``e`` must hold exact zeros between the
-    summands, which is checked.  The products run in real arithmetic on R,
-    with e = R + iI: I is zero for a projector built here, and a projector
-    given from outside that does not preserve adjoints has I != 0, which
-    enters by the bounds ||E^2 - E|| <= ||R^2 - R|| + ||I|| (||I|| + 2 ||R||
-    + 1) and ||G E|| <= ||G R|| + ||G|| ||I|| (Frobenius norms, G the
-    generator condition), so each residual bounds the complex one.
+    Invariance is ||G E||_F and ||E G||_F for each generator condition G
+    (S - 1, or L over max(1, ||L||_2)), in the arithmetic of ``e``: complex
+    for a projector that does not preserve adjoints.  Each residual is
+    computed per summand on the diagonal blocks of ``e``, and they combine
+    to the norms of the whole matrices: Frobenius norms as the 2-norm of the
+    per-summand ones, and the flow scale as the largest per-summand spectral
+    norm.  So ``e`` must hold exact zeros between the summands (checked).
     """
     fro = np.linalg.norm
-    pieces = [(sub, e[_square(coords)]) for coords, sub in parts]
-    if len(parts) > 1 and np.count_nonzero(e) != sum(
-        np.count_nonzero(block) for _, block in pieces
-    ):
+    pieces = [e[_square(coords)] for coords, _ in parts]
+    if len(parts) > 1 and np.count_nonzero(e) != sum(map(np.count_nonzero, pieces)):
         raise MeanErgodicValidationError(
             "projector couples summands that no generator couples"
         )
     continuous = parts[0][1].scheme.kind == "r-plus-cube"
-    pieces = [
-        (sub, b.real, fro(b.imag) if b.dtype.kind == "c" else 0.0) for sub, b in pieces
-    ]
     # Frobenius norms bound the spectral norm from above, so the residual
     # checks are at least as strict as spectral ones; the flow scale stays
     # spectral, since a larger divisor would loosen them
-    idem = []
-    for _, r, i in pieces:
-        idem.append(fro(r @ r - r) + (i * (i + 2 * fro(r) + 1) if i else 0.0))
-    residuals = {"idempotency": math.hypot(*idem)}
+    residuals = {"idempotency": math.hypot(*(fro(b @ b - b) for b in pieces))}
     inv = 0.0
-    for k in range(len(parts[0][1].real)):
-        left, right, scale = [], [], 1.0
-        for sub, r, i in pieces:
-            g = sub.real[k]
-            if continuous:
-                scale = max(scale, np.linalg.norm(g, 2))
-                moved = (g @ r, r @ g)
-            else:
-                moved = (g @ r - r, r @ g - r)
-            bound = 0.0
-            if i:
-                bound = i * fro(g if continuous else g - np.eye(len(g)))
-            left.append(fro(moved[0]) + bound)
-            right.append(fro(moved[1]) + bound)
-        inv = max(inv, math.hypot(*left) / scale, math.hypot(*right) / scale)
+    conditions = [_stacked_generator_matrices(sub) for _, sub in parts]
+    for gs in zip(*conditions):
+        scale = max(1.0, *(np.linalg.norm(g, 2) for g in gs)) if continuous else 1.0
+        left = math.hypot(*(fro(g @ b) for g, b in zip(gs, pieces)))
+        right = math.hypot(*(fro(b @ g) for g, b in zip(gs, pieces)))
+        inv = max(inv, left / scale, right / scale)
     residuals["invariance"] = float(inv)
     bad = {k: v for k, v in residuals.items() if v > PROJECTION_RESIDUAL_TOL}
     if bad:
@@ -444,11 +423,10 @@ def _factor_residual(x, f, e):
     return residual
 
 
-def _dual_projection(proj, heis, sup):
+def _dual_projection(proj, heis):
     """The mean ergodic projection of the observable-picture action
     ``heis``, read off the validated projection ``proj`` of its density
-    picture instead of computed a second time; ``sup`` is
-    ``dual(proj.superop)``, which the caller may share with other work.
+    picture instead of computed a second time.
 
     E_h = dual(E) acts as E_h(b) = sum_i tau(x_i b) psi_i, so the psi_i of
     ``proj`` span its range and its x_i are the functionals that E_h
@@ -457,15 +435,17 @@ def _dual_projection(proj, heis, sup):
     basis Psi L^-T is tau-orthonormal and the dual basis X L pairs with it
     to the identity; both take the signs of :func:`_sign_gauge`.  The certificate is
     that of ``proj``; the residuals and the factor residual are measured
-    again on E_h, in the observable picture, and raise as in
+    again on the dense dual(E), in the observable picture, and raise as in
     :func:`mean_ergodic_projection`.
     """
+    sup = dual(proj.superop)
     algebra = heis.algebra
     w = algebra.weight_vec
     e = sup.hermitian()
     residuals = _projector_residuals(heis._summands(), e)
     r = len(proj.dual_basis)
-    cols = _hermitian_columns(algebra, proj.dual_basis + proj.fixed_basis)
+    # the bases built here are hermitian: their coordinates are real
+    cols = _to_hermitian(algebra, _vecs(algebra, proj.dual_basis + proj.fixed_basis).T).real
     fixed, chol = _sign_gauge(algebra, *_tau_orthonormal(cols[:, :r], w))
     conserved = cols[:, r:] @ chol
     # tau(c y) = (w c) . y for a hermitian c and y in the hermitian basis
@@ -473,13 +453,8 @@ def _dual_projection(proj, heis, sup):
     factor_residual = _factor_residual(fixed, f, e)
     elements = _elements(algebra, np.hstack([fixed, conserved]))
     return MeanErgodicProjection(
-        sup,
-        elements[:r],
-        elements[r:],
-        residuals,
-        dict(proj.cross_validation),
-        proj.rank,
-        factor_residual,
+        sup, elements[:r], elements[r:], residuals, dict(proj.cross_validation),
+        proj.rank, factor_residual,
     )
 
 
@@ -532,18 +507,16 @@ def _invariant_density(schr, phi0, projection):
 
 
 def _invariance_defect(schr, y):
+    """max ||G Y||_1 over the generator conditions G (over max(1, ||L||_2) for
+    a flow), applied in the hermitian basis, where the hermitian Y is real."""
+    algebra = schr.algebra
+    coords = _to_hermitian(algebra, y.vec()).real
+    continuous = schr.scheme.kind == "r-plus-cube"
     dev = 0.0
-    if schr.scheme.kind == "r-plus-cube":
-        # L y in the hermitian basis, where the hermitian y is real
-        algebra = schr.algebra
-        coords = _to_hermitian(algebra, y.vec()).real
-        for L in schr.real:
-            scale = max(1.0, np.linalg.norm(L, 2))
-            moved = algebra.from_vec(_to_vec(algebra, L @ coords))
-            dev = max(dev, trace_norm(moved) / scale)
-        return dev
-    for s in schr.generators:
-        dev = max(dev, trace_norm(s(y) - y))
+    for g in _stacked_generator_matrices(schr):
+        scale = max(1.0, np.linalg.norm(g, 2)) if continuous else 1.0
+        moved = algebra.from_vec(_to_vec(algebra, g @ coords))
+        dev = max(dev, trace_norm(moved) / scale)
     return dev
 
 
@@ -653,24 +626,13 @@ def neveu_decompose(
     the cutoff of :func:`support` on Y with the smallest kept and the largest
     dropped eigenvalue (None when Y is faithful); it is None without Y.
     ``projection`` is a precomputed mean ergodic projection of the density
-    picture, in place of ``tol_fixed``.  ``seed`` has no effect.
+    picture, in place of ``tol_fixed``, as a scenario run passes its own;
+    ``wandering`` reads E_h(e2) = sum_i tau(x_i e2) psi_i off its factors.
+    A derived picture gives back its source, so a run that passes its
+    density picture builds no action here.  ``seed`` has no effect.
     """
     schr = action.to_picture("schrodinger")
     proj = projection or mean_ergodic_projection(schr, tol_fixed=tol_fixed)
-    return _decompose(
-        schr,
-        action.to_picture("heisenberg"),
-        proj,
-        dual(proj.superop),
-        schedule,
-        decay_tol,
-    )
-
-
-def _decompose(schr, heis, proj, e_heis, schedule, decay_tol):
-    """:func:`neveu_decompose` on both pictures of the action, given as
-    ``schr`` and ``heis``, with the density-picture projection ``proj`` and
-    its dual ``e_heis``."""
     algebra = schr.algebra
     y, inv_defect = _invariant_density(schr, None, proj)
     detail = {
@@ -689,19 +651,18 @@ def _decompose(schr, heis, proj, e_heis, schedule, decay_tol):
     x0 = e2
     detail["invariance_defect"] = float(inv_defect)
 
-    cert = weakly_wandering_certificate(
-        heis, x0, schedule=schedule, decay_tol=decay_tol
-    )
+    cert = weakly_wandering_certificate(action, x0, schedule=schedule, decay_tol=decay_tol)
 
     verdicts = {"decay": cert.verdict}
     invariant = y is None or inv_defect <= _invariance_bound(y)
     verdicts["invariance"] = "pass" if invariant else "fail"
 
-    # the observable-picture mean projection must annihilate e2
-    wander_norm = op_norm(algebra.from_vec(e_heis.matrix @ e2.vec()))
-    verdicts["wandering"] = (
-        "pass" if wander_norm <= PROJECTION_RESIDUAL_TOL else "fail"
-    )
+    # the observable-picture mean projection must annihilate e2: with e2
+    # hermitian, tau(x e2) = sum_u w_u x_u conj(e2_u) in vec coordinates
+    xs, psis = _vecs(algebra, proj.fixed_basis), _vecs(algebra, proj.dual_basis)
+    mean_e2 = (xs @ (algebra.weight_vec * e2.vec().conj())) @ psis
+    wander_norm = op_norm(algebra.from_vec(mean_e2))
+    verdicts["wandering"] = "pass" if wander_norm <= PROJECTION_RESIDUAL_TOL else "fail"
     detail["mean_of_e2_norm"] = float(wander_norm)
 
     return NeveuDecomposition(

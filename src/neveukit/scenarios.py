@@ -365,6 +365,10 @@ def scenario_from_dict(doc, origin="<dict>"):
         # a refused generator names itself: action.generators[i]
         sep = "." if isinstance(exc, GeneratorError) else ": "
         raise ScenarioError(f"{origin}: action{sep}{exc}") from exc
+    rep = action.checks.get("contraction")
+    if rep is not None and rep.verdict == "fail":
+        (i,), why = rep.witness, {k: v for k, v in rep.detail.items() if k != "per_generator"}
+        raise ScenarioError(f"{origin}: action.generators[{i}]: not a contraction: {why}")
 
     tolerances = _finite_tolerances(
         {**DEFAULT_TOLERANCES, **doc.get("tolerances", {})}, origin
@@ -528,18 +532,9 @@ class _RunContext:
         )
 
     @_shared
-    def projection_dual(self):
-        # one dual of E serves the wandering verdict and the Heisenberg mean
-        return dual(self.projection.superop)
-
-    @_shared
     def heisenberg_projection(self):
         # the dual of the density-picture projection, not a second one
-        return neveu._dual_projection(
-            self.projection,
-            self.scenario.action.to_picture("heisenberg"),
-            self.projection_dual,
-        )
+        return neveu._dual_projection(self.projection, self.schr.dual())
 
     @_shared
     def walk(self):
@@ -548,15 +543,10 @@ class _RunContext:
 
     @_shared
     def decomposition(self):
-        # the density picture is already at hand; neveu_decompose would
-        # build it again for a Heisenberg scenario
-        return neveu._decompose(
-            self.schr,
-            self.scenario.action.to_picture("heisenberg"),
-            self.projection,
-            self.projection_dual,
-            self.schedule,
-            self.tolerances["decay_tol"],
+        # the density picture gives back the scenario's Heisenberg action
+        return neveu.neveu_decompose(
+            self.schr, self.schedule,
+            decay_tol=self.tolerances["decay_tol"], projection=self.projection,
         )
 
 

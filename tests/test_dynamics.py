@@ -24,6 +24,7 @@ from neveukit.dynamics import (
 )
 from neveukit.maps import (
     PreconditionError,
+    check_contraction,
     from_classical,
     from_conjugation,
     from_kraus,
@@ -180,6 +181,43 @@ def test_contraction_check_runs_in_declared_picture():
     scheme = FolnerScheme("zplus-box", d=1)
     action = SemigroupAction(M2, "schrodinger", scheme, [s])
     assert action.checks["contraction"].passed
+
+
+def test_density_picture_contraction_reads_the_unit_image_without_a_dual(monkeypatch):
+    """A density-picture generator with certified positivity is judged by
+    dual(S)(1), read off one vector-matrix product: building the action takes
+    no dual, and the verdict and ||dual(S)(1)|| are those of
+    check_contraction(dual(S)), on M_2, on three weighted blocks and on a
+    block-mixing kernel with unequal weights."""
+    blocks = TracialAlgebra([2, 1, 3], [0.5, 0.25, 0.125])
+    g = 0.5
+    k0 = [np.array([[1.0, 0.0], [0.0, np.sqrt(1 - g)]]), np.eye(1), np.eye(3)]
+    k1 = [np.array([[0.0, np.sqrt(g)], [0.0, 0.0]]), np.zeros((1, 1)), np.zeros((3, 3))]
+    atoms = TracialAlgebra.commutative([0.1, 0.3, 0.6])
+    kernel = [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]
+    gens = [
+        amplitude_damping(M2, g),
+        dual(amplitude_damping(M2, g)),
+        from_kraus(blocks, [k0, k1]),
+        from_classical(atoms, kernel),
+    ]
+    old = [check_contraction(dual(s)) for s in gens]
+    assert [rep.verdict for rep in old] == ["fail", "pass", "fail", "fail"]
+    import neveukit.dynamics as dynamics
+
+    def refused(s):
+        raise AssertionError("dual taken")
+
+    monkeypatch.setattr(dynamics, "dual", refused)
+    for s, want in zip(gens, old):
+        scheme = FolnerScheme("zplus-box", d=1)
+        rep = SemigroupAction(s.algebra, "schrodinger", scheme, [s]).checks["contraction"]
+        assert rep.verdict == want.verdict
+        assert rep.detail["per_generator"] == [(0, want.verdict)]
+        if want.verdict == "fail":
+            assert rep.witness == (0,)
+            got, norm = rep.detail["norm_of_unit_image"], want.detail["norm_of_unit_image"]
+            assert abs(got - norm) <= 1e-15
 
 
 def test_picture_validation():

@@ -10,11 +10,13 @@ gauge of the fixed basis does not follow the BLAS thread count, and that
 the spectrum order matches a per-eigenvalue ``sorted``.
 """
 
+import dataclasses
 import importlib.util
 import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -225,6 +227,23 @@ def test_the_derived_picture_holds_the_real_matrices_of_the_duals():
             assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
+def test_a_derived_picture_gives_back_its_source_without_a_cycle():
+    """dual() of a derived picture is the action it was derived from, on the
+    gallery and on the benchmark's gallery and large-d documents; the source
+    holds no reference to it, so it is freed without a garbage collection."""
+    gen = workloads()
+    docs = [scenarios._gallery_doc(name) for name in scenarios.GALLERY_NAMES]
+    docs += gen.generated_docs("gallery", 1) + gen.generated_docs("large-d", 1)
+    for doc in docs:
+        action = scenarios.scenario_from_dict(doc).action
+        assert action.dual().dual() is action
+        derived = action.dual()
+        ref = weakref.ref(derived)
+        derived._summands()
+        del derived
+        assert ref() is None
+
+
 def test_a_projector_that_does_not_preserve_adjoints_fails_its_residuals():
     """A perturbation of E that is imaginary in the hermitian basis (so it
     does not preserve adjoints) leaves the real part of E exact; the residual
@@ -242,7 +261,7 @@ def test_a_projector_that_does_not_preserve_adjoints_fails_its_residuals():
     noisy = SuperOperator(algebra, schr.superop.matrix + imaginary)
     assert np.abs(noisy.hermitian().real - schr.superop.hermitian()).max() <= 1e-15
     with pytest.raises(MeanErgodicValidationError, match="residuals"):
-        neveu._dual_projection(schr, heis, dual(noisy))
+        neveu._dual_projection(dataclasses.replace(schr, superop=noisy), heis)
     parts = heis.to_picture("schrodinger")._summands()
     with pytest.raises(MeanErgodicValidationError, match="residuals"):
         neveu._projector_residuals(parts, noisy.hermitian())
@@ -266,9 +285,7 @@ def test_fixed_bases_are_hermitian_in_the_sign_gauge(scenario):
     """Both pictures' fixed and dual bases are exactly hermitian, and each
     fixed-basis element is in the sign gauge."""
     schr = mean_ergodic_projection(scenario.action.to_picture("schrodinger"))
-    heis = neveu._dual_projection(
-        schr, scenario.action.to_picture("heisenberg"), dual(schr.superop)
-    )
+    heis = neveu._dual_projection(schr, scenario.action.to_picture("heisenberg"))
     for proj in (schr, heis):
         for x in proj.fixed_basis + proj.dual_basis:
             for m in x.block_mats:

@@ -182,8 +182,11 @@ def random_block_channel(algebra, rng):
 def test_mean_projection_residuals_bound_spectral_norms(blocks, seed, kind):
     """The reported residuals are at least the spectral norms of the same
     matrices, on multi-block algebras with non-uniform weights.  They are
-    measured on E and the generators in the hermitian basis, where the
-    spectral norms are those of the vec matrices (B is unitary)."""
+    measured on E and the generator conditions G (S - 1, or L for a flow)
+    in the hermitian basis, where the spectral norms are those of the vec
+    matrices (B is unitary), and per uncoupled summand, where E and G are
+    block diagonal: the spectral norm of the whole is the largest of the
+    summands', and the products of the whole matrices round otherwise."""
     algebra = TracialAlgebra([n for n, _ in blocks], [w for _, w in blocks])
     s = random_block_channel(algebra, np.random.default_rng(seed))
     if kind == "flow":
@@ -197,15 +200,15 @@ def test_mean_projection_residuals_bound_spectral_norms(blocks, seed, kind):
         action = zplus_action(s).to_picture(kind)
     proj = mean_ergodic_projection(action)
     e = proj.superop.hermitian()
-    idempotency = np.linalg.norm(e @ e - e, 2)
+    parts = action._summands()
+    pieces = [e[neveu._square(coords)] for coords, _ in parts]
+    idempotency = max(np.linalg.norm(b @ b - b, 2) for b in pieces)
     invariance = 0.0
-    for m in action.real:
-        if kind == "flow":
-            scale = max(1.0, np.linalg.norm(m, 2))
-            pair = (np.linalg.norm(m @ e, 2) / scale, np.linalg.norm(e @ m, 2) / scale)
-        else:
-            pair = (np.linalg.norm(m @ e - e, 2), np.linalg.norm(e @ m - e, 2))
-        invariance = max(invariance, *pair)
+    for gs in zip(*(neveu._stacked_generator_matrices(sub) for _, sub in parts)):
+        scale = max(1.0, *(np.linalg.norm(g, 2) for g in gs)) if kind == "flow" else 1.0
+        for g, b in zip(gs, pieces):
+            pair = (np.linalg.norm(g @ b, 2) / scale, np.linalg.norm(b @ g, 2) / scale)
+            invariance = max(invariance, *pair)
     # the factor covers rounding in the two norm computations, where the
     # residual matrix has rank one and both norms are equal
     slack = 1.0 - 1e-13
@@ -459,7 +462,7 @@ def test_dual_projection_is_the_heisenberg_mean_projection(blocks, seed, kind):
         algebra = TracialAlgebra([n for n, _ in blocks], [w for _, w in blocks])
     action = random_heisenberg_action(algebra, kind, np.random.default_rng(seed))
     schr = mean_ergodic_projection(action.to_picture("schrodinger"))
-    proj = neveu._dual_projection(schr, action, dual(schr.superop))
+    proj = neveu._dual_projection(schr, action)
     want = mean_ergodic_projection(action)
     assert np.linalg.norm(proj.superop.matrix - want.superop.matrix, "fro") <= 1e-12
     r = proj.rank
@@ -482,19 +485,19 @@ def test_dual_projection_checks_what_it_is_given():
     """A wrong dual basis or a non-projector in the density picture is
     refused by the factor and residual checks of the observable picture."""
     schr = mean_ergodic_projection(AD.to_picture("schrodinger"))
-    assert neveu._dual_projection(schr, AD, dual(schr.superop)).factor_residual <= 1e-15
+    assert neveu._dual_projection(schr, AD).factor_residual <= 1e-15
     doubled = dataclasses.replace(
         schr, dual_basis=[psi * 2.0 for psi in schr.dual_basis]
     )
     with pytest.raises(MeanErgodicValidationError, match="not the fixed space"):
-        neveu._dual_projection(doubled, AD, dual(doubled.superop))
+        neveu._dual_projection(doubled, AD)
     noise = np.random.default_rng(11).standard_normal((4, 4))
     noise *= 1e-8 / np.linalg.norm(noise, 2)
     noisy = dataclasses.replace(
         schr, superop=SuperOperator(M2, schr.superop.matrix + noise)
     )
     with pytest.raises(MeanErgodicValidationError, match="residuals"):
-        neveu._dual_projection(noisy, AD, dual(noisy.superop))
+        neveu._dual_projection(noisy, AD)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -1210,6 +1213,20 @@ def test_decompose_absence_of_invariant_state():
     assert op_norm(dec.e1) <= 1e-12
     assert op_norm(dec.e2 - C2.identity()) <= 1e-12
     assert dec.overall
+
+
+def test_wandering_fails_for_a_fixed_point_that_reaches_into_e2():
+    """E_h(e2) = sum_i tau(x_i e2) psi_i is read off the factors of E: a
+    fixed point x_0 + 1e-6 e2 with the dual basis kept moves tau(x_0 e2)
+    from 0 to 1e-6 tau(e2) and fails only the wandering verdict."""
+    proj = mean_ergodic_projection(AD.to_picture("schrodinger"))
+    e2 = neveu_decompose(AD, projection=proj).e2
+    (x0,), (psi,) = proj.fixed_basis, proj.dual_basis
+    leaky = dataclasses.replace(proj, fixed_basis=[x0 + e2 * 1e-6])
+    dec = neveu_decompose(AD, projection=leaky)
+    assert dec.verdicts == {"decay": "pass", "invariance": "pass", "wandering": "fail"}
+    want = 1e-6 * trace(e2).real * op_norm(psi)
+    assert dec.detail["mean_of_e2_norm"] == pytest.approx(want, rel=1e-9)
 
 
 def test_decompose_computes_the_invariance_defect_once(monkeypatch):

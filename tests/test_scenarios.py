@@ -642,7 +642,9 @@ def test_emitted_mean_factors_rebuild_the_projector(tmp_path):
 
 
 def test_run_dualises_a_heisenberg_action_once(monkeypatch):
-    """Every task of a run reads the one density picture of the context."""
+    """Every task of a run reads the one density picture of the context:
+    one dual() builds a new action, and the density picture gives back the
+    scenario's action."""
     doc = base_doc()
     doc["tasks"] = ["decompose", "mean", "certify", "stochastic"]
     sc = scenario_from_dict(doc)
@@ -650,8 +652,10 @@ def test_run_dualises_a_heisenberg_action_once(monkeypatch):
     dual = SemigroupAction.dual
 
     def counting_dual(self):
-        calls.append(self.picture)
-        return dual(self)
+        out = dual(self)
+        if out._origin is self:
+            calls.append(self.picture)
+        return out
 
     monkeypatch.setattr(SemigroupAction, "dual", counting_dual)
     assert run(sc).passed
@@ -697,13 +701,11 @@ def test_heisenberg_run_scans_each_picture_for_summands_once(monkeypatch):
 
 
 def test_heisenberg_run_dualises_the_mean_projection_once(monkeypatch):
-    """The decomposition's wandering verdict and the Heisenberg mean task
-    read one dual of the density-picture projection."""
+    """The Heisenberg mean task reads one dual of the density-picture
+    projection; the decomposition's wandering verdict reads the factors of
+    E and takes none."""
     from neveukit import maps, scenarios
 
-    doc = base_doc()
-    doc["tasks"] = ["decompose", "mean"]
-    sc = scenario_from_dict(doc)
     sources = []
 
     def counting_dual(s):
@@ -712,8 +714,32 @@ def test_heisenberg_run_dualises_the_mean_projection_once(monkeypatch):
 
     monkeypatch.setattr(neveu, "dual", counting_dual)
     monkeypatch.setattr(scenarios, "dual", counting_dual)
-    assert run(sc).passed
-    assert sources.count("mean-ergodic-projection") == 1
+    for tasks, duals in ((["decompose", "mean"], 1), (["decompose"], 0)):
+        doc = base_doc()
+        doc["tasks"] = tasks
+        sc = scenario_from_dict(doc)
+        sources.clear()
+        assert run(sc).passed
+        assert sources.count("mean-ergodic-projection") == duals
+
+
+@pytest.mark.parametrize("name", GALLERY_NAMES)
+def test_run_decomposes_by_neveu_decompose(name):
+    """A run's decomposition is neveu_decompose with the run's projection:
+    the same payload from the scenario's action, in either picture."""
+    (sc,) = [s for s in gallery() if s.name == name]
+    proj = mean_ergodic_projection(
+        sc.action.to_picture("schrodinger"), tol_fixed=sc.tolerances["tol_fixed"]
+    )
+    dec = neveu.neveu_decompose(
+        sc.action, sc.schedule, decay_tol=sc.tolerances["decay_tol"], projection=proj
+    )
+    ctx = type("Ctx", (), {"decomposition": dec})()
+    want = scenarios._run_decompose(ctx, {"spectrum": {}})[0]
+    doc = copy.deepcopy(sc.raw)
+    doc["tasks"] = ["decompose"]
+    got = run(scenario_from_dict(doc)).data["results"]["decompose"]
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 def test_heisenberg_mean_refuses_a_wrong_dual_basis(monkeypatch):
@@ -949,6 +975,37 @@ def test_cli_exit_one_on_failing_verdict(tmp_path, capsys):
     path = write_doc(tmp_path, noncommuting_doc())
     code = main(["decompose", "--scenario", path])
     assert code == 1
+
+
+def matrix_doc(matrix):
+    doc = base_doc()
+    doc["name"] = "matrix-test"
+    doc["action"]["generators"] = [
+        {"source": "matrix", "payload": {"matrix": np.asarray(matrix).tolist()}}
+    ]
+    doc["tasks"] = ["decompose", "mean", "certify", "stochastic"]
+    return doc
+
+
+def test_cli_exit_two_on_a_generator_that_is_no_contraction(tmp_path, capsys):
+    """2 * 1 on M_2 fails its contraction check: a load error that names the
+    generator, not a failed verdict."""
+    doc = matrix_doc(2 * np.eye(4))
+    doc["action"]["scheme"]["d"] = 2
+    doc["action"]["generators"].insert(0, base_doc()["action"]["generators"][0])
+    path = write_doc(tmp_path, doc)
+    assert main(["run", "--scenario", path]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: action.generators[1]: not a contraction" in err
+    assert "Traceback" not in err
+
+
+def test_a_generator_of_unknown_contraction_loads_and_runs():
+    """The transpose map is positive but not completely positive, so its
+    contraction check stays unknown: the scenario loads and runs."""
+    sc = scenario_from_dict(matrix_doc(np.eye(4)[[0, 2, 1, 3]]))
+    assert sc.action.checks["contraction"].verdict == "unknown"
+    assert run(sc).passed
 
 
 def test_cli_exit_two_on_invalid_scenario(tmp_path, capsys):

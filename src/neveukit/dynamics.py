@@ -57,6 +57,7 @@ from .maps import (
     CheckReport,
     PreconditionError,
     SuperOperator,
+    _flow_contraction_report,
     _positive_contraction_report,
     _transpose_perm,
     _weight_ratio,
@@ -236,8 +237,7 @@ class SemigroupAction:
             self.checks["representation"] = self._check_representation()
         else:
             self.checks["commuting"] = check_commuting(self.generators)
-        if scheme.kind != "r-plus-cube":
-            self.checks["contraction"] = self._check_contractions()
+        self.checks["contraction"] = self._check_contractions()
 
     def _set(self, algebra, picture, scheme, gens, real, invs, checks, parts=None, origin=None):
         """Set every field: ``__init__``, :meth:`dual` and :meth:`_restricted` come here."""
@@ -283,15 +283,17 @@ class SemigroupAction:
     def _check_contractions(self):
         """check_contraction in the observable picture; a certified positive
         density-picture S is judged by dual(S)(1), the density of
-        y -> tau(S(y)), with no dual of S."""
+        y -> tau(S(y)), with no dual of S.  A flow generator L is judged by
+        L_h(1), read the same way (:func:`~neveukit.maps._flow_contraction_report`)."""
         reports, algebra, w = [], self.algebra, self.algebra.weight_vec
+        flow, one = self.scheme.kind == "r-plus-cube", self.algebra.identity()
         for idx, s in enumerate(self.generators):
             if self.picture == "heisenberg":
-                rep = check_contraction(s)
-            elif s.positivity_certified:
-                unit = s.matrix.T @ (w * algebra.identity().vec())
-                unit = unit[_transpose_perm(algebra.blocks)] / w
-                rep = _positive_contraction_report(algebra.from_vec(unit))
+                rep = _flow_contraction_report(s(one)) if flow else check_contraction(s)
+            elif flow or s.positivity_certified:
+                unit = s.matrix.T @ (w * one.vec())
+                unit = algebra.from_vec(unit[_transpose_perm(algebra.blocks)] / w)
+                rep = (_flow_contraction_report if flow else _positive_contraction_report)(unit)
             else:
                 rep = check_contraction(dual(s))
             reports.append((idx, rep.verdict))

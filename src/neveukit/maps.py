@@ -453,6 +453,19 @@ def _positive_contraction_report(image):
     )
 
 
+def _flow_contraction_report(image):
+    """The contraction verdict of a flow generator L whose observable-picture
+    image of the unit is ``image`` = L_h(1) = d/dt e^{tL_h}(1) at t = 0: a
+    positive contraction semigroup has L_h(1) <= 0, so a larger eigenvalue
+    fails; positivity is not certified, so the verdict is at best "unknown"."""
+    top = max(float(lam[-1]) for lam, _ in image.eigh())
+    verdict = "unknown" if top <= CONTRACTION_SLACK else "fail"
+    witness = None if verdict == "unknown" else (image.algebra.identity(),)
+    return CheckReport(
+        "contraction", verdict, witness=witness, detail={"max_eigenvalue_of_unit_image": top}
+    )
+
+
 def _herm_norm_estimate(s, rng, iters=200):
     """Dominant singular value of S restricted to hermitian elements: of the
     real part of its hermitian-basis matrix."""

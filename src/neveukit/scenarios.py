@@ -23,7 +23,7 @@ same text when no output file is given.
 
 Formats understood by :func:`render` and :func:`emit`:
 
-* ``report-json``   the full report
+* ``report-json``   the full report: its canonical JSON with the wall clock
 * ``decay-csv``     the decay schedule of the decomposition task
 * ``spectrum-csv``  generator superoperator spectra (and the invariant
                     density spectrum when a decomposition ran)
@@ -35,16 +35,13 @@ import cmath
 import functools
 import importlib.resources
 import json
-import math
 import numbers
 import os
 import re
 import stat
 import tempfile
 import time
-from dataclasses import dataclass
-from itertools import chain
-from json.encoder import encode_basestring_ascii
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -405,9 +402,20 @@ def load_scenario(path):
 # ---------------------------------------------------------------------------
 
 
+def _encode_field(key, value):
+    """``"key":value`` in the canonical JSON, spelled by the C encoder."""
+    return json.dumps({key: value}, sort_keys=True, separators=(",", ":"))[1:-1]
+
+
 @dataclass
 class Report:
+    """The results of one run, a value: :meth:`canonical_bytes` and the
+    report-json of :func:`render` encode each top-level field but ``meta``
+    once, on first use, and keep its text, so ``data`` must not change once
+    either has been taken.  Build a new report for other data."""
+
     data: dict
+    _texts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def verdicts(self):
@@ -419,14 +427,21 @@ class Report:
             v == "pass" for v in self.verdicts.values()
         )
 
+    def _json(self, meta):
+        """The canonical JSON of ``data`` with ``meta`` in place of its meta."""
+        texts = self._texts
+        for key in self.data.keys() - texts.keys() - {"meta"}:
+            texts[key] = _encode_field(key, self.data[key])
+        if "meta" in self.data:
+            texts = {**texts, "meta": _encode_field("meta", meta)}
+        return "{" + ",".join([texts[key] for key in sorted(texts)]) + "}"
+
     def canonical_bytes(self):
         """Deterministic serialisation; wall-clock timing is excluded."""
-        doc = dict(self.data)
-        if isinstance(doc.get("meta"), dict):
-            doc["meta"] = {
-                k: v for k, v in doc["meta"].items() if k != "wall_clock_s"
-            }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+        meta = self.data.get("meta")
+        if isinstance(meta, dict):
+            meta = {k: v for k, v in meta.items() if k != "wall_clock_s"}
+        return self._json(meta).encode()
 
 
 def load_report(path):
@@ -728,71 +743,6 @@ def _fmt(x):
     return f"{float(x):.17g}"
 
 
-def _write_json(o, ind, parts):
-    """Append ``json.dumps(o, sort_keys=True, indent=2)`` to ``parts``.
-
-    ``ind`` is the line break and indentation of the line ``o`` starts on.
-    The stdlib encoder runs in pure Python whenever ``indent`` is set.  Here
-    a list of ``[float, float]`` pairs, the row of an encoded matrix, is
-    checked and formatted by C-level calls: one ``%`` template over
-    ``float.__repr__``.  Strings go through the C string encoder; ``None``,
-    bools, ints and finite floats are spelled directly, as the stdlib spells
-    them, and every other scalar goes through ``json.dumps``.
-    """
-    if isinstance(o, str):
-        parts.append(encode_basestring_ascii(o))
-    elif isinstance(o, dict):
-        if not o:
-            parts.append("{}")
-            return
-        inner, sep = ind + "  ", "{"
-        for k, v in sorted(o.items()):
-            if not isinstance(k, str):
-                if not (k is None or isinstance(k, (int, float))):
-                    raise TypeError(
-                        f"keys must be str, int, float, bool or None, "
-                        f"not {type(k).__name__}"
-                    )
-                k = json.dumps(k)
-            parts.append(f"{sep}{inner}{encode_basestring_ascii(k)}: ")
-            _write_json(v, inner, parts)
-            sep = ","
-        parts.append(ind + "}")
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            parts.append("[]")
-            return
-        inner = ind + "  "
-        if set(map(type, o)) == {list} and set(map(len, o)) == {2}:
-            flat = list(chain.from_iterable(o))
-            if set(map(type, flat)) == {float}:
-                pair = f"[{inner}  %s,{inner}  %s{inner}]"
-                template = f"[{inner}{f',{inner}'.join([pair] * len(o))}{ind}]"
-                text = template % tuple(map(float.__repr__, flat))
-                if "n" in text:  # nan or inf: redo with the JSON spellings
-                    text = template % tuple(map(json.dumps, flat))
-                parts.append(text)
-                return
-        sep = "["
-        for v in o:
-            parts.append(sep + inner)
-            _write_json(v, inner, parts)
-            sep = ","
-        parts.append(ind + "]")
-    elif o is None:
-        parts.append("null")
-    elif o is True:
-        parts.append("true")
-    elif o is False:
-        parts.append("false")
-    elif type(o) is int:
-        parts.append(int.__repr__(o))
-    elif type(o) is float and math.isfinite(o):
-        parts.append(float.__repr__(o))
-    else:
-        parts.append(json.dumps(o))
-
-
 def _write_text(path, text):
     """Write ``text`` to ``path``; a rename would replace a FIFO, a device or
     a symlink by a regular file, so those are written through."""
@@ -815,15 +765,14 @@ def _write_text(path, text):
 def render(report, fmt):
     """The report as text in the requested format.
 
-    The report-json bytes equal ``json.dumps(report.data, sort_keys=True,
-    indent=2)`` plus a final newline.  CSV numbers carry 17 significant
-    digits; lines end in LF.
+    The report-json text is the canonical JSON of the whole report,
+    ``json.dumps(report.data, sort_keys=True, separators=(",", ":"))``, plus
+    a final newline: the canonical bytes with ``meta.wall_clock_s``, joined
+    from the same encoded fields.  CSV numbers carry 17 significant digits;
+    lines end in LF.
     """
     if fmt == "report-json":
-        parts = []
-        _write_json(report.data, "\n", parts)
-        parts.append("\n")
-        text = "".join(parts)
+        text = report._json(report.data.get("meta")) + "\n"
     elif fmt == "decay-csv":
         dec = report.data.get("results", {}).get("decompose")
         if dec is None or "decay" not in dec:
@@ -849,7 +798,11 @@ def render(report, fmt):
 
 
 def emit(report, fmt, out_path):
-    """Write :func:`render` of the report to ``out_path`` (see :func:`_write_text`)."""
+    """Write :func:`render` of the report to ``out_path`` (see :func:`_write_text`).
+
+    The report-json text shares its encoded fields with the report's
+    canonical bytes, so emitting and then taking them encodes each once.
+    """
     _write_text(out_path, render(report, fmt))
     return out_path
 

@@ -227,6 +227,15 @@ def test_the_derived_picture_holds_the_real_matrices_of_the_duals():
             assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
+def test_the_benchmark_flows_load_with_an_unknown_contraction():
+    """The GKLS generators of the benchmark's flow documents have L_h(1) = 0
+    up to rounding, so they load; positivity is not certified, so their
+    contraction stays "unknown"."""
+    for doc in workloads().generated_docs("flow", 1):
+        check = scenarios.scenario_from_dict(doc).action.checks["contraction"]
+        assert check.verdict == "unknown", doc["name"]
+
+
 def test_a_derived_picture_gives_back_its_source_without_a_cycle():
     """dual() of a derived picture is the action it was derived from, on the
     gallery and on the benchmark's gallery and large-d documents; the source

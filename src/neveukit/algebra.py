@@ -21,10 +21,9 @@ so that for a single block vec(A X B) = (B.T kron A) vec(X).
 Operator norms (:func:`op_norm`, :func:`op_norms`) are the exact largest
 singular value, never a bound.  There is one spectral-norm kernel,
 ``_max_norms``: k operators held as one (k, n, n) stack per block take one
-batched ``np.linalg.svd(stack, compute_uv=False)`` per block, whose first
-singular value is the largest, then the largest over blocks; LAPACK still
-runs per matrix, so every value is bitwise equal to ``np.linalg.norm(m, 2)``
-of the block that attains it.
+batched ``np.linalg.norm(stack, 2, axis=(-2, -1))`` per block, then the
+largest over blocks; LAPACK still runs per matrix, so every value is bitwise
+equal to ``np.linalg.norm(m, 2)`` of the block that attains it.
 :func:`op_norms` stacks a list of operators for it.  The certificate layer
 also takes |x| of a whole stack at once (``_abs_stacks``); the hermiticity
 decision (``_hermitian_mask``) and the |x| formulas it uses are those of
@@ -604,11 +603,10 @@ def _adjoint(stack):
 def _max_norms(stacks):
     """The operator norm of each of k operators given as per-block stacks.
 
-    The one spectral-norm kernel: one ``np.linalg.svd(stack,
-    compute_uv=False)`` per block, whose singular values LAPACK returns in
-    descending order, then the largest over blocks.
+    The one spectral-norm kernel: one ``np.linalg.norm(stack, 2, axis=(-2,
+    -1))`` per block, then the largest over blocks.
     """
-    norms = [np.linalg.svd(s, compute_uv=False)[..., 0] for s in stacks]
+    norms = [np.linalg.norm(s, 2, axis=(-2, -1)) for s in stacks]
     return np.maximum.reduce(norms).tolist()
 
 

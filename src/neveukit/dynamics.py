@@ -289,11 +289,15 @@ class SemigroupAction:
         flow, one = self.scheme.kind == "r-plus-cube", self.algebra.identity()
         for idx, s in enumerate(self.generators):
             if self.picture == "heisenberg":
-                rep = _flow_contraction_report(s(one)) if flow else check_contraction(s)
+                rep = _flow_contraction_report(s(one), s.matrix) if flow else check_contraction(s)
             elif flow or s.positivity_certified:
                 unit = s.matrix.T @ (w * one.vec())
                 unit = algebra.from_vec(unit[_transpose_perm(algebra.blocks)] / w)
-                rep = (_flow_contraction_report if flow else _positive_contraction_report)(unit)
+                rep = (
+                    _flow_contraction_report(unit, s.matrix)
+                    if flow
+                    else _positive_contraction_report(unit)
+                )
             else:
                 rep = check_contraction(dual(s))
             reports.append((idx, rep.verdict))

@@ -453,16 +453,22 @@ def _positive_contraction_report(image):
     )
 
 
-def _flow_contraction_report(image):
+def _flow_contraction_report(image, matrix):
     """The contraction verdict of a flow generator L whose observable-picture
     image of the unit is ``image`` = L_h(1) = d/dt e^{tL_h}(1) at t = 0: a
-    positive contraction semigroup has L_h(1) <= 0, so a larger eigenvalue
-    fails; positivity is not certified, so the verdict is at best "unknown"."""
+    positive contraction semigroup has L_h(1) <= 0, so an eigenvalue above
+    the slack times the flow scale max(1, ||L||_2) of the vec-coordinate
+    ``matrix`` fails (the rounding of L_h(1) grows with ||L||); positivity
+    is not certified, so the verdict is at best "unknown"."""
+    scale = max(1.0, float(np.linalg.norm(matrix, 2)))
     top = max(float(lam[-1]) for lam, _ in image.eigh())
-    verdict = "unknown" if top <= CONTRACTION_SLACK else "fail"
+    verdict = "unknown" if top <= CONTRACTION_SLACK * scale else "fail"
     witness = None if verdict == "unknown" else (image.algebra.identity(),)
     return CheckReport(
-        "contraction", verdict, witness=witness, detail={"max_eigenvalue_of_unit_image": top}
+        "contraction",
+        verdict,
+        witness=witness,
+        detail={"max_eigenvalue_of_unit_image": top, "generator_scale": scale},
     )
 
 

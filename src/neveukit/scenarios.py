@@ -412,7 +412,12 @@ class Report:
     """The results of one run, a value: :meth:`canonical_bytes` and the
     report-json of :func:`render` encode each top-level field but ``meta``
     once, on first use, and keep its text, so ``data`` must not change once
-    either has been taken.  Build a new report for other data."""
+    either has been taken.  Build a new report for other data.
+
+    The kept texts save work only for a report that is both rendered as
+    report-json and asked for its canonical bytes, as a caller that writes
+    a report and then hashes or compares it does; the command line renders
+    each report once and never takes its canonical bytes."""
 
     data: dict
     _texts: dict = field(default_factory=dict, init=False, repr=False, compare=False)

@@ -25,10 +25,9 @@ batched ``np.linalg.norm(stack, 2, axis=(-2, -1))`` per block, then the
 largest over blocks; LAPACK still runs per matrix, so every value is bitwise
 equal to ``np.linalg.norm(m, 2)`` of the block that attains it.
 :func:`op_norms` stacks a list of operators for it.  The certificate layer
-also takes |x| of a whole stack at once (``_abs_stacks``); the hermiticity
-decision (``_hermitian_mask``) and the |x| formulas it uses are those of
-:meth:`Operator.is_hermitian` and :func:`abs_op`, so every matrix is bitwise
-``abs_op`` of its slice.
+also takes the eigenpairs of |x| of a whole stack at once
+(``_abs_spectra``), with the hermiticity decision (``_hermitian_mask``) of
+:meth:`Operator.is_hermitian` and the decompositions of :func:`abs_op`.
 
 Hermitian basis.  The orthonormal hermitian matrix units of each block,
 
@@ -576,18 +575,13 @@ def _abs_eigh(lam, V):
     return (V * np.abs(lam)[..., None, :]) @ _adjoint(V)
 
 
-def _abs_svd(s, Vh):
-    """|x| of x (or of each slice of a stack) from its singular values and
-    right singular vectors: (x* x)^(1/2) = Vh* diag(s) Vh."""
-    return (_adjoint(Vh) * s[..., None, :]) @ Vh
-
-
 def abs_op(x):
     """|x| = (x* x)^(1/2).  Uses the eigendecomposition of x when hermitian."""
     if x.is_hermitian():
         return Operator(x.algebra, [_abs_eigh(lam, V) for lam, V in x.eigh()])
+    # (x* x)^(1/2) = Vh* diag(s) Vh
     svds = (np.linalg.svd(m) for m in x.block_mats)
-    return Operator(x.algebra, [_abs_svd(s, Vh) for _, s, Vh in svds])
+    return Operator(x.algebra, [(_adjoint(Vh) * s) @ Vh for _, s, Vh in svds])
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +592,10 @@ def abs_op(x):
 def _adjoint(stack):
     """The adjoint of a matrix, or of each slice of a stack, as a view."""
     return stack.conj().swapaxes(-1, -2)
+
+
+def _hermitian_part(stack):
+    return (stack + _adjoint(stack)) / 2.0
 
 
 def _max_norms(stacks):
@@ -635,26 +633,30 @@ def _hermitian_mask(stacks):
     return herm
 
 
-def _abs_stacks(stacks):
-    """|x_j| of k operators given as per-block stacks ``stacks[b][j]``.
-
-    Per block, one batched ``eigh`` of the hermitian parts serves the x_j
-    that ``_hermitian_mask`` finds hermitian and one batched SVD the others;
-    each slice is bitwise ``abs_op(x_j)``.
+def _abs_spectra(stacks):
+    """``(herm, pairs)`` of k operators given as per-block stacks: their
+    ``_hermitian_mask`` and, per block, ``(mags, vecs)`` with the eigenvalues
+    of each |x_j| ascending and their eigenvectors as columns, so that
+    ``_abs_eigh(mags, vecs)`` is |x_j|.  One batched ``eigh`` per block
+    serves the hermitian x_j (|lambda| on the same vectors), one batched SVD
+    the others (|x| = Vh* diag(s) Vh).
     """
     herm = _hermitian_mask(stacks)
     h = slice(None) if herm.all() else np.flatnonzero(herm)
     other = np.flatnonzero(~herm)
-    out = []
+    pairs = []
     for s in stacks:
-        m = np.empty_like(s)
+        mags, vecs = np.empty(s.shape[:-1]), np.empty(s.shape, complex)
         if herm.any():
-            m[h] = _abs_eigh(*np.linalg.eigh((s[h] + _adjoint(s[h])) / 2.0))
+            lam, v = np.linalg.eigh(_hermitian_part(s[h]))
+            order = np.argsort(np.abs(lam), axis=-1, kind="stable")
+            mags[h] = np.take_along_axis(np.abs(lam), order, -1)
+            vecs[h] = np.take_along_axis(v, order[..., None, :], -1)
         if other.size:
             _, sv, Vh = np.linalg.svd(s[other])
-            m[other] = _abs_svd(sv, Vh)
-        out.append(m)
-    return out
+            mags[other], vecs[other] = sv[..., ::-1], _adjoint(Vh)[..., ::-1]
+        pairs.append((mags, vecs))
+    return herm, pairs
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,16 @@ it stops on the KKT conditions of the convex problem, so its weights are
 optimal and not merely stalled.
 
 Every certificate runs on per-block stacks: the k points of a schedule are
-held as one (k, n, n) array per block, and each stage (deviation, leak
-check, |d|, corner ``eigh``, witness V V*, corner product, norm) runs once
-per block for the whole schedule.  LAPACK and BLAS still run per matrix, and
-witnesses of equal rank share one V V* product, so every rank, theta, n0 and
-verdict, and every delta, norm and tau(1 - r_a), is bitwise what the
-per-point construction (one ``Operator`` and one ``abs_op`` per point) gives.
+held as one (k, n, n) array per block, and each stage runs once per block
+for the whole schedule: deviation and leak check, compression onto an
+orthonormal basis of the corner (none on the whole algebra), one ``eigh``
+(or SVD) giving the eigenpairs of |d| in corner coordinates, the b.a.u. sum
+and its ``eigh``, and the norms, taken in corner coordinates too.  Masses
+and tau(1 - r_a) are read off the witness ranks, and the full-size witness
+projections are built only when a caller reads them.  LAPACK and BLAS still
+run per matrix, so every rank, theta, n0 and verdict is bitwise what the
+per-point construction (one decomposition per point) gives, and every norm
+agrees with it to rounding.
 """
 
 from __future__ import annotations
@@ -44,8 +48,10 @@ from .algebra import (
     Operator,
     Projection,
     TracialAlgebra,
-    _abs_stacks,
+    _abs_eigh,
+    _abs_spectra,
     _adjoint,
+    _hermitian_part,
     _max_norms,
     op_norm,
     trace_norm,
@@ -82,45 +88,39 @@ HULL_KKT_TOL = 1e-12
 HULL_STEPS_PER_POINT = 10
 
 
-def _corner_basis(algebra, within):
-    """Per-block orthonormal column bases of the range of ``within``, and
-    the complement of ``within``.
-
-    ``None`` means the whole algebra (no complement).  Restricting the
-    spectral calculus to this basis keeps certificate projections exactly
-    inside the corner the data lives in, so they add cleanly to the
-    complementary corner.
-    """
+def _corner_basis(within):
+    """Per-block orthonormal bases of the range of ``within`` (None: all)."""
     if within is None:
-        return [np.eye(n) for n in algebra.blocks], None
-    cols = [v[:, lam >= 0.5] for lam, v in within.eigh()]
-    return cols, within.complement()
+        return None
+    return [v[:, lam >= 0.5] for lam, v in within.eigh()]
 
 
-def _corner_eigh(basis, stacks):
-    """Per-block ``(lam, v)``: the eigenpairs of each slice of a stack
-    compressed onto the corner basis, one batched ``eigh`` per block."""
-    eigs = []
-    for base, s in zip(basis, stacks):
-        comp = base.conj().T @ s @ base
-        eigs.append(np.linalg.eigh((comp + _adjoint(comp)) / 2.0))
-    return eigs
+def _compress(basis, stacks):
+    """Per-block stacks in corner coordinates: B* s B for each slice."""
+    if basis is None:
+        return list(stacks)
+    return [_adjoint(b) @ s @ b for b, s in zip(basis, stacks)]
 
 
-def _witnesses(basis, eigs, counts, outside):
-    """Per-block stacks ``(active, e)`` and the per-block ranks of e.
+def _kept(vecs, count):
+    """``vecs`` with the columns past ``count[j]`` of slice j set to zero."""
+    return vecs * (np.arange(vecs.shape[-1]) < count[:, None])[:, None, :]
 
-    Slice j of ``active`` is the projection onto the first ``counts[b][j]``
-    corner eigenvectors of slice j (the kept eigenvalues are always the
-    lowest), and e adds the complementary corner ``outside`` (if any).
-    Points of equal rank share one product, so each slice is bitwise the
-    V V* of :meth:`Projection.from_eigvecs`.
+
+def _witnesses(devs, vecs, counts):
+    """The witnesses ``(e, active)`` of every slice, as lists: slice j of
+    ``active`` projects onto the first ``counts[b][j]`` columns of
+    ``vecs[b][j]`` taken through the corner basis, and e adds the complement
+    of ``devs.within`` (if any).  Points of equal rank share one product, so
+    each slice is bitwise the V V* of :meth:`Projection.from_eigvecs`.
     """
-    actives = []
-    for base, (_, v), count in zip(basis, eigs, counts):
-        # row q of slice j is base @ v_j[:, q], one matrix-vector product each
-        rows = (base @ v.transpose(0, 2, 1)[..., None])[..., 0]
-        n = base.shape[0]
+    algebra, basis, actives = devs.algebra, devs.basis, []
+    for b, (v, count) in enumerate(zip(vecs, counts)):
+        # row q of slice j is B v_j[:, q] (B the corner basis), one product each
+        rows = v.transpose(0, 2, 1)
+        if basis is not None:
+            rows = (basis[b] @ rows[..., None])[..., 0]
+        n = algebra.blocks[b]
         active = np.zeros((len(v), n, n), dtype=complex)
         for r in sorted(set(count.tolist())):
             if r:
@@ -128,10 +128,13 @@ def _witnesses(basis, eigs, counts, outside):
                 V = np.ascontiguousarray(rows[idx, :r].transpose(0, 2, 1))
                 active[idx] = V @ _adjoint(V)
         actives.append(active)
-    if outside is None:
-        return actives, actives, counts
+    active = _projections(algebra, actives, counts)
+    if devs.within is None:
+        return active, active
+    outside = devs.within.complement()
     es = [p + q for p, q in zip(actives, outside.block_mats)]
-    return actives, es, [c + r for c, r in zip(counts, outside.ranks)]
+    ranks = [c + r for c, r in zip(counts, outside.ranks)]
+    return _projections(algebra, es, ranks), active
 
 
 def _projections(algebra, stacks, ranks):
@@ -145,22 +148,28 @@ def _projections(algebra, stacks, ranks):
 
 
 class _Deviations:
-    """A certificate's input X_a - limit as one (k, n, n) stack per block,
-    supported in the corner ``within`` (None for the whole algebra).  The
-    measure and b.a.u. certificates of one input read the same deviation
-    stack and the same |d| stack.
+    """A certificate's input X_a - limit in the coordinates of its corner
+    ``within`` (None for the whole algebra): slice j of ``stacks[b]`` is
+    B* (X_a - limit) B in block b, for the orthonormal basis B = ``basis[b]``
+    of the corner.  One decomposition per block gives the eigenpairs of |d|
+    (``spectra``) that both certificates of one input read.
     """
 
-    def __init__(self, algebra, schedule, stacks, limit, within):
+    def __init__(self, algebra, schedule, stacks, within=None, basis=None):
         self.algebra = algebra
         self.schedule = schedule
-        self.stacks = [s - m for s, m in zip(stacks, limit.block_mats)]
+        self.stacks = stacks
         self.within = within
-        self.basis, self.outside = _corner_basis(algebra, within)
+        self.basis = basis
 
     @cached_property
-    def abs(self):
-        return _abs_stacks(self.stacks)
+    def spectra(self):
+        return _abs_spectra(self.stacks)
+
+    def ranks(self, counts):
+        """Per-block ranks of witnesses keeping ``counts`` corner vectors."""
+        blocks = self.algebra.blocks
+        return [c + (n - s.shape[-1]) for c, n, s in zip(counts, blocks, self.stacks)]
 
 
 def _deviations(sequence, limit, schedule, within):
@@ -181,14 +190,15 @@ def _deviations(sequence, limit, schedule, within):
     if any(x.algebra is not algebra and x.algebra != algebra for x in others):
         raise ValueError("operators live in different algebras")
     stacks = [np.array(mats) for mats in zip(*(x.block_mats for x in sequence))]
+    devs = [s - m for s, m in zip(stacks, limit.block_mats)]
     if within is not None:
         # one batched norm per block: the k inputs and the limit, whose
         # largest norm scales the test, then the k leaks d - w d w
         k = len(schedule)
         norms = _max_norms(
             [
-                np.concatenate([s, m[None], (s - m) - w @ (s - m) @ w])
-                for s, m, w in zip(stacks, limit.block_mats, within.block_mats)
+                np.concatenate([s, m[None], d - w @ d @ w])
+                for s, m, d, w in zip(stacks, limit.block_mats, devs, within.block_mats)
             ]
         )
         scale = max(1.0, *norms[: k + 1])
@@ -197,7 +207,8 @@ def _deviations(sequence, limit, schedule, within):
                 raise ValueError(
                     f"sequence is not supported in the given corner (leak {leak:.3e})"
                 )
-    return _Deviations(algebra, schedule, stacks, limit, within)
+    basis = _corner_basis(within)
+    return _Deviations(algebra, schedule, _compress(basis, devs), within, basis)
 
 
 def _require_eps(eps):
@@ -212,17 +223,24 @@ def _require_budget(delta_budget):
 
 @dataclass
 class MeasureCertificate:
-    """Per-index witness projections for convergence in measure."""
+    """Per-index witness projections for convergence in measure; they are
+    built when first read, and ``rows`` carry their ranks."""
 
     schedule: list
     eps: float
     delta_tol: float
     rows: list
-    witnesses: list
-    witnesses_active: list
     n0: int
     verdict: str
     within: Projection = None
+    build: object = field(default=None, repr=False, compare=False)
+
+    witnesses = property(lambda self: self._built[0])
+    witnesses_active = property(lambda self: self._built[1])
+
+    @cached_property
+    def _built(self):
+        return self.build()
 
     @property
     def passed(self):
@@ -240,7 +258,10 @@ def measure_certify(sequence, limit, eps, schedule=None, delta_tol=1e-6, within=
 
     ``within`` restricts the construction to a corner projection: witnesses
     then satisfy e_a = q_a + (1 - within) with q_a inside the corner, and
-    delta_a only ever charges corner directions.
+    delta_a only ever charges corner directions.  Each deviation is
+    diagonalised once, in corner coordinates (through its hermitian part
+    when it is hermitian), where a hermitian one's corner norm is its
+    largest kept |eigenvalue|; witnesses are built when first read.
     """
     _require_eps(eps)
     return _measure(_deviations(sequence, limit, schedule, within), eps, delta_tol)[0]
@@ -248,52 +269,51 @@ def measure_certify(sequence, limit, eps, schedule=None, delta_tol=1e-6, within=
 
 def _measure(devs, eps, delta_tol):
     """:func:`measure_certify` of a deviation stack, and the per-block
-    stacks of its active witnesses."""
+    counts of the eigenvectors its witnesses keep."""
     algebra, schedule = devs.algebra, devs.schedule
-    eigs = _corner_eigh(devs.basis, devs.abs)
-    counts = [np.sum(lam < eps - BOUNDARY_SNAP, axis=-1) for lam, _ in eigs]
-    actives, es, ranks = _witnesses(devs.basis, eigs, counts, devs.outside)
-    deltas = 0
+    herm, spectra = devs.spectra
+    counts = [np.sum(mags < eps - BOUNDARY_SNAP, axis=-1) for mags, _ in spectra]
+    ranks, deltas = devs.ranks(counts), 0
     for w, n, r in zip(algebra.weights, algebra.blocks, ranks):
         deltas = deltas + w * (n - r)
     deltas = np.asarray(deltas, dtype=float).tolist()
-    corners = _max_norms([e @ d @ e for e, d in zip(es, devs.stacks)])
-    kept = np.sum(ranks, axis=0).tolist()
+    # a hermitian deviation's corner norm is its largest kept |eigenvalue|
+    corners = np.maximum.reduce([
+        np.max(mags, -1, where=np.arange(mags.shape[-1]) < c[:, None], initial=0.0)
+        for (mags, _), c in zip(spectra, counts)
+    ])
+    other = np.flatnonzero(~herm)
+    if other.size:
+        # that of a non-hermitian one is not read off its singular values
+        kept = [_kept(v[other], c[other]) for (_, v), c in zip(spectra, counts)]
+        corners[other] = _max_norms(
+            [_adjoint(v) @ d[other] @ v for v, d in zip(kept, devs.stacks)]
+        )
+    kept_ranks = np.sum(ranks, axis=0).tolist()
     rows = [
         {"a": a, "delta": delta, "rank_kept": rank, "corner_norm": corner}
-        for a, delta, rank, corner in zip(schedule, deltas, kept, corners)
+        for a, delta, rank, corner in zip(schedule, deltas, kept_ranks, corners.tolist())
     ]
 
-    n0 = None
-    for i in range(len(rows)):
-        if all(d <= delta_tol for d in deltas[i:]):
-            n0 = schedule[i]
-            break
+    n0 = next((schedule[i] for i in range(len(rows)) if max(deltas[i:]) <= delta_tol), None)
     verdict = "pass" if n0 is not None else "fail"
-    active_witnesses = _projections(algebra, actives, counts)
-    return MeasureCertificate(
-        schedule,
-        float(eps),
-        float(delta_tol),
-        rows,
-        active_witnesses if devs.outside is None else _projections(algebra, es, ranks),
-        active_witnesses,
-        n0,
-        verdict,
-        devs.within,
-    ), actives
+    cert = MeasureCertificate(
+        schedule, float(eps), float(delta_tol), rows, n0, verdict, devs.within,
+        lambda: _witnesses(devs, [v for _, v in spectra], counts),
+    )
+    return cert, counts
 
 
 @dataclass
 class BauCertificate:
-    """A single witness projection with decaying tail suprema."""
+    """A single witness projection e with decaying tail suprema; e and
+    ``e_active`` are built when first read, ``witness_ranks`` are e's."""
 
     schedule: list
     delta_budget: float
     theta: float
     excluded_mass: float
-    e: Projection
-    e_active: Projection
+    witness_ranks: tuple
     tail: list
     final: float
     slope: float
@@ -301,6 +321,14 @@ class BauCertificate:
     verdict: str
     within: Projection = None
     detail: dict = field(default_factory=dict)
+    build: object = field(default=None, repr=False, compare=False)
+
+    e = property(lambda self: self._built[0])
+    e_active = property(lambda self: self._built[1])
+
+    @cached_property
+    def _built(self):
+        return self.build()
 
     @property
     def passed(self):
@@ -329,24 +357,27 @@ def bau_certify(
     test always holds here, since suprema over shrinking tails cannot grow).
 
     ``within`` has the same corner semantics as in :func:`measure_certify`;
-    ``e_active`` is the part of e inside the corner.
+    ``e_active`` is the part of e inside the corner.  S and the corner norms
+    are formed in corner coordinates from the eigenpairs of each |X_k -
+    limit| that :func:`measure_certify` reads; e is built when first read.
     """
     _require_budget(delta_budget)
     devs = _deviations(sequence, limit, schedule, within)
-    return _bau(devs, delta_budget, n0, decay_tol, window)
+    return _bau(devs, delta_budget, n0, decay_tol, window)[0]
 
 
 def _bau(devs, delta_budget, n0, decay_tol, window):
-    """:func:`bau_certify` of a deviation stack."""
+    """:func:`bau_certify` of a deviation stack, and per block the (1, m, r)
+    stack of the r eigenvectors that e keeps in corner coordinates."""
     algebra, schedule = devs.algebra, devs.schedule
     if not 0 <= n0 < len(schedule):
         raise ValueError("n0 must index into the sequence")
     # summed from zero in schedule order, as the per-point sum of Operators
     s = [
-        sum(a * 2.0 ** -k for k, a in enumerate(stack[n0:]))[None]
-        for stack in devs.abs
+        sum(a * 2.0 ** -k for k, a in enumerate(_abs_eigh(mags[n0:], vecs[n0:])))[None]
+        for mags, vecs in devs.spectra[1]
     ]
-    eigs = _corner_eigh(devs.basis, s)
+    eigs = [np.linalg.eigh(_hermitian_part(m)) for m in s]
     lams = [lam[0] for lam, _ in eigs]
     candidates = sorted(set([0.0] + [float(t) for t in np.concatenate(lams)]))
     theta = None
@@ -360,48 +391,33 @@ def _bau(devs, delta_budget, n0, decay_tol, window):
             theta, excluded = cand, mass
             break
     counts = [np.sum(lam <= theta + BOUNDARY_SNAP, axis=-1) for lam, _ in eigs]
-    actives, es, ranks = _witnesses(devs.basis, eigs, counts, devs.outside)
-    [e_active] = _projections(algebra, actives, counts)
-    [e] = [e_active] if devs.outside is None else _projections(algebra, es, ranks)
-
-    corner = _max_norms([m @ d @ m for m, d in zip(e.block_mats, devs.stacks)])
-    sup = 0.0
-    sups = [0.0] * len(corner)
-    for i in range(len(corner) - 1, n0 - 1, -1):
-        sup = max(sup, corner[i])
-        sups[i] = sup
-    tail = [(schedule[i], sups[i]) for i in range(n0, len(corner))]
-    final = tail[-1][1]
+    kept = [v[..., : c[0]] for (_, v), c in zip(eigs, counts)]
+    corner = _max_norms([_adjoint(w) @ d @ w for w, d in zip(kept, devs.stacks)])
+    tail = [(schedule[i], max(corner[i:])) for i in range(n0, len(corner))]
     slope, _, verdict = tail_decay_verdict(tail, decay_tol, window)
     detail = {"corner_norms": corner, "candidates_tried": len(candidates)}
-    return BauCertificate(
-        schedule,
-        float(delta_budget),
-        float(theta),
-        float(excluded),
-        e,
-        e_active,
-        tail,
-        float(final),
-        slope,
-        n0,
-        verdict,
-        devs.within,
-        detail,
+    ranks = tuple(int(r[0]) for r in devs.ranks(counts))
+    cert = BauCertificate(
+        schedule, float(delta_budget), float(theta), float(excluded), ranks, tail,
+        float(tail[-1][1]), slope, n0, verdict, devs.within, detail,
+        lambda: [w[0] for w in _witnesses(devs, [v for _, v in eigs], counts)],
     )
+    return cert, kept
 
 
 def _certify(
     algebra, stacks, limit, schedule, eps, delta_tol, delta_budget, decay_tol
 ):
     """``(measure_certify, bau_certify)`` of one input on the whole algebra,
-    given as per-block stacks: both read one deviation stack and one |d|
-    stack, and raise what the two calls in a row would raise."""
+    given as per-block stacks: both read one decomposition of each
+    deviation, and raise what the two calls in a row would raise."""
     _require_eps(eps)
-    devs = _Deviations(algebra, list(schedule), stacks, limit, None)
+    devs = _Deviations(
+        algebra, list(schedule), [s - m for s, m in zip(stacks, limit.block_mats)]
+    )
     measure = _measure(devs, eps, delta_tol)[0]
     _require_budget(delta_budget)
-    return measure, _bau(devs, delta_budget, 0, decay_tol, SLOPE_WINDOW)
+    return measure, _bau(devs, delta_budget, 0, decay_tol, SLOPE_WINDOW)[0]
 
 
 @dataclass
@@ -415,11 +431,15 @@ class StochasticReport:
     decomposition: object
     bau: BauCertificate
     measure: MeasureCertificate
-    p: Projection
     burn_in: int
     rows: list
     verdicts: dict
     detail: dict = field(default_factory=dict)
+
+    @property
+    def p(self):
+        """The glued conservative part p of every r_a = p + q_a."""
+        return self.bau.e_active
 
     @property
     def passed(self):
@@ -449,18 +469,14 @@ def stochastic_run(
         ||p A_a(x) q_a|| <= sqrt(eps (eps + ||p xbar p||)),
 
     which follows from Cauchy-Schwarz for the positive operator A_a(x); the
-    inequality is checked numerically row by row, not assumed.  The schedule
-    must be strictly ascending; a missing ``decomposition`` is computed here.
-    ``seed`` has no effect: nothing here draws at random.
+    inequality is checked numerically row by row, not assumed.  The averages
+    are compressed onto the e1 and e2 corner bases, where every norm is
+    taken; tau(1 - r_a) is read off the ranks of p and q_a, and witnesses
+    are built when first read.  The schedule must be strictly ascending; a
+    missing ``decomposition`` is computed here.  ``seed`` has no effect.
     """
     return _stochastic_run(
-        action,
-        x,
-        schedule,
-        eps,
-        delta,
-        decomposition,
-        decay_tol,
+        action, x, schedule, eps, delta, decomposition, decay_tol,
         lambda schedule: _average_stacks(action, x, schedule),
     )
 
@@ -485,42 +501,39 @@ def _stochastic_run(action, x, schedule, eps, delta, decomposition, decay_tol, w
     avgs = walk(schedule)
     xbar = algebra.from_vec(decomposition.projection_schrodinger.matrix @ x.vec())
     xbar = (xbar + xbar.H) * 0.5
-    lim1 = e1 @ xbar @ e1
 
-    c1 = [p @ a @ p for p, a in zip(e1.block_mats, avgs)]
-    c2 = [q @ a @ q for q, a in zip(e2.block_mats, avgs)]
-    bau = _bau(
-        _Deviations(algebra, list(schedule), c1, lim1, e1),
-        delta / 2.0,
-        0,
-        decay_tol,
-        SLOPE_WINDOW,
+    # the corners e_i A_a(x) e_i and the limit e1 xbar e1 in corner coordinates
+    b1, b2 = _corner_basis(e1), _corner_basis(e2)
+    lim1 = [_hermitian_part(m) for m in _compress(b1, [m[None] for m in xbar.block_mats])]
+    c1 = [_hermitian_part(c) - m for c, m in zip(_compress(b1, avgs), lim1)]
+    ab2 = [a @ b for a, b in zip(avgs, b2)]
+    c2 = [_hermitian_part(_adjoint(b) @ ab) for b, ab in zip(b2, ab2)]
+    bau, kept1 = _bau(
+        _Deviations(algebra, schedule, c1, e1, b1), delta / 2.0, 0, decay_tol, SLOPE_WINDOW
     )
-    measure, actives = _measure(
-        _Deviations(algebra, list(schedule), c2, algebra.zero(), e2), eps, delta / 2.0
-    )
-    p = bau.e_active
+    devs2 = _Deviations(algebra, schedule, c2, e2, b2)
+    measure, counts2 = _measure(devs2, eps, delta / 2.0)
 
     burn_bau = next((a for a, v in bau.tail if v <= eps), None)
     burn = None
     if burn_bau is not None and measure.n0 is not None:
         burn = max(burn_bau, measure.n0)
 
-    # the bound's base ||p xbar p|| and the cross terms ||p A_a(x) q_a||,
-    # one batched norm per block; actives are the q_a, inside e2
-    bound_base, *cross_norms = _max_norms(
+    # ||p xbar p|| and the cross terms ||p A_a(x) q_a||: as p = (B1 W)(B1 W)*
+    # and q_a = (B2 V_a)(B2 V_a)* on orthonormal columns, these are
+    # ||W* lim1 W|| and ||(B1 W)* A_a(x) B2 V_a||, one batched norm per block
+    (bound_base,) = _max_norms([_adjoint(w) @ m @ w for w, m in zip(kept1, lim1)])
+    cross_norms = _max_norms(
         [
-            np.concatenate([(pb @ xb @ pb)[None], pb @ a @ q])
-            for pb, xb, a, q in zip(p.block_mats, xbar.block_mats, avgs, actives)
+            _adjoint(b @ w) @ ab @ _kept(v, c)
+            for b, w, ab, (_, v), c in zip(b1, kept1, ab2, devs2.spectra[1], counts2)
         ]
     )
-    # tau(1 - r_a) of the glued r_a = p + q_a, block traces summed in order
+    # tau(1 - r_a) of the glued r_a = p + q_a, read off their ranks
     excluded = 0
-    for w, n, pb, q in zip(algebra.weights, algebra.blocks, p.block_mats, actives):
-        excluded = excluded + w * np.trace(
-            np.eye(n, dtype=complex) - (pb + q), axis1=1, axis2=2
-        )
-    excluded = excluded.real.tolist()
+    for w, n, w1, c in zip(algebra.weights, algebra.blocks, kept1, counts2):
+        excluded = excluded + w * (n - w1.shape[-1] - c)
+    excluded = np.asarray(excluded, dtype=float).tolist()
     bound = float(np.sqrt(eps * (eps + bound_base))) + CROSS_TERM_SLACK
     rows = []
     budget_ok = True
@@ -550,28 +563,9 @@ def _stochastic_run(action, x, schedule, eps, delta, decomposition, decay_tol, w
         "cross_term": "pass" if (burn is not None and cross_ok) else "fail",
     }
     detail = {"burn_in_bau": burn_bau, "burn_in_measure": measure.n0}
-
-    if action.lamperti_attested():
-        compat = corner_compatibility(action, decomposition, x)
-        detail["corner_compatibility"] = compat.summary()
-        if not compat.passed:
-            raise ArithmeticError(
-                "Lamperti-attested action violated corner compatibility"
-            )
-
     return StochasticReport(
-        schedule,
-        float(eps),
-        float(delta),
-        xbar,
-        decomposition,
-        bau,
-        measure,
-        p,
-        burn,
-        rows,
-        verdicts,
-        detail,
+        schedule, float(eps), float(delta), xbar, decomposition, bau, measure,
+        burn, rows, verdicts, detail,
     )
 
 

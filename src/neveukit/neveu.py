@@ -65,16 +65,16 @@ from .algebra import (
     Operator,
     Projection,
     _herm_index,
+    _max_norms,
     _support_cutoff,
     _to_hermitian,
     _to_vec,
     op_norm,
-    op_norms,
     support,
     trace,
     trace_norm,
 )
-from .dynamics import _ascending, _square, averages
+from .dynamics import _ascending, _average_stacks, _square
 from .maps import SuperOperator, dual
 
 __all__ = [
@@ -577,8 +577,8 @@ def weakly_wandering_certificate(
         raise ValueError("schedule must be nonempty with entries >= 1")
     if op_norm(x) == 0.0:
         return WanderingCertificate([], 0.0, None, "pass", {"note": "zero element"})
-    avgs = averages(action.to_picture("heisenberg"), x, schedule)
-    points = list(zip(schedule, op_norms(avgs)))
+    avgs = _average_stacks(action.to_picture("heisenberg"), x, schedule)
+    points = list(zip(schedule, _max_norms(avgs)))
     slope, nonincreasing, verdict = tail_decay_verdict(points, decay_tol, window)
     detail = {"nonincreasing_tail": nonincreasing, "window": window}
     return WanderingCertificate(points, points[-1][1], slope, verdict, detail)

@@ -500,7 +500,7 @@ def _bau_payload(cert):
             "schedule": cert.schedule,
             "theta": cert.theta,
             "excluded_mass": cert.excluded_mass,
-            "witness_ranks": cert.e.ranks,
+            "witness_ranks": cert.witness_ranks,
             "tail": cert.tail,
             "final": cert.final,
             "slope": cert.slope,

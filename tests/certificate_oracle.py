@@ -1,9 +1,10 @@
-"""The certificate layer as it was before it ran on per-block stacks.
+"""The certificate layer one point at a time.
 
-One point at a time: each deviation is its own ``Operator`` with its own
-``abs_op``, corner ``eigh``, witness V V* and norm.  The tests compare the
-stacked certificates of :mod:`neveukit.convergence` against these functions;
-the package does not use them.
+Each deviation is compressed onto the corner basis as its own list of block
+matrices and takes its own hermiticity test, ``eigh`` (or SVD), witness
+V V* and norms.  The tests compare the stacked certificates of
+:mod:`neveukit.convergence` against these functions; the package does not
+use them.
 """
 
 import numpy as np
@@ -11,10 +12,8 @@ import numpy as np
 from neveukit.algebra import (
     BOUNDARY_SNAP,
     HERMITIAN_RTOL,
-    Operator,
     Projection,
     op_norms,
-    trace,
 )
 from neveukit.convergence import (
     CROSS_TERM_SLACK,
@@ -23,7 +22,6 @@ from neveukit.convergence import (
     BauCertificate,
     MeasureCertificate,
     StochasticReport,
-    corner_compatibility,
 )
 from neveukit.dynamics import averages
 from neveukit.maps import PreconditionError
@@ -35,69 +33,73 @@ from neveukit.neveu import (
 )
 
 
-def _is_hermitian(x):
-    """``Operator.is_hermitian`` as it was: x == x* exactly, else
-    ``||x - x*|| <= 1e-12 ||x||``."""
-    if all(np.array_equal(m, m.conj().T) for m in x.block_mats):
+def _norm(mats):
+    """The largest spectral norm of a list of block matrices (0 if all are
+    empty)."""
+    return max([np.linalg.norm(m, 2) for m in mats if m.size] + [0.0])
+
+
+def _is_hermitian(mats):
+    """``Operator.is_hermitian`` of block matrices: equal to the adjoint
+    exactly, else ``||x - x*|| <= 1e-12 ||x||``."""
+    if all(np.array_equal(m, m.conj().T) for m in mats):
         return True
-    dev, norm = op_norms([x - x.H, x])
-    return dev <= HERMITIAN_RTOL * norm + 1e-30
+    return _norm([m - m.conj().T for m in mats]) <= HERMITIAN_RTOL * _norm(mats) + 1e-30
 
 
-def abs_op(x):
-    """``algebra.abs_op`` as it was, with its own hermiticity test."""
-    if _is_hermitian(x):
-        return Operator(
-            x.algebra, [(V * np.abs(lam)) @ V.conj().T for lam, V in x.eigh()]
-        )
-    svds = (np.linalg.svd(m) for m in x.block_mats)
-    return Operator(x.algebra, [(Vh.conj().T * s) @ Vh for _, s, Vh in svds])
+def _abs_eigpairs(mats):
+    """Per block ``(mags, vecs)``: the eigenvalues of |x| ascending and
+    their eigenvectors as columns, from the ``eigh`` of the hermitian part
+    when x is hermitian, else from the SVD."""
+    pairs = []
+    herm = _is_hermitian(mats)
+    for m in mats:
+        if herm:
+            lam, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+            order = np.argsort(np.abs(lam), kind="stable")
+            pairs.append((np.abs(lam)[order], v[:, order]))
+        else:
+            _, s, vh = np.linalg.svd(m)
+            pairs.append((s[::-1], vh.conj().T[:, ::-1]))
+    return herm, pairs
 
 
-def _corner_basis(algebra, within):
-    """Per-block orthonormal column bases of the range of ``within``, and
-    the complement of ``within``.
-
-    ``None`` means the whole algebra (no complement).  Restricting the
-    spectral calculus to this basis keeps certificate projections exactly
-    inside the corner the data lives in, so they add cleanly to the
-    complementary corner.
-    """
+def _corner_basis(within):
+    """Per-block orthonormal column bases of the range of ``within``; None
+    for the whole algebra."""
     if within is None:
-        return [np.eye(n) for n in algebra.blocks], None
-    cols = [v[:, lam >= 0.5] for lam, v in within.eigh()]
-    return cols, within.complement()
+        return None
+    return [v[:, lam >= 0.5] for lam, v in within.eigh()]
 
 
-def _corner_eigh(basis, x):
-    """Per-block ``(lam, v, base)``: eigenpairs of x compressed onto the basis."""
-    eigs = []
-    for base, m in zip(basis, x.block_mats):
-        comp = base.conj().T @ m @ base
-        lam, v = np.linalg.eigh((comp + comp.conj().T) / 2.0)
-        eigs.append((lam, v, base))
-    return eigs
+def _compress(basis, mats):
+    if basis is None:
+        return list(mats)
+    return [b.conj().T @ m @ b for b, m in zip(basis, mats)]
 
 
-def _corner_projection(algebra, eigs, keeps, outside):
-    """``(active, e)``: the projection onto the kept corner eigenvectors, and
-    the same glued to the complementary corner ``outside`` (if any)."""
-    kept_cols = [
-        [base @ v[:, k] for k in range(lam.size) if keep[k]]
-        for (lam, v, base), keep in zip(eigs, keeps)
+def _corner_projection(algebra, basis, vecs, counts, within):
+    """``(e, active)``: the projection onto the first ``counts[b]`` columns
+    of ``vecs[b]`` in the corner, and the same glued to the complement of
+    ``within`` (if any)."""
+    cols = [
+        [v[:, k] if basis is None else basis[b] @ v[:, k] for k in range(c)]
+        for b, (v, c) in enumerate(zip(vecs, counts))
     ]
-    active = Projection.from_eigvecs(algebra, kept_cols)
-    if outside is None:
+    active = Projection.from_eigvecs(algebra, cols)
+    if within is None:
         return active, active
-    return active, Projection._built(
+    outside = within.complement()
+    return Projection._built(
         algebra,
         [p + q for p, q in zip(active.block_mats, outside.block_mats)],
         [r + s for r, s in zip(active.ranks, outside.ranks)],
-    )
+    ), active
 
 
 def _deviations(sequence, limit, schedule, within):
-    """``(algebra, schedule, [X_a - limit])`` of a certificate's input.
+    """``(algebra, schedule, basis, points)`` of a certificate's input, each
+    point X_a - limit as a list of block matrices in corner coordinates.
 
     The schedule defaults to 1, 2, ...; with ``within`` given, every
     deviation must be supported in that corner.
@@ -116,7 +118,50 @@ def _deviations(sequence, limit, schedule, within):
                 raise ValueError(
                     f"sequence is not supported in the given corner (leak {leak:.3e})"
                 )
-    return sequence[0].algebra, schedule, deviations
+    basis = _corner_basis(within)
+    points = [_compress(basis, d.block_mats) for d in deviations]
+    return sequence[0].algebra, schedule, basis, points
+
+
+def _ranks(algebra, points, counts):
+    """Per-block ranks of a witness keeping ``counts`` corner directions."""
+    return [c + n - m.shape[0] for c, n, m in zip(counts, algebra.blocks, points[0])]
+
+
+def _measure(algebra, schedule, basis, points, eps, delta_tol, within):
+    """The measure certificate of corner-coordinate points, and the
+    per-point counts of kept eigenvectors with their eigenvector lists."""
+    rows, kept = [], []
+    for a, point in zip(schedule, points):
+        herm, pairs = _abs_eigpairs(point)
+        counts = [int(np.sum(mags < eps - BOUNDARY_SNAP)) for mags, _ in pairs]
+        ranks = _ranks(algebra, points, counts)
+        excluded = zip(algebra.weights, algebra.blocks, ranks)
+        delta = float(sum(w * float(n - r) for w, n, r in excluded))
+        if herm:
+            corner = max([float(mags[c - 1]) for (mags, _), c in zip(pairs, counts) if c] + [0.0])
+        else:
+            corner = _norm(
+                [v[:, :c].conj().T @ m @ v[:, :c] for (_, v), c, m in zip(pairs, counts, point)]
+            )
+        rows.append({"a": a, "delta": delta, "rank_kept": sum(ranks), "corner_norm": corner})
+        kept.append((counts, [v for _, v in pairs]))
+
+    n0 = None
+    for i in range(len(rows)):
+        if all(r["delta"] <= delta_tol for r in rows[i:]):
+            n0 = schedule[i]
+            break
+
+    def build():
+        built = [_corner_projection(algebra, basis, v, c, within) for c, v in kept]
+        return [e for e, _ in built], [q for _, q in built]
+
+    verdict = "pass" if n0 is not None else "fail"
+    cert = MeasureCertificate(
+        schedule, float(eps), float(delta_tol), rows, n0, verdict, within, build
+    )
+    return cert, kept
 
 
 def measure_certify(sequence, limit, eps, schedule=None, delta_tol=1e-6, within=None):
@@ -124,51 +169,70 @@ def measure_certify(sequence, limit, eps, schedule=None, delta_tol=1e-6, within=
 
     For each index the spectral projection e_a of |X_a - limit| below eps is
     produced; its complement mass delta_a = tau(1 - e_a) is read off the
-    ranks e_a is built with, so the reported mass and the witness projection
-    can never drift apart.  The verdict passes iff from some schedule point
-    n0 on every delta_a is at most delta_tol.
-
-    ``within`` restricts the construction to a corner projection: witnesses
-    then satisfy e_a = q_a + (1 - within) with q_a inside the corner, and
-    delta_a only ever charges corner directions.
+    ranks e_a is built with.  The verdict passes iff from some schedule point
+    n0 on every delta_a is at most delta_tol.  ``within`` restricts the
+    construction to a corner projection.
     """
     if eps <= 0:
         raise ValueError("eps must be > 0")
-    algebra, schedule, deviations = _deviations(sequence, limit, schedule, within)
-    basis, outside = _corner_basis(algebra, within)
+    algebra, schedule, basis, points = _deviations(sequence, limit, schedule, within)
+    return _measure(algebra, schedule, basis, points, eps, delta_tol, within)[0]
 
-    deltas, witnesses, actives = [], [], []
-    for d in deviations:
-        eigs = _corner_eigh(basis, abs_op(d))
-        keeps = [lam < eps - BOUNDARY_SNAP for lam, _, _ in eigs]
-        active, e = _corner_projection(algebra, eigs, keeps, outside)
-        excluded = zip(algebra.weights, algebra.blocks, e.ranks)
-        deltas.append(float(sum(w * float(n - r) for w, n, r in excluded)))
-        witnesses.append(e)
-        actives.append(active)
-    corners = op_norms([e @ d @ e for e, d in zip(witnesses, deviations)])
-    rows = [
-        {"a": a, "delta": delta, "rank_kept": e.rank, "corner_norm": corner}
-        for a, delta, e, corner in zip(schedule, deltas, witnesses, corners)
-    ]
 
-    n0 = None
-    for i in range(len(rows)):
-        if all(r["delta"] <= delta_tol for r in rows[i:]):
-            n0 = schedule[i]
+def _bau(algebra, schedule, basis, points, delta_budget, n0, decay_tol, window, within):
+    """The b.a.u. certificate of corner-coordinate points, and per block
+    the eigenvectors its witness keeps."""
+    if not 0 <= n0 < len(points):
+        raise ValueError("n0 must index into the sequence")
+    s = [0 for _ in algebra.blocks]
+    for k in range(n0, len(points)):
+        pairs = _abs_eigpairs(points[k])[1]
+        s = [t + ((v * mags) @ v.conj().T) * (2.0 ** -(k - n0)) for t, (mags, v) in zip(s, pairs)]
+    eigs = [np.linalg.eigh((m + m.conj().T) / 2.0) for m in s]
+    candidates = sorted(set([0.0] + [float(t) for lam, _ in eigs for t in lam]))
+    theta = None
+    excluded = None
+    for cand in candidates:
+        mass = sum(
+            w * float(np.sum(lam > cand + BOUNDARY_SNAP))
+            for w, (lam, _) in zip(algebra.weights, eigs)
+        )
+        if mass <= delta_budget:
+            theta, excluded = cand, mass
             break
-    verdict = "pass" if n0 is not None else "fail"
-    return MeasureCertificate(
+    counts = [int(np.sum(lam <= theta + BOUNDARY_SNAP)) for lam, _ in eigs]
+    kept = [v[:, :c] for (_, v), c in zip(eigs, counts)]
+
+    corner = [_norm([w.conj().T @ m @ w for w, m in zip(kept, point)]) for point in points]
+    sup = 0.0
+    sups = [0.0] * len(corner)
+    for i in range(len(corner) - 1, n0 - 1, -1):
+        sup = max(sup, corner[i])
+        sups[i] = sup
+    tail = [(schedule[i], sups[i]) for i in range(n0, len(corner))]
+    final = tail[-1][1]
+    slope, _, verdict = tail_decay_verdict(tail, decay_tol, window)
+    detail = {"corner_norms": corner, "candidates_tried": len(candidates)}
+
+    def build():
+        return _corner_projection(algebra, basis, [v for _, v in eigs], counts, within)
+
+    cert = BauCertificate(
         schedule,
-        float(eps),
-        float(delta_tol),
-        rows,
-        witnesses,
-        actives,
+        float(delta_budget),
+        float(theta),
+        float(excluded),
+        tuple(_ranks(algebra, points, counts)),
+        tail,
+        float(final),
+        slope,
         n0,
         verdict,
         within,
+        detail,
+        build,
     )
+    return cert, kept
 
 
 def bau_certify(
@@ -186,66 +250,14 @@ def bau_certify(
     The witness is the spectral projection e = chi_[0, theta](S) of the
     weighted deviation sum S = sum_{k >= n0} 2^-(k - n0) |X_k - limit|, with
     theta the smallest spectral candidate whose excluded mass tau(1 - e)
-    stays within delta_budget.  Tail suprema sup_{b >= a} ||e (X_b - X) e||
-    are reported per schedule point; the verdict passes iff the final
-    supremum is at most decay_tol or the tail-window log-log slope is at
-    most -0.9 (:func:`neveukit.neveu.tail_decay_verdict`; its non-increasing
-    test always holds here, since suprema over shrinking tails cannot grow).
-
-    ``within`` has the same corner semantics as in :func:`measure_certify`;
-    ``e_active`` is the part of e inside the corner.
+    stays within delta_budget, and tail suprema of ||e (X_b - X) e||.
     """
     if delta_budget <= 0:
         raise ValueError("delta budget must be > 0; the certificate is infeasible")
-    algebra, schedule, deviations = _deviations(sequence, limit, schedule, within)
-    if not 0 <= n0 < len(deviations):
-        raise ValueError("n0 must index into the sequence")
-    s = algebra.zero()
-    for k in range(n0, len(deviations)):
-        s = s + abs_op(deviations[k]) * (2.0 ** -(k - n0))
-
-    basis, outside = _corner_basis(algebra, within)
-    comp_eigs = _corner_eigh(basis, s)
-    all_lams = np.concatenate([lam for lam, _, _ in comp_eigs]) if comp_eigs else np.array([])
-    candidates = sorted(set([0.0] + [float(t) for t in all_lams]))
-    theta = None
-    excluded = None
-    for cand in candidates:
-        mass = sum(
-            w * float(np.sum(lam > cand + BOUNDARY_SNAP))
-            for w, (lam, _, _) in zip(algebra.weights, comp_eigs)
-        )
-        if mass <= delta_budget:
-            theta, excluded = cand, mass
-            break
-    keeps = [lam <= theta + BOUNDARY_SNAP for lam, _, _ in comp_eigs]
-    e_active, e = _corner_projection(algebra, comp_eigs, keeps, outside)
-
-    corner = op_norms([e @ d @ e for d in deviations])
-    sup = 0.0
-    sups = [0.0] * len(corner)
-    for i in range(len(corner) - 1, n0 - 1, -1):
-        sup = max(sup, corner[i])
-        sups[i] = sup
-    tail = [(schedule[i], sups[i]) for i in range(n0, len(corner))]
-    final = tail[-1][1]
-    slope, _, verdict = tail_decay_verdict(tail, decay_tol, window)
-    detail = {"corner_norms": corner, "candidates_tried": len(candidates)}
-    return BauCertificate(
-        schedule,
-        float(delta_budget),
-        float(theta),
-        float(excluded),
-        e,
-        e_active,
-        tail,
-        float(final),
-        slope,
-        n0,
-        verdict,
-        within,
-        detail,
-    )
+    algebra, schedule, basis, points = _deviations(sequence, limit, schedule, within)
+    return _bau(
+        algebra, schedule, basis, points, delta_budget, n0, decay_tol, window, within
+    )[0]
 
 
 def stochastic_run(
@@ -258,21 +270,9 @@ def stochastic_run(
     seed=0,
     decay_tol=DECAY_TOL,
 ):
-    """Certify the two-mode convergence of the averages of a density x >= 0.
-
-    The conservative corner sequence e1 A_a(x) e1 is certified b.a.u. toward
-    the invariant compression xbar = E_*(x) with half the mass budget, and
-    the wandering corner e2 A_a(x) e2 in measure toward 0 with the other
-    half.  Past the burn-in index (both corner certificates below eps) the
-    glued projections r_a = p + q_a satisfy tau(1 - r_a) <= delta and the
-    cross-term obeys
-
-        ||p A_a(x) q_a|| <= sqrt(eps (eps + ||p xbar p||)),
-
-    which follows from Cauchy-Schwarz for the positive operator A_a(x); the
-    inequality is checked numerically row by row, not assumed.  The schedule
-    must be strictly ascending; a missing ``decomposition`` is computed here.
-    """
+    """Certify the two-mode convergence of the averages of a density x >= 0:
+    e1 A_a(x) e1 b.a.u. toward e1 xbar e1, e2 A_a(x) e2 in measure toward 0,
+    each compressed onto its corner basis, and the glued r_a = p + q_a."""
     if action.picture != "schrodinger":
         raise PreconditionError(
             "stochastic_run works on the density picture; pass action.dual()"
@@ -292,44 +292,42 @@ def stochastic_run(
     avgs = averages(action, x, schedule)
     xbar = algebra.from_vec(decomposition.projection_schrodinger.matrix @ x.vec())
     xbar = (xbar + xbar.H) * 0.5
-    lim1 = e1 @ xbar @ e1
 
-    c1 = [e1 @ a @ e1 for a in avgs]
-    c2 = [e2 @ a @ e2 for a in avgs]
+    def herm(m):
+        return (m + m.conj().T) / 2.0
 
-    bau = bau_certify(
-        c1,
-        lim1,
-        delta_budget=delta / 2.0,
-        schedule=schedule,
-        decay_tol=decay_tol,
-        within=e1,
+    b1, b2 = _corner_basis(e1), _corner_basis(e2)
+    lim1 = [herm(m) for m in _compress(b1, xbar.block_mats)]
+    c1 = [[herm(c) - m for c, m in zip(_compress(b1, a.block_mats), lim1)] for a in avgs]
+    c2 = [[herm(b.conj().T @ (m @ b)) for b, m in zip(b2, a.block_mats)] for a in avgs]
+    bau, kept1 = _bau(
+        algebra, schedule, b1, c1, delta / 2.0, 0, decay_tol, SLOPE_WINDOW, e1
     )
-    measure = measure_certify(
-        c2, algebra.zero(), eps, schedule=schedule, delta_tol=delta / 2.0, within=e2
-    )
-    p = bau.e_active
+    measure, kept2 = _measure(algebra, schedule, b2, c2, eps, delta / 2.0, e2)
 
     burn_bau = next((a for a, v in bau.tail if v <= eps), None)
     burn = None
     if burn_bau is not None and measure.n0 is not None:
         burn = max(burn_bau, measure.n0)
 
-    actives = measure.witnesses_active  # q_a, inside e2
-    bound_base, *cross_norms = op_norms(
-        [p @ xbar @ p] + [p @ avg @ q for avg, q in zip(avgs, actives)]
-    )
+    bound_base = _norm([w.conj().T @ m @ w for w, m in zip(kept1, lim1)])
+    bound = float(np.sqrt(eps * (eps + bound_base))) + CROSS_TERM_SLACK
     rows = []
     budget_ok = True
     cross_ok = True
-    for a, q, cross_norm in zip(schedule, actives, cross_norms):
-        r = p + q
-        excluded = trace(algebra.identity() - r).real
-        bound = float(np.sqrt(eps * (eps + bound_base))) + CROSS_TERM_SLACK
+    for a, avg, (counts, vecs) in zip(schedule, avgs, kept2):
+        cross_norm = _norm(
+            [
+                (b @ w).conj().T @ (m @ b2_) @ v[:, :c]
+                for b, w, m, b2_, v, c in zip(b1, kept1, avg.block_mats, b2, vecs, counts)
+            ]
+        )
+        ranks = zip(algebra.weights, algebra.blocks, kept1, counts)
+        excluded = float(sum(w * float(n - p.shape[1] - c) for w, n, p, c in ranks))
         active = burn is not None and a >= burn
         row = {
             "a": a,
-            "tau_excluded": float(excluded),
+            "tau_excluded": excluded,
             "cross_norm": cross_norm,
             "cross_bound": bound,
             "past_burn_in": active,
@@ -350,15 +348,6 @@ def stochastic_run(
         "cross_term": "pass" if (burn is not None and cross_ok) else "fail",
     }
     detail = {"burn_in_bau": burn_bau, "burn_in_measure": measure.n0}
-
-    if action.lamperti_attested():
-        compat = corner_compatibility(action, decomposition, x)
-        detail["corner_compatibility"] = compat.summary()
-        if not compat.passed:
-            raise ArithmeticError(
-                "Lamperti-attested action violated corner compatibility"
-            )
-
     return StochasticReport(
         schedule,
         float(eps),
@@ -367,7 +356,6 @@ def stochastic_run(
         decomposition,
         bau,
         measure,
-        p,
         burn,
         rows,
         verdicts,

@@ -13,11 +13,12 @@ from neveukit.algebra import (
     _to_hermitian,
     _to_vec,
     op_norm,
+    op_norms,
     support,
     trace,
     trace_norm,
 )
-from neveukit.dynamics import FolnerScheme, SemigroupAction, average, average_super
+from neveukit.dynamics import FolnerScheme, SemigroupAction, average, average_super, averages
 from neveukit.maps import (
     SuperOperator,
     _transpose_perm,
@@ -1151,6 +1152,18 @@ def test_certificate_schedule_validation():
         for schedule in ([2, 1], [1, 2, 2, 4]):
             with pytest.raises(ValueError, match="ascending"):
                 weakly_wandering_certificate(AD, x, schedule=schedule)
+
+
+def test_certificate_points_are_the_norms_of_the_averages_bitwise():
+    """The decay points read off the average stacks equal the operator
+    norms of the averages, one ``Operator`` per point, bit for bit."""
+    rng = np.random.default_rng(7)
+    for sc in gallery():
+        heis = sc.action.to_picture("heisenberg")
+        x = heis.algebra.random_hermitian(rng)
+        cert = weakly_wandering_certificate(heis, x)
+        schedule = [a for a, _ in cert.points]
+        assert cert.points == list(zip(schedule, op_norms(averages(heis, x, schedule))))
 
 
 # ---------------------------------------------------------------------------

@@ -512,6 +512,34 @@ def _to_vec(algebra, a, matrix=False):
     return _mix(out, algebra.blocks, "B*^T", 1) if matrix else out
 
 
+def _vec_norm1(algebra, a):
+    """||B a B*||_1, the vec-coordinate 1-norm of the map with the real
+    hermitian-basis matrix ``a``, in real arithmetic.
+
+    A diagonal coordinate d is kept by B, and a pair (u, l) of the (i, j),
+    (j, i) positions mixes as (a_u + i a_l, a_u - i a_l) / sqrt(2), so each
+    entry of B a B* combines at most four entries of a:
+    - a diagonal column d has |a_dd| at a diagonal row and modulus
+      |a_ud + i a_ld| / sqrt(2) at each row of a pair;
+    - the two columns of a pair (u', l') have equal sums: |a_du' - i a_dl'|
+      / sqrt(2) at a diagonal row, and at the rows of a pair (u, l) the
+      moduli of ((a_uu' + a_ll') + i (a_lu' - a_ul')) / 2 and
+      ((a_uu' - a_ll') - i (a_ul' + a_lu')) / 2.
+    """
+    diag, up, lo = _herm_index(algebra.blocks)
+    # one gather into the order (diagonals, uppers, lowers), then views
+    order = np.concatenate([diag, up, lo])
+    a = a[np.ix_(order, order)]
+    n, m = len(diag), len(diag) + len(up)
+    d, u, l = slice(0, n), slice(n, m), slice(m, None)
+    cols = np.abs(a[d, d]).sum(axis=0)
+    cols += math.sqrt(2.0) * np.hypot(a[u, d], a[l, d]).sum(axis=0)
+    uu, ul, lu, ll = a[u, u], a[u, l], a[l, u], a[l, l]
+    pairs = math.sqrt(0.5) * np.hypot(a[d, u], a[d, l]).sum(axis=0)
+    pairs += 0.5 * (np.hypot(uu + ll, lu - ul) + np.hypot(uu - ll, ul + lu)).sum(axis=0)
+    return float(max(cols.max(initial=0.0), pairs.max(initial=0.0)))
+
+
 def _real_part(a, what):
     """The real part of hermitian-basis coordinates ``a``; raises ValueError,
     naming ``what``, when the largest imaginary entry is above 1e-12 of the

@@ -499,7 +499,7 @@ def _stochastic_run(action, x, schedule, eps, delta, decomposition, decay_tol, w
     algebra = action.algebra
 
     avgs = walk(schedule)
-    xbar = algebra.from_vec(decomposition.projection_schrodinger.matrix @ x.vec())
+    xbar = decomposition.projection_schrodinger(x)
     xbar = (xbar + xbar.H) * 0.5
 
     # the corners e_i A_a(x) e_i and the limit e1 xbar e1 in corner coordinates

@@ -200,7 +200,9 @@ class SemigroupAction:
 
     ``generators`` holds :class:`SuperOperator`s, for an ``r-plus-cube``
     scheme the flow generators L_i (source ``"flow-generator"``, no
-    attestations), and ``matrices`` their vec-coordinate matrices.
+    attestations), and ``matrices`` their vec-coordinate matrices, formed on
+    first read where a generator holds only its hermitian-basis matrix (the
+    generators of a derived picture or of a summand).
     ``real`` holds the same matrices in the hermitian basis of
     :mod:`neveukit.algebra`, and ``real_inverses`` the z-symmetric inverses:
     each generator must map self-adjoint elements to self-adjoint ones, so
@@ -243,11 +245,16 @@ class SemigroupAction:
         """Set every field: ``__init__``, :meth:`dual` and :meth:`_restricted` come here."""
         self.algebra, self.picture, self.scheme = algebra, picture, scheme
         self.generators = tuple(gens)
-        self.matrices = tuple(s.matrix for s in self.generators)
         self.real, self.real_inverses, self._origin = tuple(real), invs, origin
         self.checks = checks
         self._inverses = self._lamperti = None
         self._parts = parts
+
+    @property
+    def matrices(self):
+        """The vec-coordinate matrices of the generators, each formed on
+        first read where the generator holds only its hermitian-basis one."""
+        return tuple(s.matrix for s in self.generators)
 
     @property
     def inverses(self):
@@ -432,12 +439,20 @@ class SemigroupAction:
         )
         square = _square(coords)
         invs = self.real_inverses
+        real = [m[square] for m in self.real]
+        # a generator given in vec coordinates keeps the slice of its matrix;
+        # one given in the hermitian basis keeps the slice there, and B m B*,
+        # mixed entrywise within each block, is then bitwise the slice of the
+        # whole one
+        gens = [
+            SuperOperator.from_hermitian(algebra, m) if s._by_hermitian
+            else SuperOperator(algebra, s.matrix[square])
+            for s, m in zip(self.generators, real)
+        ]
         sub = object.__new__(SemigroupAction)
         # a summand's blocks are coupled: it has one summand
         sub._set(
-            algebra, self.picture, self.scheme,
-            [SuperOperator(algebra, m[square]) for m in self.matrices],
-            [m[square] for m in self.real],
+            algebra, self.picture, self.scheme, gens, real,
             None if invs is None else tuple(m[square] for m in invs),
             self.checks, parts=[],
         )

@@ -95,7 +95,10 @@ class SuperOperator:
 
     ``matrix`` is its D x D matrix on vec coordinates, and :meth:`hermitian`
     its matrix B* S B in the hermitian basis of :mod:`neveukit.algebra`,
-    computed once, or given (:meth:`from_hermitian`).
+    computed once, or given (:meth:`from_hermitian`).  A map given by its
+    hermitian-basis matrix forms ``matrix`` only on first read, and is
+    always applied in the hermitian basis, so its values do not depend on
+    whether ``matrix`` was read.
     """
 
     def __init__(self, algebra, matrix, source="matrix", attestations=None):
@@ -105,17 +108,30 @@ class SuperOperator:
                 f"superoperator shape {matrix.shape} != ({algebra.dim}, {algebra.dim})"
             )
         self.algebra = algebra
-        self.matrix = matrix
-        self._hermitian = None
+        self._matrix = matrix
+        self._hermitian, self._by_hermitian = None, False
         self.source = source
         self.attestations = dict(attestations or {})
 
     @classmethod
     def from_hermitian(cls, algebra, herm, source="matrix", attestations=None):
-        """The map with the matrix ``herm`` in the hermitian basis."""
-        s = cls(algebra, _to_vec(algebra, herm, matrix=True), source, attestations)
-        s._hermitian = herm
+        """The map with the matrix ``herm`` in the hermitian basis.  Its vec
+        matrix B herm B* is formed on first read."""
+        if herm.shape != (algebra.dim, algebra.dim):
+            raise ValueError(
+                f"superoperator shape {herm.shape} != ({algebra.dim}, {algebra.dim})"
+            )
+        s = cls.__new__(cls)
+        s.algebra, s._matrix, s._hermitian, s._by_hermitian = algebra, None, herm, True
+        s.source, s.attestations = source, dict(attestations or {})
         return s
+
+    @property
+    def matrix(self):
+        """The D x D matrix on vec coordinates."""
+        if self._matrix is None:
+            self._matrix = _to_vec(self.algebra, self._hermitian, matrix=True)
+        return self._matrix
 
     def hermitian(self):
         """B* S B: real up to rounding when S maps self-adjoint elements to
@@ -138,7 +154,13 @@ class SuperOperator:
     def __call__(self, x):
         if not isinstance(x, Operator) or x.algebra != self.algebra:
             raise ValueError("input operator is not in this map's algebra")
-        return self.algebra.from_vec(self.matrix @ x.vec())
+        if not self._by_hermitian:
+            return self.algebra.from_vec(self._matrix @ x.vec())
+        # in the hermitian basis: a real H applies to the real and the
+        # imaginary part of the coordinates apart, in real arithmetic
+        h, r = self._hermitian, _to_hermitian(self.algebra, x.vec())
+        y = h @ r if np.iscomplexobj(h) else h @ r.real + 1j * (h @ r.imag)
+        return self.algebra.from_vec(_to_vec(self.algebra, y))
 
     def __matmul__(self, other):
         if not isinstance(other, SuperOperator) or other.algebra != self.algebra:
@@ -229,8 +251,9 @@ def dual(s):
     For block-scalar weights this is S -> P S^T P with P the transpose
     permutation; for block-mixing maps (classical kernels on non-uniform
     weights) the weight ratio enters entrywise.  In the hermitian basis P
-    is diagonal with entries +-1 and cancels: the dual is W^-1 H^T W, taken
-    there too when S holds H.
+    is diagonal with entries +-1 and cancels: the dual is W^-1 H^T W.  When
+    S holds H, the dual is taken there alone, and its vec matrix is formed
+    only on first read.
     """
     ratio = _weight_ratio(s.algebra)
     att = {}
@@ -248,12 +271,13 @@ def dual(s):
         att["contraction"] = CheckReport(
             "contraction", "pass", detail={"derived": "dual"}
         )
+    if s._hermitian is not None:
+        return SuperOperator.from_hermitian(
+            s.algebra, s._hermitian.T * ratio, source=s.source, attestations=att
+        )
     perm = _transpose_perm(s.algebra.blocks)
     mat = s.matrix[np.ix_(perm, perm)].T * ratio
-    out = SuperOperator(s.algebra, mat, source=s.source, attestations=att)
-    if s._hermitian is not None:
-        out._hermitian = s._hermitian.T * ratio
-    return out
+    return SuperOperator(s.algebra, mat, source=s.source, attestations=att)
 
 
 # ---------------------------------------------------------------------------

@@ -30,25 +30,30 @@ density picture, and reads E_h off it (``_dual_projection``): the psi_i
 become the fixed basis and the x_i the conserved functionals.  E_h keeps
 the certificate of E and has its residuals and factor residual measured
 again in its own picture.  Every invariance (of E, E_h and Y) is measured
-on the generator conditions G = S - 1, or L for a flow.
+on the generator conditions G = S - 1, or L for a flow.  The residuals are
+upper bounds read off the rank-r factors and the factor residual, in
+O(r D^2) (:func:`mean_ergodic_projection`), and each group inverse Z also
+gives 1/kappa, a lower bound on every nonzero eigenvalue modulus of its G
+(:func:`_group_inverse`).
 
 When no generator moves mass between two groups of algebra blocks, L1
 splits into invariant central summands, and E, its fixed space and the
 averages split the same way.  The spectral work (the SVDs, the group
-inverses, the residuals) then runs once per uncoupled summand, E holds
-exact zeros between summands, and each fixed-basis element lives in one
-summand.  Every check stays that of the whole matrices: one SVD rank
-cutoff over all summands, Frobenius residuals combined as the 2-norm of
-the per-summand ones, and kappa as its maximum.
+inverses) then runs once per uncoupled summand, E holds exact zeros
+between summands, and each fixed-basis element lives in one summand.
+Every check stays that of the whole matrices: one SVD rank cutoff over all
+summands, residual bounds over the whole factors, and kappa as the
+maximum over summands.
 The action caches its summands only: callers that reuse a projection pass
 it on with ``projection=``, as the tasks of one scenario run do.
 
 The spectral work runs on the real generator matrices of the action in the
 hermitian basis (``SemigroupAction.real``, see :mod:`neveukit.algebra`): the
 SVDs, the projectors, the group inverses and the residuals.  E is real
-there, and goes back to vec coordinates once for its ``SuperOperator``.
-kappa is still the 1-norm of (P - G)^-1 in vec coordinates, where
-``KAPPA_BOUND`` is calibrated.  The fixed and dual bases are hermitian, and
+there, and its ``SuperOperator`` holds it there alone: the vec-coordinate
+matrix is formed only if read.  kappa is still the 1-norm of (P - G)^-1 in
+vec coordinates, where ``KAPPA_BOUND`` is calibrated, read off the real
+entries of Z.  The fixed and dual bases are hermitian, and
 each fixed-basis vector x has the sign that makes tau(x) > 0, or (where
 tau(x) is near 0) its largest-modulus coordinate positive
 (:func:`_sign_gauge`), so the sign does not follow the SVD.
@@ -56,7 +61,6 @@ tau(x) is near 0) its largest-modulus coordinate positive
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,6 +73,7 @@ from .algebra import (
     _support_cutoff,
     _to_hermitian,
     _to_vec,
+    _vec_norm1,
     op_norm,
     support,
     trace,
@@ -226,7 +231,9 @@ class MeanErgodicProjection:
     density-picture one: its ``cross_validation`` is the density picture's,
     while ``residuals`` and ``factor_residual`` are measured in its own
     picture.  ``cross_validation`` holds ``kappa`` (None for a finite
-    group) and ``kappa_bound``.
+    group) and ``kappa_bound``, and ``gaps`` 1/kappa_i for each generator
+    (None for a finite group): a lower bound on every nonzero
+    |lambda(G_i)|.
     """
 
     superop: SuperOperator
@@ -236,6 +243,7 @@ class MeanErgodicProjection:
     cross_validation: dict
     rank: int
     factor_residual: float
+    gaps: tuple = None
 
     def __call__(self, x):
         return self.superop(x)
@@ -257,18 +265,31 @@ def mean_ergodic_projection(action, tol_fixed=1e-9):
     generators have commuting spectral projections, so certified factors
     make E the joint one.  With one generator, that SVD also gives the fixed
     space.  A finite group's E is the exact group average, with kappa None.
+
     The residuals ``||E^2 - E||``, ``||G E||`` and ``||E G||`` (over
     ``max(1, ||L||_2)`` for a flow) are Frobenius norms, upper bounds on the
-    spectral norm, checked against 1e-9.
+    spectral norm, checked against 1e-9.  They are not formed densely: with
+    E = X F + Delta, X the fixed basis as columns, F its pairing rows and
+    delta = ||Delta||_F the factor residual, :func:`_residual_bounds` reports
+
+        ||G E||_F     <= ||(G X) F||_F + ||G||_F delta,
+        ||E G||_F     <= ||X (F G)||_F + ||G||_F delta,
+        ||E^2 - E||_F <= ||X (F X - 1) F||_F + delta (2 ||X||_2 ||F||_2 + delta + 1),
+
+    by the triangle inequality on GE = (GX)F + G Delta, and on E^2 - E =
+    X (F X - 1) F + X F Delta + Delta X F + Delta^2 - Delta.  Each bound
+    exceeds its dense residual by at most twice its delta term, and holds
+    over the whole matrices, so each check is at least as strict as a dense
+    one; the bounds cost O(r D^2), against the D^3 of a dense product.
 
     When no generator couples two groups of algebra blocks, E splits along
-    these uncoupled central summands: the SVDs, the group inverses and the
-    residuals run per summand, E holds exact zeros between summands, and
-    each fixed-basis element lives in one summand.  Every check stays that
-    of the whole matrices: Frobenius residuals combine as the 2-norm of the
-    per-summand ones, kappa (of a block-diagonal inverse) is the maximum
-    over summands, and the spectral rank must match the fixed-space
-    dimension in each summand and in total.
+    these uncoupled central summands: the SVDs and the group inverses run
+    per summand, E holds exact zeros between summands, and each fixed-basis
+    element lives in one summand.  Every check stays that of the whole
+    matrices: kappa (of a block-diagonal inverse) is the maximum over
+    summands, and the spectral rank must match the fixed-space dimension in
+    each summand and in total.  ``gaps`` holds 1/kappa_i per generator, a
+    lower bound on every nonzero |lambda(G_i)| (:func:`_group_inverse`).
     """
     action.require_commuting()
     algebra = action.algebra
@@ -281,7 +302,7 @@ def mean_ergodic_projection(action, tol_fixed=1e-9):
     basis = _elements(algebra, x)
     if action.scheme.kind == "finite-group":
         pieces = [sum(sub.real) / sub.scheme.order for _, sub in parts]
-        kappa = None
+        kappa = gaps = None
     else:
         # one generator: its null spaces are the joint ones
         each = [joint] if len(conditions[0]) == 1 else [
@@ -289,7 +310,9 @@ def mean_ergodic_projection(action, tol_fixed=1e-9):
         ]
         subs = [sub for _, sub in parts]
         pieces, kappas = zip(*map(_summand_projector, subs, conditions, zip(*each)))
-        kappa = max(kappas)
+        # the kappa of generator i over the whole block-diagonal matrices
+        kappas = [max(k) for k in zip(*kappas)]
+        kappa, gaps = max(kappas), tuple(1.0 / k for k in kappas)
     if len(parts) == 1:
         e = pieces[0]
     else:
@@ -297,7 +320,6 @@ def mean_ergodic_projection(action, tol_fixed=1e-9):
         for (coords, _), piece in zip(parts, pieces):
             e[_square(coords)] = piece
 
-    residuals = _projector_residuals(parts, e)
     ranks = [int(round(np.trace(piece))) for piece in pieces]
     rank = sum(ranks)
     if rank != len(basis):
@@ -317,22 +339,22 @@ def mean_ergodic_projection(action, tol_fixed=1e-9):
     # X X^T W is the tau-orthogonal projector onto the fixed space; this
     # holds only when range(E) is that space, not merely of its dimension
     f = x.T @ (w[:, None] * e)
-    factor_residual = _factor_residual(x, f, e)
+    gens = conditions[0] if len(parts) == 1 else _stacked_generator_matrices(action)
+    residuals, factor_residual = _validated(action, gens, x, f, e)
     # tau(psi y) = F_i . y for y in the hermitian basis: psi_i is hermitian,
     # with the coordinates F_i / w
     cross = {"kappa": kappa, "kappa_bound": KAPPA_BOUND}
     sup = SuperOperator.from_hermitian(algebra, e, source="mean-ergodic-projection")
     dual_basis = _elements(algebra, (f / w).T)
     return MeanErgodicProjection(
-        sup, basis, dual_basis, residuals, cross, rank, factor_residual
+        sup, basis, dual_basis, residuals, cross, rank, factor_residual, gaps
     )
 
 
 def _summand_projector(sub, gens, nulls):
-    """``(E, kappa)`` on the uncoupled summand ``sub``: the product of the
+    """``(E, kappas)`` on the uncoupled summand ``sub``: the product of the
     projectors X (F X)^-1 F of the real generator conditions ``gens`` with
-    their null spaces ``nulls``, and the largest kappa of their
-    certificates."""
+    their null spaces ``nulls``, and the kappa of each one's certificate."""
     e, kappas = None, []
     for g, (x, f) in zip(gens, nulls):
         # a singular F X (the cut null vectors meet the range of G) leaves a
@@ -340,14 +362,15 @@ def _summand_projector(sub, gens, nulls):
         p = x @ np.linalg.pinv(f @ x) @ f
         kappas.append(_group_inverse(p, g, sub.algebra)[1])
         e = p if e is None else p @ e
-    return e, max(kappas)
+    return e, kappas
 
 
 def _group_inverse(p, g, algebra):
     """``(Z, kappa)``: Z = (P - G)^-1 by one LU, for a null-space projector
     P and G = S - 1 (L for a flow), real matrices in the hermitian basis of
     ``algebra``, and kappa = ||B Z B*||_1, the 1-norm of Z in vec
-    coordinates, where ``KAPPA_BOUND`` is calibrated; raises
+    coordinates, where ``KAPPA_BOUND`` is calibrated, read off the real
+    entries of Z (:func:`~neveukit.algebra._vec_norm1`); raises
     :class:`MeanErgodicValidationError` when P - G is singular or kappa
     exceeds ``KAPPA_BOUND``.
 
@@ -355,6 +378,13 @@ def _group_inverse(p, g, algebra):
     range P = ker G and ker P = range G, i.e. iff P is the mean ergodic
     projection.  Z - P is then the group inverse of -G, and for G = S - 1
     the averages obey A_a - P = (1/a)(1 - S^a)(Z - P).
+
+    The gap lemma: 1/kappa is a lower bound on every nonzero |lambda| of G.
+    If G v = lambda v with lambda != 0, then v = G v / lambda lies in
+    range G = ker P, so P v = 0 and (P - G) v = -lambda v, i.e.
+    Z v = -v / lambda; hence 1/|lambda| <= ||Z|| in any induced norm, and
+    |lambda| >= 1/kappa in the vec-coordinate 1-norm (B is unitary, so G
+    has the same eigenvalues in both bases).
     """
     try:
         z = np.linalg.inv(p - g)
@@ -362,7 +392,7 @@ def _group_inverse(p, g, algebra):
         raise MeanErgodicValidationError(
             "E - G is singular: the projector is not the spectral one"
         ) from None
-    kappa = float(np.linalg.norm(_to_vec(algebra, z, matrix=True), 1))
+    kappa = _vec_norm1(algebra, z)
     if not kappa <= KAPPA_BOUND:
         raise MeanErgodicValidationError(
             f"group-inverse certificate: ||(E - G)^-1||_1 = {kappa:.3e} "
@@ -371,56 +401,63 @@ def _group_inverse(p, g, algebra):
     return z, kappa
 
 
-def _projector_residuals(parts, e):
-    """Idempotency and invariance residuals of the dense projector ``e``, in
-    the hermitian basis, of an action split into the ``(coords, sub)``
-    summands ``parts``; raises :class:`MeanErgodicValidationError` above
-    1e-9.
-
-    Invariance is ||G E||_F and ||E G||_F for each generator condition G
-    (S - 1, or L over max(1, ||L||_2)), in the arithmetic of ``e``: complex
-    for a projector that does not preserve adjoints.  Each residual is
-    computed per summand on the diagonal blocks of ``e``, and they combine
-    to the norms of the whole matrices: Frobenius norms as the 2-norm of the
-    per-summand ones, and the flow scale as the largest per-summand spectral
-    norm.  So ``e`` must hold exact zeros between the summands (checked).
-    """
-    fro = np.linalg.norm
-    pieces = [e[_square(coords)] for coords, _ in parts]
-    if len(parts) > 1 and np.count_nonzero(e) != sum(map(np.count_nonzero, pieces)):
-        raise MeanErgodicValidationError(
-            "projector couples summands that no generator couples"
+def _residual_bounds(action, gens, x, f, delta):
+    """Upper bounds on the Frobenius residuals ``idempotency``
+    (||E^2 - E||) and ``invariance`` (the largest ||G E|| and ||E G|| over
+    the whole generator conditions ``gens``, over max(1, ||L||_2) for a
+    flow) of E = X F + Delta with ||Delta||_F = ``delta``, from the fixed
+    basis columns ``x`` and the pairing rows ``f`` alone (see
+    :func:`mean_ergodic_projection`).  Each ||A M||_F of a tall A and a
+    wide M is ||R M||_F with R the triangular factor of a thin QR of A, so
+    no Gram matrix squares a condition number.  The flow scale ||L||_2 is
+    the largest spectral norm of the pieces of L on the uncoupled summands
+    of ``action``, which is that of the block-diagonal whole."""
+    fro, qr = np.linalg.norm, lambda a: np.linalg.qr(a, mode="r")
+    rx = qr(x)
+    spread = delta + 1.0
+    if x.shape[1]:
+        # the spectral norms, which for one column or row are the Frobenius
+        # ones, taken without an SVD
+        norm2 = 2 if x.shape[1] > 1 else None
+        spread += 2.0 * fro(rx, norm2) * fro(f, norm2)
+    residuals = {
+        "idempotency": float(
+            fro(rx @ (f @ x - np.eye(x.shape[1])) @ f) + delta * spread
         )
-    continuous = parts[0][1].scheme.kind == "r-plus-cube"
-    # Frobenius norms bound the spectral norm from above, so the residual
-    # checks are at least as strict as spectral ones; the flow scale stays
-    # spectral, since a larger divisor would loosen them
-    residuals = {"idempotency": math.hypot(*(fro(b @ b - b) for b in pieces))}
+    }
+    # the flow scale stays spectral, since a larger divisor would loosen the
+    # checks
+    scales = [1.0] * len(gens)
+    if action.scheme.kind == "r-plus-cube":
+        pieces = [_stacked_generator_matrices(sub) for _, sub in action._summands()]
+        scales = [max(1.0, *(np.linalg.norm(p, 2) for p in ps)) for ps in zip(*pieces)]
     inv = 0.0
-    conditions = [_stacked_generator_matrices(sub) for _, sub in parts]
-    for gs in zip(*conditions):
-        scale = max(1.0, *(np.linalg.norm(g, 2) for g in gs)) if continuous else 1.0
-        left = math.hypot(*(fro(g @ b) for g, b in zip(gs, pieces)))
-        right = math.hypot(*(fro(b @ g) for g, b in zip(gs, pieces)))
+    for g, scale in zip(gens, scales):
+        slack = fro(g) * delta
+        left = fro(qr(g @ x) @ f) + slack
+        right = fro(rx @ (f @ g)) + slack
         inv = max(inv, left / scale, right / scale)
     residuals["invariance"] = float(inv)
-    bad = {k: v for k, v in residuals.items() if v > PROJECTION_RESIDUAL_TOL}
-    if bad:
-        raise MeanErgodicValidationError(f"projector residuals above 1e-9: {bad}")
     return residuals
 
 
-def _factor_residual(x, f, e):
-    """``||X F - E||_F`` for the fixed basis X (vec columns) and the pairing
-    rows F of its dual basis; raises :class:`MeanErgodicValidationError`
-    above 1e-9."""
-    residual = float(np.linalg.norm(x @ f - e, "fro"))
-    if residual > PROJECTION_RESIDUAL_TOL:
-        raise MeanErgodicValidationError(
-            f"range of the projector is not the fixed space: "
-            f"||X F - E|| = {residual:.3e}"
+def _validated(action, gens, x, f, e):
+    """``(residuals, factor_residual)`` of E = ``e`` with the fixed basis
+    columns ``x`` and the pairing rows ``f``: the bounds of
+    :func:`_residual_bounds` and ||X F - E||_F; raises
+    :class:`MeanErgodicValidationError` when any is above 1e-9, naming the
+    residual bounds first."""
+    delta = float(np.linalg.norm(x @ f - e, "fro"))
+    residuals = _residual_bounds(action, gens, x, f, delta)
+    bad = {k: v for k, v in residuals.items() if v > PROJECTION_RESIDUAL_TOL}
+    errors = [f"projector residuals above 1e-9: {bad}"] if bad else []
+    if delta > PROJECTION_RESIDUAL_TOL:
+        errors.append(
+            f"range of the projector is not the fixed space: ||X F - E|| = {delta:.3e}"
         )
-    return residual
+    if errors:
+        raise MeanErgodicValidationError("; ".join(errors))
+    return residuals, delta
 
 
 def _dual_projection(proj, heis):
@@ -433,16 +470,16 @@ def _dual_projection(proj, heis):
     conserves.  With L L^T the Cholesky factorisation of the Gram matrix of
     the psi_i, in the hermitian basis where all of them are real, the fixed
     basis Psi L^-T is tau-orthonormal and the dual basis X L pairs with it
-    to the identity; both take the signs of :func:`_sign_gauge`.  The certificate is
-    that of ``proj``; the residuals and the factor residual are measured
-    again on the dense dual(E), in the observable picture, and raise as in
-    :func:`mean_ergodic_projection`.
+    to the identity; both take the signs of :func:`_sign_gauge`.  The
+    certificate and the gaps are those of ``proj`` (G and its dual have one
+    spectrum).  E_h = W^-1 E^T W is formed in the hermitian basis alone;
+    its residual bounds and its factor residual are measured again, in the
+    observable picture, on these factors and the generator conditions of
+    ``heis``, and raise as in :func:`mean_ergodic_projection`.
     """
     sup = dual(proj.superop)
     algebra = heis.algebra
     w = algebra.weight_vec
-    e = sup.hermitian()
-    residuals = _projector_residuals(heis._summands(), e)
     r = len(proj.dual_basis)
     # the bases built here are hermitian: their coordinates are real
     cols = _to_hermitian(algebra, _vecs(algebra, proj.dual_basis + proj.fixed_basis).T).real
@@ -450,11 +487,12 @@ def _dual_projection(proj, heis):
     conserved = cols[:, r:] @ chol
     # tau(c y) = (w c) . y for a hermitian c and y in the hermitian basis
     f = (w[:, None] * conserved).T
-    factor_residual = _factor_residual(fixed, f, e)
+    gens = _stacked_generator_matrices(heis)
+    residuals, factor_residual = _validated(heis, gens, fixed, f, sup.hermitian())
     elements = _elements(algebra, np.hstack([fixed, conserved]))
     return MeanErgodicProjection(
         sup, elements[:r], elements[r:], residuals, dict(proj.cross_validation),
-        proj.rank, factor_residual,
+        proj.rank, factor_residual, proj.gaps,
     )
 
 

@@ -10,7 +10,11 @@ records the seed, but no run draws from it yet: the seed changes only that
 field.  The wall-clock field is excluded from :meth:`Report.canonical_bytes`.
 Report schema 1.3 keeps the ``decay``, ``invariance`` and ``wandering``
 verdicts of the decomposition and adds ``detail.support_margin``.  Report
-schema 1.1 writes the
+schema 1.4 replaces the generator spectra by ``results.spectrum.gaps``:
+1/kappa_i for generator i, a certified lower bound on every nonzero
+|lambda(G_i)| (see :func:`neveukit.neveu._group_inverse`), null for a
+finite group or when the projection raised; the mean residuals are upper
+bounds read off the factors of E.  Report schema 1.1 writes the
 mean ergodic projection by its rank-r factors, E(y) = sum_i tau(psi_i y)
 x_i: ``results.mean.fixed_basis`` holds the tau-orthonormal fixed points x_i
 and ``results.mean.dual_basis`` the conserved functionals psi_i of the dual
@@ -25,8 +29,9 @@ Formats understood by :func:`render` and :func:`emit`:
 
 * ``report-json``   the full report: its canonical JSON with the wall clock
 * ``decay-csv``     the decay schedule of the decomposition task
-* ``spectrum-csv``  generator superoperator spectra (and the invariant
-                    density spectrum when a decomposition ran)
+* ``spectrum-csv``  the certified gap of each generator (rows ``gap``)
+                    and the invariant density spectrum when a
+                    decomposition ran (rows ``invariant-density``)
 """
 
 from __future__ import annotations
@@ -71,7 +76,7 @@ __all__ = [
     "gallery_names",
 ]
 
-SCHEMA_VERSION = "1.3"
+SCHEMA_VERSION = "1.4"
 DEFAULT_TOLERANCES = {
     "eps": 0.25,
     "delta": 0.1,
@@ -465,48 +470,29 @@ def load_report(path):
 # ---------------------------------------------------------------------------
 
 
-def _spectrum_order(lam):
-    """The stable order of the eigenvalues ``lam`` by real, then imaginary
-    part, each rounded to 12 decimals."""
-    return np.lexsort((np.round(lam.imag, 12), np.round(lam.real, 12)))
-
-
-def _spectrum_payload(action):
-    # a generator's spectrum is the union of its uncoupled summands'
-    # spectra, each that of its real matrix in the hermitian basis
-    parts = action._summands()
-    out = []
-    for i in range(len(action.real)):
-        lam = np.concatenate([np.linalg.eigvals(sub.real[i]) for _, sub in parts])
-        lam = lam[_spectrum_order(lam)]
-        out.append(np.stack((lam.real, lam.imag), -1).tolist())
-    return out
-
-
+# the certificates hold plain floats and ints (read off .tolist() or
+# float()), so their payloads are not walked by _plain; only the tuples of
+# a b.a.u. certificate become lists
 def _certificate_payload(cert):
-    return _plain(
-        {
-            "schedule": cert.schedule,
-            "rows": cert.rows,
-            "n0": cert.n0,
-            "verdict": cert.verdict,
-        }
-    )
+    return {
+        "schedule": cert.schedule,
+        "rows": cert.rows,
+        "n0": cert.n0,
+        "verdict": cert.verdict,
+    }
 
 
 def _bau_payload(cert):
-    return _plain(
-        {
-            "schedule": cert.schedule,
-            "theta": cert.theta,
-            "excluded_mass": cert.excluded_mass,
-            "witness_ranks": cert.witness_ranks,
-            "tail": cert.tail,
-            "final": cert.final,
-            "slope": cert.slope,
-            "verdict": cert.verdict,
-        }
-    )
+    return {
+        "schedule": cert.schedule,
+        "theta": cert.theta,
+        "excluded_mass": cert.excluded_mass,
+        "witness_ranks": list(cert.witness_ranks),
+        "tail": [list(point) for point in cert.tail],
+        "final": cert.final,
+        "slope": cert.slope,
+        "verdict": cert.verdict,
+    }
 
 
 def _shared(compute):
@@ -586,9 +572,9 @@ def _run_decompose(ctx, results):
             else _encode_element(dec.invariant_density)
         ),
         "decay": _plain(dec.decay),
-        "slope": _plain(dec.slope),
-        "verdicts": _plain(dec.verdicts),
-        "detail": _plain(dec.detail),
+        "slope": dec.slope,
+        "verdicts": dec.verdicts,
+        "detail": dec.detail,
     }, dec.overall
 
 
@@ -599,8 +585,8 @@ def _run_mean(ctx, results):
         proj = ctx.heisenberg_projection
     return {
         "rank": proj.rank,
-        "residuals": _plain(proj.residuals),
-        "cross_validation": _plain(proj.cross_validation),
+        "residuals": proj.residuals,
+        "cross_validation": proj.cross_validation,
         "fixed_basis": [_encode_element(b) for b in proj.fixed_basis],
         "dual_basis": [_encode_element(p) for p in proj.dual_basis],
         "factor_residual": proj.factor_residual,
@@ -640,13 +626,24 @@ def _run_stochastic(ctx, results):
     )
     return {
         "xbar": _encode_element(rep.xbar),
-        "burn_in": _plain(rep.burn_in),
-        "rows": _plain(rep.rows),
+        "burn_in": rep.burn_in,
+        "rows": rep.rows,
         "bau": _bau_payload(rep.bau),
         "measure": _certificate_payload(rep.measure),
-        "verdicts": _plain(rep.verdicts),
-        "detail": _plain(rep.detail),
+        "verdicts": rep.verdicts,
+        "detail": rep.detail,
     }, rep.passed
+
+
+def _gaps(ctx):
+    """1/kappa_i for each generator, from the group inverses that certify
+    the density-picture projection (a generator and its dual have one
+    spectrum), or None for a finite group or a projection that raised."""
+    try:
+        gaps = ctx.projection.gaps
+    except (ValueError, ArithmeticError, PreconditionError):
+        return None
+    return None if gaps is None else list(gaps)
 
 
 def _run_gallery_item(ctx, results):
@@ -672,8 +669,9 @@ _TASKS = {
 def _plain(obj):
     """Recursively convert numpy scalars/arrays for JSON serialisation.
 
-    Task payloads apply this to their small fields only; encoded matrices
-    are plain lists of floats already and are not walked again.
+    Applied only where a tuple or a numpy scalar can arrive: the ranks and
+    the decay points of a decomposition, and the tolerances, which a caller
+    may give as numpy scalars.  Every other payload field is plain already.
     """
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
@@ -706,7 +704,7 @@ def run(scenario, seed=None, tolerances=None, schedule=None):
     eff_schedule = list(schedule) if schedule is not None else list(scenario.schedule)
 
     ctx = _RunContext(scenario, eff_tol, eff_schedule)
-    results = {"spectrum": {"generators": _spectrum_payload(scenario.action)}}
+    results = {"spectrum": {}}
     verdicts = {}
     for task in scenario.tasks:
         try:
@@ -717,6 +715,7 @@ def run(scenario, seed=None, tolerances=None, schedule=None):
         except (ValueError, ArithmeticError, PreconditionError) as exc:
             results[task] = {"error": str(exc), "error_type": type(exc).__name__}
             verdicts[task] = "fail"
+    results["spectrum"]["gaps"] = _gaps(ctx)
 
     data = {
         "schema_version": SCHEMA_VERSION,
@@ -791,9 +790,8 @@ def render(report, fmt):
         if spec is None:
             raise ValueError("report has no spectrum data")
         lines = ["object,index,re,im"]
-        for g, lam in enumerate(spec.get("generators", [])):
-            for k, (re, im) in enumerate(lam):
-                lines.append(f"generator-{g},{k},{_fmt(re)},{_fmt(im)}")
+        for g, gap in enumerate(spec.get("gaps") or []):
+            lines.append(f"gap,{g},{_fmt(gap)},{_fmt(0.0)}")
         for k, v in enumerate(spec.get("invariant_density", [])):
             lines.append(f"invariant-density,{k},{_fmt(v)},{_fmt(0.0)}")
         text = "\n".join(lines) + "\n"

@@ -290,7 +290,8 @@ def stochastic_run(
     algebra = action.algebra
 
     avgs = averages(action, x, schedule)
-    xbar = algebra.from_vec(decomposition.projection_schrodinger.matrix @ x.vec())
+    # E applied as the run applies it: in the hermitian basis
+    xbar = decomposition.projection_schrodinger(x)
     xbar = (xbar + xbar.H) * 0.5
 
     def herm(m):

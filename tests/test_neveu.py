@@ -856,40 +856,124 @@ def test_summands_join_through_every_generator():
     assert sub.algebra == TracialAlgebra.commutative([0.5, 0.25])
 
 
-@pytest.mark.parametrize("kind", ["zplus-box", "flow"])
-def test_projector_residuals_are_the_whole_matrix_norms(kind):
-    """Residuals taken per summand of a projector perturbed by 1e-11 equal
-    the Frobenius residuals of the whole matrices; an entry between the
-    summands is refused."""
-    kernel = np.zeros((4, 4))
-    kernel[:2, :2] = [[0.0, 1.0], [1.0, 0.0]]
-    kernel[2:, 2:] = [[0.75, 0.25], [0.25, 0.75]]
-    algebra = TracialAlgebra.commutative([0.1, 0.2, 0.3, 0.4])
-    if kind == "flow":
-        flow = FolnerScheme("r-plus-cube", d=1)
-        action = SemigroupAction(algebra, "heisenberg", flow, [kernel - np.eye(4)])
-    else:
-        action = zplus_action(from_classical(algebra, kernel))
-    parts = action._summands()
-    assert len(parts) == 2
-    noise = np.zeros((4, 4))
-    noise[:2, :2] = [[1.0, -2.0], [0.5, 3.0]]
-    noise[2:, 2:] = [[-1.0, 0.5], [2.0, 1.0]]
-    e = mean_ergodic_projection(action).superop.matrix + 1e-11 * noise
-    (m,) = action.matrices
-    if kind == "flow":
-        scale = max(1.0, np.linalg.norm(m, 2))
-        moved = (m @ e, e @ m)
-    else:
-        scale = 1.0
-        moved = (m @ e - e, e @ m - e)
-    got = neveu._projector_residuals(parts, e)
-    assert got["idempotency"] == pytest.approx(np.linalg.norm(e @ e - e), rel=1e-9)
-    want = max(np.linalg.norm(r) for r in moved) / scale
-    assert got["invariance"] == pytest.approx(want, rel=1e-9)
-    e[0, 3] = 1e-300
-    with pytest.raises(MeanErgodicValidationError, match="couples summands"):
-        neveu._projector_residuals(parts, e)
+def dense_residuals(action, e):
+    """The Frobenius residuals ||E^2 - E|| and max ||G E||, ||E G|| of the
+    dense ``e`` over the whole generator conditions of the action (over
+    max(1, ||L||_2) for a flow), with the delta factor of each bound's
+    slack: max ||G||_F (over the same scale) for the invariance."""
+    flow = action.scheme.kind == "r-plus-cube"
+    inv, slack = 0.0, 0.0
+    for g in neveu._stacked_generator_matrices(action):
+        scale = max(1.0, np.linalg.norm(g, 2)) if flow else 1.0
+        inv = max(inv, np.linalg.norm(g @ e) / scale, np.linalg.norm(e @ g) / scale)
+        slack = max(slack, np.linalg.norm(g) / scale)
+    return {"idempotency": np.linalg.norm(e @ e - e), "invariance": inv}, slack
+
+
+@pytest.mark.parametrize("kind", ["zplus-box", "z-symmetric-box", "finite-group", "flow"])
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(
+    blocks=st.lists(
+        st.tuples(st.integers(1, 3), st.floats(0.05, 2.0)), min_size=1, max_size=4
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    picture=st.sampled_from(["heisenberg", "schrodinger"]),
+    size=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]),
+)
+def test_projector_residuals_are_the_whole_matrix_norms(kind, blocks, seed, picture, size):
+    """The residual bounds read off the factors X and F of E = X F + Delta
+    hold over the whole matrices: each dense residual of E, perturbed by a
+    random Delta of Frobenius norm up to 1e-6 that couples the summands, is
+    at most its bound, and the bound exceeds it by at most twice its own
+    delta term, up to rounding.  Over block structures, trace weights, the
+    zplus, z-symmetric, finite-group and flow schemes, and both pictures."""
+    algebra = TracialAlgebra([n for n, _ in blocks], [w for _, w in blocks])
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 3, size=len(blocks)).tolist()
+    groups = [
+        [b for b, g in enumerate(labels) if g == label]
+        for label in dict.fromkeys(labels)
+    ]
+    action = coupled_action(algebra, kind, groups, rng).to_picture(picture)
+    proj = mean_ergodic_projection(action)
+    noise = rng.standard_normal((algebra.dim, algebra.dim))
+    e = proj.superop.hermitian() + size * noise / np.linalg.norm(noise)
+    w = algebra.weight_vec
+    x = np.column_stack(
+        [_to_hermitian(algebra, b.vec()).real for b in proj.fixed_basis]
+    ).reshape(algebra.dim, -1)
+    f = x.T @ (w[:, None] * e)
+    delta = np.linalg.norm(x @ f - e)
+    gens = neveu._stacked_generator_matrices(action)
+    got = neveu._residual_bounds(action, gens, x, f, delta)
+    dense, slack = dense_residuals(action, e)
+    r = x.shape[1]
+    norms = [np.linalg.norm(x, 2), np.linalg.norm(f, 2)] if r else [0.0, 0.0]
+    terms = {
+        "idempotency": delta * (2.0 * norms[0] * norms[1] + delta + 1.0),
+        "invariance": slack * delta,
+    }
+    for key, bound in got.items():
+        rounding = 1e-14 * (1.0 + dense[key] + terms[key])
+        assert dense[key] <= bound + rounding, key
+        assert bound - dense[key] <= 2.0 * terms[key] + rounding, key
+
+
+def nonzero_moduli(g):
+    """The moduli of the eigenvalues of G above 1e-9, by ``np.linalg.eigvals``:
+    a certified projection has kappa <= 2.25e6, so by the gap lemma no
+    nonzero eigenvalue of its G lies below 4.4e-7."""
+    lam = np.abs(np.linalg.eigvals(g))
+    return lam[lam > 1e-9]
+
+
+@pytest.mark.parametrize("kind", ["zplus-box", "zplus-box-2", "z-symmetric-box", "flow"])
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(
+    blocks=st.lists(
+        st.tuples(st.integers(1, 3), st.floats(0.05, 2.0)), min_size=1, max_size=4
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    picture=st.sampled_from(["heisenberg", "schrodinger"]),
+)
+def test_gaps_bound_every_nonzero_generator_eigenvalue(kind, blocks, seed, picture):
+    """gap_i = 1/kappa_i is at most the smallest nonzero |lambda(G_i)| of
+    each generator condition, with eigvals as the oracle, over block
+    structures, trace weights, schemes and both pictures."""
+    algebra = TracialAlgebra([n for n, _ in blocks], [w for _, w in blocks])
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 3, size=len(blocks)).tolist()
+    groups = [
+        [b for b, g in enumerate(labels) if g == label]
+        for label in dict.fromkeys(labels)
+    ]
+    action = coupled_action(algebra, kind, groups, rng).to_picture(picture)
+    proj = mean_ergodic_projection(action)
+    gens = neveu._stacked_generator_matrices(action)
+    assert len(proj.gaps) == len(gens)
+    for gap, g in zip(proj.gaps, gens):
+        assert 0.0 < gap <= nonzero_moduli(g).min(initial=np.inf) * (1.0 + 1e-9)
+
+
+def test_gaps_bound_every_gallery_generator_and_meet_amplitude_damping():
+    """The reported gaps of every gallery scenario lie below the smallest
+    nonzero |lambda(G_i)| of each generator, and on amplitude damping,
+    where G is normal on its nonzero spectrum, the gap is that modulus,
+    1 - sqrt(1/2) = 0.2929, within 1e-9; a finite group reports none."""
+    from neveukit.scenarios import run
+
+    for sc in gallery():
+        gaps = run(sc).data["results"]["spectrum"]["gaps"]
+        gens = neveu._stacked_generator_matrices(sc.action)
+        assert len(gaps) == len(sc.action.real), sc.name
+        for gap, g in zip(gaps, gens):
+            smallest = nonzero_moduli(g).min(initial=np.inf)
+            assert 0.0 < gap <= smallest * (1.0 + 1e-9), sc.name
+            if sc.name == "amplitude-damping":
+                assert gap == pytest.approx(smallest, abs=1e-9)
+                assert gap == pytest.approx(1.0 - np.sqrt(0.5), abs=1e-9)
+    group = coupled_action(M2, "finite-group", [[0]], np.random.default_rng(5))
+    assert mean_ergodic_projection(group).gaps is None
 
 
 def test_fixed_space_cutoff_is_the_whole_matrix_one():

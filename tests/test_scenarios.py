@@ -4,6 +4,8 @@ import gc
 import json
 import os
 import stat
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -11,10 +13,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from benchmark_workloads import SRC, WORKLOADS, workloads
 from neveukit import neveu, scenarios
 from neveukit.algebra import trace
 from neveukit.cli import build_parser, main
-from neveukit.dynamics import SemigroupAction
+from neveukit.dynamics import SemigroupAction, _square
 from neveukit.neveu import mean_ergodic_projection
 from neveukit.scenarios import (
     GALLERY_NAMES,
@@ -30,6 +33,13 @@ from neveukit.scenarios import (
     run,
     scenario_from_dict,
 )
+
+
+def two_summand_star_doc(seed=1):
+    """Star amplitude damping on M_4 + M_4, whose blocks no Kraus operator
+    couples: two uncoupled summands."""
+    rng = np.random.default_rng(seed)
+    return workloads().star_damping_doc("M4+M4", [4, 4], [1 / 8, 1 / 8], rng)
 
 
 def base_doc():
@@ -627,7 +637,7 @@ def test_emitted_mean_factors_rebuild_the_projector(tmp_path):
         out = tmp_path / f"{sc.name}.json"
         emit(run(sc), "report-json", out)
         report = load_report(out)
-        assert report.data["schema_version"] == "1.3"
+        assert report.data["schema_version"] == "1.4"
         mean = report.data["results"]["mean"]
         algebra = sc.algebra
         units = [algebra.from_vec(u) for u in np.eye(algebra.dim)]
@@ -682,9 +692,11 @@ def test_heisenberg_run_computes_one_mean_projection(monkeypatch):
 
 def test_heisenberg_run_scans_each_picture_for_summands_once(monkeypatch):
     """The split into uncoupled summands is cached on each action: a
-    Heisenberg run of every task scans its action and the density picture
-    once each, though the projection, the fixed space, the dual projection
-    and the spectrum all read the split."""
+    Heisenberg run of every task scans the density picture once, though the
+    projection and the fixed space both read the split, and its own action
+    not at all: the dual projection of this discrete scheme bounds its
+    residuals on the whole matrices (a flow's takes its scale per summand),
+    and no spectrum is taken per summand."""
     (sc,) = [s for s in gallery() if s.name == "classical-transient-chain"]
     scans = []
     scan = SemigroupAction._scan_summands
@@ -696,7 +708,7 @@ def test_heisenberg_run_scans_each_picture_for_summands_once(monkeypatch):
     monkeypatch.setattr(SemigroupAction, "_scan_summands", counting_scan)
     report = run(sc)
     assert {"decompose", "mean", "certify", "stochastic"} <= set(report.data["results"])
-    assert sorted(scans) == ["heisenberg", "schrodinger"]
+    assert scans == ["schrodinger"]
     assert len(sc.action._summands()) == 2
 
 
@@ -794,11 +806,15 @@ def test_emit_spectrum_csv(tmp_path):
     emit(report, "spectrum-csv", out)
     lines = out.read_text().splitlines()
     assert lines[0] == "object,index,re,im"
-    gen_rows = [l for l in lines if l.startswith("generator-0")]
-    eigs = sorted(float(l.split(",")[2]) for l in gen_rows)
-    # superoperator spectrum of the damping channel
-    want = sorted([0.5, np.sqrt(0.5), np.sqrt(0.5), 1.0])
-    assert np.allclose(eigs, want, atol=1e-12)
+    assert "generators" not in report.data["results"]["spectrum"]
+    (gap_row,) = [l for l in lines if l.startswith("gap,")]
+    name, index, re, im = gap_row.split(",")
+    # the damping channel has the spectrum 1, sqrt(1/2) (twice) and 1/2:
+    # the gap of G = S - 1 is 1 - sqrt(1/2)
+    assert (index, float(im)) == ("0", 0.0)
+    assert float(re) == pytest.approx(1.0 - np.sqrt(0.5), abs=1e-9)
+    density = [l for l in lines if l.startswith("invariant-density,")]
+    assert len(density) == 2 and len(lines) == 4
 
 
 def test_emit_uses_lf_endings_and_17_digits(tmp_path):
@@ -1340,3 +1356,142 @@ def test_cli_run_leaves_no_cyclic_garbage(tmp_path, capsys, name):
         gc.set_debug(0)
         gc.garbage.clear()
     assert cyclic == 0
+
+
+PLAIN = (dict, list, str, int, float, bool, type(None))
+
+
+def impure(value, where="data"):
+    """The first path in ``value`` that is not exactly a dict with string
+    keys, a list, a str, an int, a float, a bool or None (an np.float64, a
+    tuple or a numpy array fails), or None."""
+    if type(value) not in PLAIN:
+        return f"{where}: {type(value).__name__}"
+    if isinstance(value, dict):
+        for key, item in value.items():
+            bad = impure(key, f"{where} key") if type(key) is not str else None
+            bad = bad or (f"{where} key {key!r}" if type(key) is not str else None)
+            bad = bad or impure(item, f"{where}.{key}")
+            if bad:
+                return bad
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            bad = impure(item, f"{where}[{i}]")
+            if bad:
+                return bad
+    return None
+
+
+def test_report_data_holds_plain_json_types_only():
+    """Every value of report.data is exactly one of the JSON types, so the
+    payloads that skip _plain hold no numpy scalar: every gallery report
+    and a run of all four tasks on two uncoupled summands."""
+    assert impure({"a": [1, 2.0, None]}) is None
+    assert impure({"a": [np.float64(1.0)]}) == "data.a[0]: float64"
+    assert impure({"a": (1, 2)}) == "data.a: tuple"
+    reports = [run(sc) for sc in gallery()]
+    star = scenario_from_dict(two_summand_star_doc())
+    assert len(star.action._summands()) == 2
+    reports.append(run(star))
+    for report in reports:
+        assert set(report.verdicts.values()) == {"pass"}
+        assert impure(report.data) is None, report.data["scenario_name"]
+
+
+def test_a_heisenberg_run_forms_no_vec_matrix_in_the_mean_layer(monkeypatch):
+    """After run() on a Heisenberg document, neither the run's projections
+    (density picture and observable picture) nor the generators of the
+    derived density picture, nor those of its summands, hold a vec-coordinate
+    matrix; reading one forms it, a summand's is the slice of the whole,
+    and E applies to phi0 bitwise as before the read."""
+    contexts = []
+    init = scenarios._RunContext.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        contexts.append(self)
+
+    monkeypatch.setattr(scenarios._RunContext, "__init__", recording)
+    for doc in (two_summand_star_doc(), scenarios._gallery_doc("amplitude-damping")):
+        sc = scenario_from_dict(doc)
+        assert sc.action.picture == "heisenberg"
+        assert run(sc).passed
+        ctx = contexts[-1]
+        maps = [ctx.projection.superop, ctx.heisenberg_projection.superop]
+        maps += list(ctx.schr.generators)
+        maps += [g for _, sub in ctx.schr._summands() for g in sub.generators]
+        assert all(m._matrix is None for m in maps)
+        before = ctx.projection(ctx.phi0)
+        assert ctx.projection.superop.matrix.shape == (sc.algebra.dim,) * 2
+        after = ctx.projection(ctx.phi0)
+        assert all(map(np.array_equal, before.block_mats, after.block_mats))
+        for i, g in enumerate(ctx.schr.generators):
+            for coords, sub in ctx.schr._summands():
+                assert np.array_equal(sub.generators[i].matrix, g.matrix[_square(coords)])
+
+
+THREAD_RUN = """
+import importlib.util, json, sys
+import numpy as np
+from neveukit import scenarios
+
+spec = importlib.util.spec_from_file_location("workloads", sys.argv[1])
+workloads = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(workloads)
+rng = np.random.default_rng(1)
+docs = [
+    workloads.star_damping_doc("M8+M4", [8, 4], [1 / 16, 1 / 8], rng),
+    workloads.lindblad_doc(5, rng),
+]
+out = []
+for doc in docs:
+    data = scenarios.run(scenarios.scenario_from_dict(doc)).data
+    data.pop("meta")
+    out.append(data)
+print(json.dumps(out))
+"""
+# the contract across BLAS thread settings, as README states it
+THREAD_RTOL = 1e-9
+THREAD_ATOL = 1e-12
+
+
+def same_but_floats(one, two, where="report"):
+    """Fields equal in type and shape, non-floats exactly, floats within
+    THREAD_RTOL / THREAD_ATOL."""
+    assert type(one) is type(two), where
+    if isinstance(one, dict):
+        assert one.keys() == two.keys(), where
+        for key in one:
+            same_but_floats(one[key], two[key], f"{where}.{key}")
+    elif isinstance(one, list):
+        assert len(one) == len(two), where
+        for i, (a, b) in enumerate(zip(one, two)):
+            same_but_floats(a, b, f"{where}[{i}]")
+    elif isinstance(one, float):
+        assert abs(one - two) <= THREAD_ATOL + THREAD_RTOL * abs(two), where
+    else:
+        assert one == two, where
+
+
+def test_reports_agree_across_blas_thread_settings():
+    """A two-summand star damping run and a Lindblad flow run, each in a
+    subprocess at OPENBLAS_NUM_THREADS=1 and =2: equal verdicts, ranks and
+    non-float fields, and floats within rtol 1e-9 / atol 1e-12."""
+    procs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=SRC)
+        env["OPENBLAS_NUM_THREADS"] = threads
+        env.pop("OMP_NUM_THREADS", None)
+        procs.append(subprocess.Popen(
+            [sys.executable, "-c", THREAD_RUN, WORKLOADS], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        ))
+    found = []
+    for proc in procs:
+        out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+        found.append(json.loads(out.splitlines()[-1]))
+    one, two = found
+    for report in one:
+        assert set(report["verdicts"].values()) == {"pass"}, report["scenario_name"]
+    same_but_floats(one, two)

@@ -194,7 +194,8 @@ def stochastic_run(action, x, schedule, eps, delta, decomposition, decay_tol=DEC
     e1, e2 = decomposition.e1, decomposition.e2
     algebra = action.algebra
     avgs = _average_stacks(action, x, schedule)
-    xbar = algebra.from_vec(decomposition.projection_schrodinger.matrix @ x.vec())
+    # E applied as the run applies it: in the hermitian basis
+    xbar = decomposition.projection_schrodinger(x)
     xbar = (xbar + xbar.H) * 0.5
     lim1 = e1 @ xbar @ e1
     c1 = [p @ a @ p - m for p, a, m in zip(e1.block_mats, avgs, lim1.block_mats)]

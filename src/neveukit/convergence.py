@@ -53,6 +53,8 @@ from .algebra import (
     _adjoint,
     _hermitian_part,
     _max_norms,
+    _to_hermitian,
+    _to_vec,
     op_norm,
     trace_norm,
 )
@@ -624,37 +626,41 @@ class HullResult:
 
 def _orbit_vectors(action, x, a):
     """Orbit of x over the inclusive index box {0..a}^d (all elements for
-    finite groups, a 17-point grid per axis for continuous cubes)."""
-    v = x.vec()
+    finite groups, a 17-point grid per axis for continuous cubes), as vec
+    coordinates.  The walk runs on the real generator matrices, with the
+    real and the imaginary part of the hermitian-basis coordinates of x as
+    two real columns."""
+    r = _to_hermitian(action.algebra, x.vec())
+    v = np.column_stack([r.real, r.imag])
     kind = action.scheme.kind
     if kind == "finite-group":
-        return [m @ v for m in action.matrices]
-    if kind == "r-plus-cube":
+        cols = [m @ v for m in action.real]
+    elif kind == "r-plus-cube":
         times = np.linspace(0.0, float(a), 17)
         cols = [v]
-        for L in action.matrices:
+        for L in action.real:
             flows = [_expm(t * L) for t in times]
             cols = [f @ c for c in cols for f in flows]
-        return cols
-    a = int(a)
-    if a < 1:
-        raise ValueError("a must be >= 1")
-    # per axis the window starts at -back and takes a + back unit steps
-    back = a if kind == "z-symmetric-box" else 0
-    cols = [v]
-    for axis in range(action.scheme.d):
-        s = action.matrices[axis]
-        new = []
-        for c in cols:
-            cur = c
-            for _ in range(back):
-                cur = action.inverses[axis] @ cur
-            new.append(cur)
-            for _ in range(a + back):
-                cur = s @ cur
+    else:
+        a = int(a)
+        if a < 1:
+            raise ValueError("a must be >= 1")
+        # per axis the window starts at -back and takes a + back unit steps
+        back = a if kind == "z-symmetric-box" else 0
+        cols = [v]
+        for axis, s in enumerate(action.real):
+            new = []
+            for c in cols:
+                cur = c
+                for _ in range(back):
+                    cur = action.real_inverses[axis] @ cur
                 new.append(cur)
-        cols = new
-    return cols
+                for _ in range(a + back):
+                    cur = s @ cur
+                    new.append(cur)
+            cols = new
+    stack = np.stack(cols, axis=1)
+    return list(_to_vec(action.algebra, stack[..., 0] + 1j * stack[..., 1]).T)
 
 
 def _face_solve(gram, lin, face):

@@ -36,6 +36,7 @@ Every walk and flow average runs on the real generator matrices of the
 action (``SemigroupAction.real``) and on the real hermitian-basis
 coordinates of its input (see :mod:`neveukit.algebra`); the results go back
 to vec coordinates, so a hermitian input has exactly hermitian averages.
+:func:`average_super` forms its matrix there too.
 The exponential is the package's own :func:`_expm`, scaling
 and squaring with Pade degrees 3 to 13 (A. H. Al-Mohy and N. J. Higham, "A
 new scaling and squaring algorithm for the matrix exponential", SIAM J.
@@ -59,7 +60,6 @@ from .maps import (
     SuperOperator,
     _flow_contraction_report,
     _positive_contraction_report,
-    _transpose_perm,
     _weight_ratio,
     check_commuting,
     check_contraction,
@@ -200,15 +200,14 @@ class SemigroupAction:
 
     ``generators`` holds :class:`SuperOperator`s, for an ``r-plus-cube``
     scheme the flow generators L_i (source ``"flow-generator"``, no
-    attestations), and ``matrices`` their vec-coordinate matrices, formed on
-    first read where a generator holds only its hermitian-basis matrix (the
-    generators of a derived picture or of a summand).
-    ``real`` holds the same matrices in the hermitian basis of
-    :mod:`neveukit.algebra`, and ``real_inverses`` the z-symmetric inverses:
-    each generator must map self-adjoint elements to self-adjoint ones, so
-    these are real up to rounding, and a larger imaginary part is refused
-    with a :class:`GeneratorError`.  The averages, the mean projection and
-    the spectra run on them.
+    attestations).  ``real`` holds their matrices in the hermitian basis of
+    :mod:`neveukit.algebra`, the very arrays the generators hold, and
+    ``real_inverses`` the z-symmetric inverses: each generator must map
+    self-adjoint elements to self-adjoint ones, so these are real up to
+    rounding, and a larger imaginary part is refused with a
+    :class:`GeneratorError`.  The checks, the averages, the mean projection
+    and the spectra run on them; ``matrices`` and ``inverses``, the same
+    maps in vec coordinates, are formed on each read.
 
     The construction checks run in ``__init__`` only: the other picture
     (:meth:`dual`) and the uncoupled summands (:meth:`_summands`, cached
@@ -247,24 +246,21 @@ class SemigroupAction:
         self.generators = tuple(gens)
         self.real, self.real_inverses, self._origin = tuple(real), invs, origin
         self.checks = checks
-        self._inverses = self._lamperti = None
+        self._lamperti = None
         self._parts = parts
 
     @property
     def matrices(self):
-        """The vec-coordinate matrices of the generators, each formed on
-        first read where the generator holds only its hermitian-basis one."""
+        """The vec-coordinate matrices of the generators, formed on each read."""
         return tuple(s.matrix for s in self.generators)
 
     @property
     def inverses(self):
-        """The z-symmetric inverses in vec coordinates, from
-        ``real_inverses`` on first use (``None`` for other schemes)."""
-        if self._inverses is None and self.real_inverses is not None:
-            self._inverses = tuple(
-                _to_vec(self.algebra, m, matrix=True) for m in self.real_inverses
-            )
-        return self._inverses
+        """The z-symmetric inverses in vec coordinates, formed on each read
+        (``None`` for other schemes)."""
+        if self.real_inverses is None:
+            return None
+        return tuple(_to_vec(self.algebra, m, matrix=True) for m in self.real_inverses)
 
     # -- construction-time checks ------------------------------------------
 
@@ -275,11 +271,7 @@ class SemigroupAction:
         for g in range(n):
             for h in range(n):
                 k = self.scheme.table[g][h]
-                dev = np.linalg.norm(
-                    self.generators[g].matrix @ self.generators[h].matrix
-                    - self.generators[k].matrix,
-                    2,
-                )
+                dev = np.linalg.norm(self.real[g] @ self.real[h] - self.real[k], 2)
                 if dev > worst:
                     worst, witness = dev, (g, h)
         verdict = "pass" if worst <= REPRESENTATION_TOL else "fail"
@@ -290,18 +282,20 @@ class SemigroupAction:
     def _check_contractions(self):
         """check_contraction in the observable picture; a certified positive
         density-picture S is judged by dual(S)(1), the density of
-        y -> tau(S(y)), with no dual of S.  A flow generator L is judged by
-        L_h(1), read the same way (:func:`~neveukit.maps._flow_contraction_report`)."""
+        y -> tau(S(y)), read off W^-1 R^T W applied to the coordinates of 1
+        (R the real matrix of S, W the trace weights) with no dual of S.  A
+        flow generator L is judged by L_h(1), read the same way
+        (:func:`~neveukit.maps._flow_contraction_report`)."""
         reports, algebra, w = [], self.algebra, self.algebra.weight_vec
         flow, one = self.scheme.kind == "r-plus-cube", self.algebra.identity()
-        for idx, s in enumerate(self.generators):
+        ones = _to_hermitian(algebra, one.vec()).real
+        for idx, (s, r) in enumerate(zip(self.generators, self.real)):
             if self.picture == "heisenberg":
-                rep = _flow_contraction_report(s(one), s.matrix) if flow else check_contraction(s)
+                rep = _flow_contraction_report(s(one), r) if flow else check_contraction(s)
             elif flow or s.positivity_certified:
-                unit = s.matrix.T @ (w * one.vec())
-                unit = algebra.from_vec(unit[_transpose_perm(algebra.blocks)] / w)
+                unit = algebra.from_vec(_to_vec(algebra, r.T @ (w * ones) / w))
                 rep = (
-                    _flow_contraction_report(unit, s.matrix)
+                    _flow_contraction_report(unit, r)
                     if flow
                     else _positive_contraction_report(unit)
                 )
@@ -440,15 +434,7 @@ class SemigroupAction:
         square = _square(coords)
         invs = self.real_inverses
         real = [m[square] for m in self.real]
-        # a generator given in vec coordinates keeps the slice of its matrix;
-        # one given in the hermitian basis keeps the slice there, and B m B*,
-        # mixed entrywise within each block, is then bitwise the slice of the
-        # whole one
-        gens = [
-            SuperOperator.from_hermitian(algebra, m) if s._by_hermitian
-            else SuperOperator(algebra, s.matrix[square])
-            for s, m in zip(self.generators, real)
-        ]
+        gens = [SuperOperator.from_hermitian(algebra, m) for m in real]
         sub = object.__new__(SemigroupAction)
         # a summand's blocks are coupled: it has one summand
         sub._set(
@@ -536,7 +522,7 @@ def _power_sum(s, n):
     (1 + S^m) sum_{k<m} S^k), a 1 bit doubles and then appends S^m.  That
     takes O(log n) matrix products instead of the n - 1 of the literal sum.
     """
-    total = np.eye(s.shape[0], dtype=complex)
+    total = np.eye(s.shape[0], dtype=s.dtype)
     power = s
     for bit in bin(int(n))[3:]:
         total = total + power @ total
@@ -548,12 +534,13 @@ def _power_sum(s, n):
 
 
 def _axis_cesaro_super(action, axis, a):
-    """The per-axis Cesaro mean (1/|window|) sum of window powers as a matrix."""
-    s = action.generators[axis].matrix
+    """The per-axis Cesaro mean (1/|window|) sum of window powers as a real
+    hermitian-basis matrix."""
+    s = action.real[axis]
     if action.scheme.kind == "zplus-box":
         return _power_sum(s, a) / a
     # z-symmetric-box: sum_{-a <= k <= a} S^k = S^{-a} sum_{k <= 2a} S^k
-    back = np.linalg.matrix_power(action.inverses[axis], a)
+    back = np.linalg.matrix_power(action.real_inverses[axis], a)
     return back @ _power_sum(s, 2 * a + 1) / (2 * a + 1)
 
 
@@ -613,21 +600,22 @@ def _walk(action, v, schedule):
 
 
 def average_super(action, a):
-    """The averaging operator A_a as a SuperOperator (usable in either picture)."""
+    """The averaging operator A_a as a SuperOperator (usable in either
+    picture), formed on the real generator matrices."""
     if action.scheme.kind == "r-plus-cube":
-        mat = continuous_average_super(action, a)
+        mat = _flow_average(action, np.eye(action.algebra.dim), a)
     else:
         a = int(a)
         if a < 1:
             raise ValueError("Foelner index a must be >= 1")
         action.require_commuting()
         if action.scheme.kind == "finite-group":
-            mat = sum(s.matrix for s in action.generators) / action.scheme.order
+            mat = sum(action.real) / action.scheme.order
         else:
             mat = _axis_cesaro_super(action, 0, a)
             for axis in range(1, action.scheme.d):
                 mat = _axis_cesaro_super(action, axis, a) @ mat
-    return SuperOperator(action.algebra, mat, source="composite")
+    return SuperOperator.from_hermitian(action.algebra, mat, source="composite")
 
 
 def _flow_average(action, b, a):
@@ -652,11 +640,10 @@ def _flow_average(action, b, a):
 
 
 def continuous_average_super(action, a):
-    """The matrix of (1/a^d) int_{[0,a]^d} exp(sum t_i L_i) dt."""
+    """The vec-coordinate matrix of (1/a^d) int_{[0,a]^d} exp(sum t_i L_i) dt."""
     if action.scheme.kind != "r-plus-cube":
         raise ValueError("continuous averages require an r-plus-cube scheme")
-    algebra = action.algebra
-    return _to_vec(algebra, _flow_average(action, np.eye(algebra.dim), a), matrix=True)
+    return average_super(action, a).matrix
 
 
 # the [m/m] Pade approximant r_m of exp keeps its backward error below

@@ -1,7 +1,9 @@
 """Positive maps on a tracial algebra, represented as dense superoperators.
 
-A ``SuperOperator`` is a D x D complex matrix acting on the block-major
-column-stacked coordinates of :mod:`neveukit.algebra` (D = sum_i n_i^2).
+A ``SuperOperator`` holds one D x D matrix (D = sum_i n_i^2): H = B* S B,
+the map in the hermitian basis of :mod:`neveukit.algebra`, real for a map
+that sends self-adjoint elements to self-adjoint ones.  Its matrix S on the
+block-major column-stacked vec coordinates is derived on read.
 Constructors cover the admissible generator sources:
 
 * ``from_kraus``        Heisenberg-form x -> sum_j K_j* x K_j  (CP certified)
@@ -28,6 +30,7 @@ import numpy as np
 
 from .algebra import (
     Operator,
+    _mix,
     _real_part,
     _to_hermitian,
     _to_vec,
@@ -91,73 +94,58 @@ class CheckReport:
 
 
 class SuperOperator:
-    """A linear map on a tracial algebra in vectorised form.
+    """A linear map on a tracial algebra, held as one matrix: H = B* S B, its
+    D x D matrix in the hermitian basis of :mod:`neveukit.algebra`.
 
-    ``matrix`` is its D x D matrix on vec coordinates, and :meth:`hermitian`
-    its matrix B* S B in the hermitian basis of :mod:`neveukit.algebra`,
-    computed once, or given (:meth:`from_hermitian`).  A map given by its
-    hermitian-basis matrix forms ``matrix`` only on first read, and is
-    always applied in the hermitian basis, so its values do not depend on
-    whether ``matrix`` was read.
+    The constructor takes S on the block-major vec coordinates and converts
+    it once; :meth:`from_hermitian` takes H itself.  The map applies,
+    composes and dualises (:func:`dual`) on H alone, and ``matrix``, S =
+    B H B*, is formed on each read and not kept.  H is real once
+    :meth:`real_hermitian` has checked that S maps self-adjoint elements to
+    self-adjoint ones, and from the constructors that know it (Kraus,
+    classical, conjugation).
     """
 
     def __init__(self, algebra, matrix, source="matrix", attestations=None):
-        matrix = np.asarray(matrix, dtype=complex)
-        if matrix.shape != (algebra.dim, algebra.dim):
-            raise ValueError(
-                f"superoperator shape {matrix.shape} != ({algebra.dim}, {algebra.dim})"
-            )
+        matrix = _shape_checked(algebra, np.asarray(matrix, dtype=complex))
         self.algebra = algebra
-        self._matrix = matrix
-        self._hermitian, self._by_hermitian = None, False
+        self._hermitian = _to_hermitian(algebra, matrix, matrix=True)
         self.source = source
         self.attestations = dict(attestations or {})
 
     @classmethod
     def from_hermitian(cls, algebra, herm, source="matrix", attestations=None):
-        """The map with the matrix ``herm`` in the hermitian basis.  Its vec
-        matrix B herm B* is formed on first read."""
-        if herm.shape != (algebra.dim, algebra.dim):
-            raise ValueError(
-                f"superoperator shape {herm.shape} != ({algebra.dim}, {algebra.dim})"
-            )
+        """The map with the matrix ``herm`` in the hermitian basis, held as given."""
         s = cls.__new__(cls)
-        s.algebra, s._matrix, s._hermitian, s._by_hermitian = algebra, None, herm, True
+        s.algebra, s._hermitian = algebra, _shape_checked(algebra, herm)
         s.source, s.attestations = source, dict(attestations or {})
         return s
 
     @property
     def matrix(self):
-        """The D x D matrix on vec coordinates."""
-        if self._matrix is None:
-            self._matrix = _to_vec(self.algebra, self._hermitian, matrix=True)
-        return self._matrix
+        """S = B H B*, the D x D matrix on vec coordinates, formed on each read."""
+        return _to_vec(self.algebra, self._hermitian, matrix=True)
 
     def hermitian(self):
-        """B* S B: real up to rounding when S maps self-adjoint elements to
-        self-adjoint ones, and its real part once :meth:`real_hermitian` has
-        checked that."""
-        if self._hermitian is None:
-            self._hermitian = _to_hermitian(self.algebra, self.matrix, matrix=True)
+        """H = B* S B: real up to rounding when S maps self-adjoint elements
+        to self-adjoint ones, and its real part once :meth:`real_hermitian`
+        has checked that."""
         return self._hermitian
 
     def real_hermitian(self):
-        """The real part of :meth:`hermitian`, kept in its place; raises
-        ValueError when its imaginary part is above rounding (see
-        ``algebra._real_part``): S does not map self-adjoint elements to
-        self-adjoint ones."""
+        """The real part of H, kept in its place; raises ValueError when its
+        imaginary part is above rounding (see ``algebra._real_part``): S does
+        not map self-adjoint elements to self-adjoint ones."""
         self._hermitian = _real_part(
-            self.hermitian(), "does not map self-adjoint elements to self-adjoint ones"
+            self._hermitian, "does not map self-adjoint elements to self-adjoint ones"
         )
         return self._hermitian
 
     def __call__(self, x):
         if not isinstance(x, Operator) or x.algebra != self.algebra:
             raise ValueError("input operator is not in this map's algebra")
-        if not self._by_hermitian:
-            return self.algebra.from_vec(self._matrix @ x.vec())
-        # in the hermitian basis: a real H applies to the real and the
-        # imaginary part of the coordinates apart, in real arithmetic
+        # a real H applies to the real and the imaginary part of the
+        # coordinates apart, in real arithmetic
         h, r = self._hermitian, _to_hermitian(self.algebra, x.vec())
         y = h @ r if np.iscomplexobj(h) else h @ r.real + 1j * (h @ r.imag)
         return self.algebra.from_vec(_to_vec(self.algebra, y))
@@ -165,9 +153,9 @@ class SuperOperator:
     def __matmul__(self, other):
         if not isinstance(other, SuperOperator) or other.algebra != self.algebra:
             raise ValueError("can only compose superoperators on one algebra")
-        return SuperOperator(
+        return SuperOperator.from_hermitian(
             self.algebra,
-            self.matrix @ other.matrix,
+            self._hermitian @ other._hermitian,
             source="composite",
             attestations=_composable(self.attestations, other.attestations),
         )
@@ -192,11 +180,20 @@ class SuperOperator:
             "subunital": CheckReport("subunital", "pass"),
             "lamperti": CheckReport("lamperti", "pass"),
         }
-        return cls(algebra, np.eye(algebra.dim), source="conjugation", attestations=att)
+        return cls.from_hermitian(
+            algebra, np.eye(algebra.dim), source="conjugation", attestations=att
+        )
 
     def __repr__(self):
         att = {k: v.verdict for k, v in self.attestations.items()}
         return f"SuperOperator(source={self.source!r}, attestations={att})"
+
+
+def _shape_checked(algebra, m):
+    """``m``, checked to be D x D."""
+    if m.shape != (algebra.dim, algebra.dim):
+        raise ValueError(f"superoperator shape {m.shape} != ({algebra.dim}, {algebra.dim})")
+    return m
 
 
 def _composable(att_a, att_b):
@@ -213,27 +210,6 @@ def _composable(att_a, att_b):
 # the weighted-trace pairing and duality
 # ---------------------------------------------------------------------------
 
-_TRANSPOSE_PERMS = {}
-
-
-def _transpose_perm(blocks):
-    """The per-block matrix transpose as a permutation of vec coordinates.
-
-    In vec coordinates the pairing is tau(x y) = vec(x)^T G vec(y) with
-    G[u, v] = w(u) [v = perm(u)], w the algebra's ``weight_vec``.
-    """
-    if blocks not in _TRANSPOSE_PERMS:
-        perm = np.empty(sum(n * n for n in blocks), dtype=int)
-        off = 0
-        for n in blocks:
-            for q in range(n):
-                for p in range(n):
-                    perm[off + q * n + p] = off + p * n + q
-            off += n * n
-        _TRANSPOSE_PERMS[blocks] = perm
-    return _TRANSPOSE_PERMS[blocks]
-
-
 def pairing(x, y):
     """tau(x y), the bilinear duality form between L1 and M."""
     return trace(x @ y)
@@ -248,14 +224,12 @@ def _weight_ratio(algebra):
 def dual(s):
     """Adjoint with respect to tau(dual(S)(x) . y) = tau(x . S(y)).
 
-    For block-scalar weights this is S -> P S^T P with P the transpose
-    permutation; for block-mixing maps (classical kernels on non-uniform
-    weights) the weight ratio enters entrywise.  In the hermitian basis P
-    is diagonal with entries +-1 and cancels: the dual is W^-1 H^T W.  When
-    S holds H, the dual is taken there alone, and its vec matrix is formed
-    only on first read.
+    The hermitian basis elements are hermitian and orthonormal, so the
+    pairing of coordinates a, b there is tau(x y) = a^T W b, W the diagonal
+    of the trace weights, and the dual of H is W^-1 H^T W: for block-mixing
+    maps (classical kernels on non-uniform weights) the weight ratio enters
+    entrywise.
     """
-    ratio = _weight_ratio(s.algebra)
     att = {}
     for name in ("complete-positivity", "positivity-sampled"):
         rep = s.attestations.get(name)
@@ -271,13 +245,8 @@ def dual(s):
         att["contraction"] = CheckReport(
             "contraction", "pass", detail={"derived": "dual"}
         )
-    if s._hermitian is not None:
-        return SuperOperator.from_hermitian(
-            s.algebra, s._hermitian.T * ratio, source=s.source, attestations=att
-        )
-    perm = _transpose_perm(s.algebra.blocks)
-    mat = s.matrix[np.ix_(perm, perm)].T * ratio
-    return SuperOperator(s.algebra, mat, source=s.source, attestations=att)
+    herm = s._hermitian.T * _weight_ratio(s.algebra)
+    return SuperOperator.from_hermitian(s.algebra, herm, source=s.source, attestations=att)
 
 
 # ---------------------------------------------------------------------------
@@ -301,15 +270,15 @@ def from_kraus(algebra, kraus_ops):
         if k.algebra != algebra:
             raise ValueError("Kraus operator in a different algebra")
         ops.append(k)
-    blocks = []
-    for i in range(algebra.n_blocks):
+
+    def vec_block(i):
         # sum_j kron(K_j^T, K_j*) as one product of the stacked operators:
         # T[(a, b), (c, d)] = sum_j K_j[a, b] conj(K_j[c, d]), permuted
         n = algebra.blocks[i]
         stack = np.stack([k.block_mats[i] for k in ops]).reshape(len(ops), n * n)
         t = stack.T @ stack.conj()
-        blocks.append(t.reshape(n, n, n, n).transpose(1, 3, 0, 2).reshape(n * n, n * n))
-    mat = _blockdiag(algebra, blocks)
+        return t.reshape(n, n, n, n).transpose(1, 3, 0, 2).reshape(n * n, n * n)
+
     one = algebra.identity()
     lam1 = sum((k.H @ k for k in ops), algebra.zero())
     if not order_leq(lam1, one):
@@ -326,17 +295,27 @@ def from_kraus(algebra, kraus_ops):
             "contraction", "pass", detail={"criterion": "norm of image of 1"}
         ),
     }
-    return SuperOperator(algebra, mat, source="kraus", attestations=att)
+    herm = _real_block_diagonal(algebra, vec_block)
+    return SuperOperator.from_hermitian(algebra, herm, source="kraus", attestations=att)
 
 
-def _blockdiag(algebra, blocks):
-    mat = np.zeros((algebra.dim, algebra.dim), dtype=complex)
-    off = 0
-    for b in blocks:
-        d = b.shape[0]
-        mat[off : off + d, off : off + d] = b
-        off += d
-    return mat
+def _real_block_diagonal(algebra, vec_block):
+    """The real hermitian-basis matrix of a map that is block diagonal in vec
+    coordinates, with diagonal block ``vec_block(i)`` on algebra block i, and
+    that maps self-adjoint elements to self-adjoint ones (a Kraus map or a
+    conjugation), so its imaginary part is rounding and is dropped.
+
+    B is block diagonal and mixes entrywise within a block, so converting
+    each block within its block is bitwise the conversion of the whole
+    matrix; no complex array is larger than a block's, and each vec block
+    is dropped once its rows are mixed.
+    """
+    herm = np.zeros((algebra.dim, algebra.dim))
+    for i, n in enumerate(algebra.blocks):
+        lo, hi = algebra._offsets[i], algebra._offsets[i + 1]
+        rows = _mix(vec_block(i), (n,), "B*", 0)
+        herm[lo:hi, lo:hi] = _mix(rows, (n,), "B^T", 1).real
+    return herm
 
 
 def from_classical(algebra, kernel):
@@ -348,7 +327,7 @@ def from_classical(algebra, kernel):
     """
     if not algebra.is_commutative:
         raise ValueError("classical kernels require a commutative algebra")
-    kernel = np.asarray(kernel, dtype=float)
+    kernel = np.array(kernel, dtype=float)
     m = algebra.n_blocks
     if kernel.shape != (m, m):
         raise ValueError(f"kernel shape {kernel.shape} != ({m}, {m})")
@@ -370,7 +349,10 @@ def from_classical(algebra, kernel):
             "contraction", "pass", detail={"criterion": "row sums"}
         ),
     }
-    return SuperOperator(algebra, kernel.astype(complex), source="classical-kernel", attestations=att)
+    # one-dimensional blocks: B = 1, and the kernel is the map's matrix
+    return SuperOperator.from_hermitian(
+        algebra, kernel, source="classical-kernel", attestations=att
+    )
 
 
 def from_conjugation(algebra, u):
@@ -382,9 +364,6 @@ def from_conjugation(algebra, u):
     for n, m in zip(algebra.blocks, u.block_mats):
         if np.linalg.norm(m @ m.conj().T - np.eye(n), 2) > UNITARY_TOL:
             raise ValueError("conjugation requires a unitary within 1e-12")
-    blocks = [
-        np.kron(m.conj(), m) for m in u.block_mats
-    ]
     att = {
         "complete-positivity": CheckReport("complete-positivity", "pass"),
         "subunital": CheckReport("subunital", "pass"),
@@ -394,7 +373,9 @@ def from_conjugation(algebra, u):
         ),
         "trace-preserving": CheckReport("trace-preserving", "pass"),
     }
-    return SuperOperator(algebra, _blockdiag(algebra, blocks), source="conjugation", attestations=att)
+    mats = u.block_mats
+    herm = _real_block_diagonal(algebra, lambda i: np.kron(mats[i].conj(), mats[i]))
+    return SuperOperator.from_hermitian(algebra, herm, source="conjugation", attestations=att)
 
 
 def from_matrix(algebra, matrix, samples=20, seed=0):
@@ -477,14 +458,14 @@ def _positive_contraction_report(image):
     )
 
 
-def _flow_contraction_report(image, matrix):
+def _flow_contraction_report(image, herm):
     """The contraction verdict of a flow generator L whose observable-picture
     image of the unit is ``image`` = L_h(1) = d/dt e^{tL_h}(1) at t = 0: a
     positive contraction semigroup has L_h(1) <= 0, so an eigenvalue above
-    the slack times the flow scale max(1, ||L||_2) of the vec-coordinate
-    ``matrix`` fails (the rounding of L_h(1) grows with ||L||); positivity
-    is not certified, so the verdict is at best "unknown"."""
-    scale = max(1.0, float(np.linalg.norm(matrix, 2)))
+    the slack times the flow scale max(1, ||L||_2) of its hermitian-basis
+    matrix ``herm`` fails (the rounding of L_h(1) grows with ||L||);
+    positivity is not certified, so the verdict is at best "unknown"."""
+    scale = max(1.0, float(np.linalg.norm(herm, 2)))
     top = max(float(lam[-1]) for lam, _ in image.eigh())
     verdict = "unknown" if top <= CONTRACTION_SLACK * scale else "fail"
     witness = None if verdict == "unknown" else (image.algebra.identity(),)
@@ -578,8 +559,10 @@ def check_lamperti(s, trials=10, seed=2):
 
 
 def check_commuting(maps):
-    """Pairwise commutation of superoperators within 1e-10 (norm-scaled)."""
-    mats = [m.matrix for m in maps]
+    """Pairwise commutation of superoperators within 1e-10 (norm-scaled), on
+    their hermitian-basis matrices (B is unitary, so the norms are those of
+    the vec-coordinate ones)."""
+    mats = [m.hermitian() for m in maps]
     worst = 0.0
     worst_pair = None
     for i in range(len(mats)):

@@ -50,8 +50,8 @@ it on with ``projection=``, as the tasks of one scenario run do.
 The spectral work runs on the real generator matrices of the action in the
 hermitian basis (``SemigroupAction.real``, see :mod:`neveukit.algebra`): the
 SVDs, the projectors, the group inverses and the residuals.  E is real
-there, and its ``SuperOperator`` holds it there alone: the vec-coordinate
-matrix is formed only if read.  kappa is still the 1-norm of (P - G)^-1 in
+there, and its ``SuperOperator`` holds that matrix, as every map does
+(:class:`~neveukit.maps.SuperOperator`).  kappa is still the 1-norm of (P - G)^-1 in
 vec coordinates, where ``KAPPA_BOUND`` is calibrated, read off the real
 entries of Z.  The fixed and dual bases are hermitian, and
 each fixed-basis vector x has the sign that makes tau(x) > 0, or (where

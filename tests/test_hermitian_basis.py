@@ -166,6 +166,50 @@ def test_the_spectral_work_in_the_hermitian_basis_matches_a_vec_oracle(blocks, s
     assert gap <= nonzero.min(initial=np.inf) * (1.0 + 1e-9)
 
 
+def pairing_matrix(algebra):
+    """G[u, v] = tau(e_u e_v), e_u the element whose vec coordinates are the
+    unit vector u: the pairing tau(x y) = vec(x)^T G vec(y) by its
+    definition."""
+    units = [algebra.from_vec(e) for e in np.eye(algebra.dim)]
+    return np.array([[trace(a @ b) for b in units] for a in units])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(blocks=WEIGHTED_BLOCKS, seed=st.integers(0, 2**32 - 1), adjoints=st.booleans())
+def test_a_map_held_in_the_hermitian_basis_matches_its_vec_matrix(blocks, seed, adjoints):
+    """For a random complex vec-coordinate matrix V (with ``adjoints``, its
+    part that maps self-adjoint elements to self-adjoint ones, held as a
+    real hermitian-basis matrix), SuperOperator(algebra, V) applies as
+    V vec(x) within 1e-13 relative, gives V back as its matrix, and dual(s),
+    dual(dual(s)) and s @ t match their vec-coordinate oracles: G^-1 V^T G
+    by the definition of the pairing, V, and V U."""
+    algebra = weighted_algebra(blocks)
+    dim, w = algebra.dim, algebra.weight_vec
+    rng = np.random.default_rng(seed)
+
+    def random_map():
+        v = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        if adjoints:
+            v = _to_vec(algebra, _to_hermitian(algebra, v, matrix=True).real, matrix=True)
+        s = SuperOperator(algebra, v)
+        assert (s.real_hermitian().dtype == float) if adjoints else np.iscomplexobj(s.hermitian())
+        return v, s
+
+    def assert_close(got, want, scale):
+        assert np.linalg.norm(got - want) <= 1e-13 * scale
+
+    (v, s), (u, t) = random_map(), random_map()
+    norm_v, spread = np.linalg.norm(v, 2), w.max() / w.min()
+    for _ in range(3):
+        x = algebra.from_vec(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        assert_close(s(x).vec(), v @ x.vec(), norm_v * np.linalg.norm(x.vec()))
+    assert_close(s.matrix, v, norm_v)
+    g = pairing_matrix(algebra)
+    assert_close(dual(s).matrix, np.linalg.solve(g, v.T @ g), norm_v * spread)
+    assert_close(dual(dual(s)).matrix, v, norm_v * spread)
+    assert_close((s @ t).matrix, v @ u, norm_v * np.linalg.norm(u, 2))
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     blocks=st.lists(st.integers(1, 4), min_size=1, max_size=3),

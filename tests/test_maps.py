@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neveukit.algebra import Operator, TracialAlgebra, op_norm, trace
+from neveukit.algebra import Operator, TracialAlgebra, _to_hermitian, _to_vec, op_norm, trace
 from neveukit.maps import (
     CheckReport,
     PreconditionError,
@@ -223,10 +223,14 @@ def test_from_matrix_samples_positivity():
 
 
 def test_identity_superoperator():
+    """The identity is exactly the identity matrix in the hermitian basis,
+    and applies to x exactly as the basis change there and back."""
     s = SuperOperator.identity(M2)
+    assert np.array_equal(s.hermitian(), np.eye(M2.dim))
     rng = np.random.default_rng(0)
     x = random_op(M2, rng)
-    assert op_norm(s(x) - x) == 0.0
+    round_trip = M2.from_vec(_to_vec(M2, _to_hermitian(M2, x.vec())))
+    assert op_norm(s(x) - round_trip) == 0.0
 
 
 def test_composition_keeps_joint_attestations():

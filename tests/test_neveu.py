@@ -21,7 +21,6 @@ from neveukit.algebra import (
 from neveukit.dynamics import FolnerScheme, SemigroupAction, average, average_super, averages
 from neveukit.maps import (
     SuperOperator,
-    _transpose_perm,
     dual,
     from_classical,
     from_conjugation,
@@ -501,6 +500,15 @@ def test_dual_projection_checks_what_it_is_given():
         neveu._dual_projection(noisy, AD)
 
 
+def transpose_perm(blocks):
+    """The per-block matrix transpose as a permutation of vec coordinates:
+    vec(x^T) = vec(x)[perm]."""
+    offsets = np.cumsum([0] + [n * n for n in blocks])
+    return np.concatenate(
+        [off + np.arange(n * n).reshape(n, n).T.ravel() for off, n in zip(offsets, blocks)]
+    )
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     blocks=st.lists(
@@ -536,7 +544,7 @@ def test_tau_orthonormal_matches_the_triangular_solve(blocks, seed, log_cond, da
     assert np.linalg.norm(gram - eye, 2) <= 1e-12 * cond
     assert np.linalg.norm(root * (ortho - oracle), 2) <= 1e-12 * cond
     # x_j with tau(psi_i x_j) = delta_ij for the psi_i = the columns
-    perm = _transpose_perm(algebra.blocks)
+    perm = transpose_perm(algebra.blocks)
     xs = np.linalg.pinv((w[:, None] * cols[perm]).T)
     conserved = [algebra.from_vec(v) for v in (xs @ chol.conj()).T]
     fixed = [algebra.from_vec(v) for v in ortho.T]

@@ -18,6 +18,7 @@ from neveukit import neveu, scenarios
 from neveukit.algebra import trace
 from neveukit.cli import build_parser, main
 from neveukit.dynamics import SemigroupAction, _square
+from neveukit.maps import SuperOperator
 from neveukit.neveu import mean_ergodic_projection
 from neveukit.scenarios import (
     GALLERY_NAMES,
@@ -1398,12 +1399,35 @@ def test_report_data_holds_plain_json_types_only():
         assert impure(report.data) is None, report.data["scenario_name"]
 
 
-def test_a_heisenberg_run_forms_no_vec_matrix_in_the_mean_layer(monkeypatch):
-    """After run() on a Heisenberg document, neither the run's projections
-    (density picture and observable picture) nor the generators of the
-    derived density picture, nor those of its summands, hold a vec-coordinate
-    matrix; reading one forms it, a summand's is the slice of the whole,
-    and E applies to phi0 bitwise as before the read."""
+def density_picture_depolarizing_doc():
+    """The gallery's depolarizing channel, unital and trace preserving, as a
+    density-picture action."""
+    doc = scenarios._gallery_doc("depolarizing")
+    doc["name"] = "depolarizing-density"
+    doc["action"]["picture"] = "schrodinger"
+    doc["tasks"] = ["decompose", "mean", "certify", "stochastic"]
+    return doc
+
+
+def complex_square_holders(maps):
+    """The maps among ``maps`` that hold a complex D x D array, D their
+    algebra's dimension."""
+    return [
+        m for m in maps
+        if any(
+            isinstance(v, np.ndarray) and np.iscomplexobj(v) and v.shape == (m.algebra.dim,) * 2
+            for v in vars(m).values()
+        )
+    ]
+
+
+def test_a_run_holds_no_complex_square_matrix(monkeypatch):
+    """After run() on a two-summand Heisenberg Kraus document, a density-
+    picture document and a flow document, no map held by the action, its
+    other picture, the summands of either or the run's projections holds a
+    complex D x D array: each holds its real hermitian-basis matrix alone.
+    Reading a vec matrix keeps nothing, a summand's is the slice of the
+    whole, and E applies to phi0 bitwise as before the read."""
     contexts = []
     init = scenarios._RunContext.__init__
 
@@ -1412,17 +1436,27 @@ def test_a_heisenberg_run_forms_no_vec_matrix_in_the_mean_layer(monkeypatch):
         contexts.append(self)
 
     monkeypatch.setattr(scenarios._RunContext, "__init__", recording)
-    for doc in (two_summand_star_doc(), scenarios._gallery_doc("amplitude-damping")):
+    docs = (
+        two_summand_star_doc(),
+        density_picture_depolarizing_doc(),
+        scenarios._gallery_doc("lindblad-rplus"),
+    )
+    for doc in docs:
         sc = scenario_from_dict(doc)
-        assert sc.action.picture == "heisenberg"
-        assert run(sc).passed
+        assert run(sc).passed, doc["name"]
         ctx = contexts[-1]
-        maps = [ctx.projection.superop, ctx.heisenberg_projection.superop]
-        maps += list(ctx.schr.generators)
-        maps += [g for _, sub in ctx.schr._summands() for g in sub.generators]
-        assert all(m._matrix is None for m in maps)
+        ctx.heisenberg_projection  # the observable-picture E, also where the run took none
+        actions = [ctx.schr, ctx.schr.dual()]
+        maps = [g for act in actions for g in act.generators]
+        maps += [g for act in actions for _, sub in act._summands() for g in sub.generators]
+        for kept in ctx._kept.values():
+            if dataclasses.is_dataclass(kept):
+                maps += [v for v in vars(kept).values() if isinstance(v, SuperOperator)]
+        assert ctx.projection.superop in maps and ctx.heisenberg_projection.superop in maps
+        assert complex_square_holders(maps) == [], doc["name"]
         before = ctx.projection(ctx.phi0)
         assert ctx.projection.superop.matrix.shape == (sc.algebra.dim,) * 2
+        assert complex_square_holders(maps) == [], doc["name"]
         after = ctx.projection(ctx.phi0)
         assert all(map(np.array_equal, before.block_mats, after.block_mats))
         for i, g in enumerate(ctx.schr.generators):

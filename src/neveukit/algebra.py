@@ -445,6 +445,7 @@ class Projection(Operator):
 _B_STAR = math.sqrt(0.5) * np.array([[1, 1], [-1j, 1j]])
 _MIXES = {"B*": _B_STAR, "B": _B_STAR.conj().T}
 _MIXES |= {"B^T": _MIXES["B"].T, "B*^T": _B_STAR.T}
+_MIX_CHUNK = 1 << 18  # 4 MB per complex temporary of :func:`_mix`
 
 
 @functools.cache
@@ -487,15 +488,20 @@ def _mixer(blocks, mix, trailing):
 
 def _mix(a, blocks, mix, axis):
     """A new complex array: ``a`` with the (up, lo) coordinate pairs along
-    ``axis`` mixed by ``_MIXES[mix]``."""
+    ``axis`` (0 or 1) mixed by ``_MIXES[mix]``, the second term of each mix
+    added in runs of rows of about ``_MIX_CHUNK`` entries, not all at once."""
     if max(blocks) == 1:  # 1 x 1 blocks only: B = 1
         return a.astype(complex)
     i1, i2, c1, c2 = _mixer(blocks, mix, a.ndim - 1 - axis)
     out = a.take(i1, axis).astype(complex, copy=False)
     out *= c1
-    other = a.take(i2, axis).astype(complex, copy=False)
-    other *= c2
-    out += other
+    step = max(1, _MIX_CHUNK * len(a) // max(a.size, 1))
+    for k in range(0, len(a), step):
+        rows = slice(k, k + step)
+        src, sel = (a, rows) if axis == 0 else (a[rows], slice(None))
+        other = src.take(i2[sel], axis).astype(complex, copy=False)
+        other *= c2[sel]
+        out[rows] += other
     return out
 
 

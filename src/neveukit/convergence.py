@@ -58,7 +58,7 @@ from .algebra import (
     op_norm,
     trace_norm,
 )
-from .dynamics import _average_stacks, _expm
+from .dynamics import _average_stacks, _axis_orbit
 from .maps import CheckReport, PreconditionError
 from .neveu import (
     DEFAULT_SCHEDULE,
@@ -625,40 +625,20 @@ class HullResult:
 
 
 def _orbit_vectors(action, x, a):
-    """Orbit of x over the inclusive index box {0..a}^d (all elements for
-    finite groups, a 17-point grid per axis for continuous cubes), as vec
-    coordinates.  The walk runs on the real generator matrices, with the
-    real and the imaginary part of the hermitian-basis coordinates of x as
-    two real columns."""
+    """Orbit of x over the inclusive index box {0..a}^d ({-a..a}^d for a
+    symmetric box, all elements for finite groups, a 17-point grid per axis
+    for continuous cubes), as vec coordinates, one axis after another.  The
+    walk runs on the real generator matrices, with the real and imaginary
+    parts of the hermitian-basis coordinates of x as two real columns."""
+    a = action.scheme.side(a)
     r = _to_hermitian(action.algebra, x.vec())
     v = np.column_stack([r.real, r.imag])
-    kind = action.scheme.kind
-    if kind == "finite-group":
+    if action.scheme.kind == "finite-group":
         cols = [m @ v for m in action.real]
-    elif kind == "r-plus-cube":
-        times = np.linspace(0.0, float(a), 17)
-        cols = [v]
-        for L in action.real:
-            flows = [_expm(t * L) for t in times]
-            cols = [f @ c for c in cols for f in flows]
     else:
-        a = int(a)
-        if a < 1:
-            raise ValueError("a must be >= 1")
-        # per axis the window starts at -back and takes a + back unit steps
-        back = a if kind == "z-symmetric-box" else 0
         cols = [v]
-        for axis, s in enumerate(action.real):
-            new = []
-            for c in cols:
-                cur = c
-                for _ in range(back):
-                    cur = action.real_inverses[axis] @ cur
-                new.append(cur)
-                for _ in range(a + back):
-                    cur = s @ cur
-                    new.append(cur)
-            cols = new
+        for axis in range(action.scheme.d):
+            cols = _axis_orbit(action, axis, cols, a)
     stack = np.stack(cols, axis=1)
     return list(_to_vec(action.algebra, stack[..., 0] + 1j * stack[..., 1]).T)
 

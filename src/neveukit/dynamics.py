@@ -8,41 +8,44 @@ Supported index semigroups and their Foelner sets K_a:
 * ``r-plus-cube``      R_+^d with K_a = [0, a)^d, one-parameter semigroups
                        exp(t L_i) described by commuting generator matrices
 
-For the box schemes the average over K_a factors into a product of
-per-axis Cesaro means,
+An axis moves in one of three ways: a power step S, a symmetric step S and
+S^-1, or a flow exp(t L).  The per-axis facts live here alone, and no other
+module reads a scheme kind but to branch off a finite group: the check of
+the index a (:meth:`FolnerScheme.side`), the back steps and size of a box
+window, (0, a) or (a, 2a + 1) (:meth:`FolnerScheme.window`), whether the
+axes are flows, the generator conditions G = S - 1 or L
+(``SemigroupAction.conditions``), and one flow scale max(1, ||L||_2) per
+generator and picture (``SemigroupAction._scales``).
 
-    A_a = prod_i (1/a) sum_{k<a} Gamma_i^k,
-
-so :func:`averages` walks an ascending schedule with one running sum per
+A_a is the product of the per-axis Cesaro means, so :func:`averages`,
+:func:`average_super` and the hull orbit each loop one per-axis step over
+the axes (:func:`_axis_means`, :func:`_axis_mean_matrix`,
+:func:`_axis_orbit`); a finite group averages its element maps once.
+:func:`averages` walks an ascending schedule with one running sum per box
 axis: max(schedule) - 1 matvecs for d = 1 (63 on 1, 2, ..., 64, against 120
 for a fresh sum per point), twice that for z-symmetric windows.  For d >= 2
 only axis 0 is shared, as later axes act on a different vector per a.
 :func:`average_super` builds each per-axis sum of powers by binary doubling
 in O(d log a) D x D products; a scenario run builds none, and tests and
-demos use them as oracles.  Summation order is fixed
-(ascending k for the zplus matvecs, the bits of a for the doubling, then
-ascending axis) so results are bitwise reproducible.  Brute-force
-cross-checks over small boxes and against the literal sums live in the
-test-suite.
+demos use them as oracles.  Summation order is fixed (ascending k for the
+zplus matvecs, the bits of a for the doubling, then ascending axis) so
+results are bitwise reproducible.  A flow mean (1/a) int_0^a exp(t L) dt B
+is one block exponential (C. F. Van Loan, "Computing integrals involving
+the matrix exponential", IEEE TAC 23(3), 1978), the top-right block of
+expm(a [[L, B], [0, 0]]) / a, for B the hermitian-basis coordinates of x
+(one or two real columns) or B = 1.
 
-Flow averages factor the same way, A_a = prod_i (1/a) int_0^a exp(t L_i) dt,
-and each factor is one block exponential (C. F. Van Loan, "Computing
-integrals involving the matrix exponential", IEEE TAC 23(3), 1978): the
-top-right block of expm(a [[L_i, B], [0, 0]]) is int_0^a exp(t L_i) dt B.
-:func:`averages` takes for B the hermitian-basis coordinates of x, one or
-two real columns, and :func:`average_super` takes B = 1.
-
-Every walk and flow average runs on the real generator matrices of the
-action (``SemigroupAction.real``) and on the real hermitian-basis
-coordinates of its input (see :mod:`neveukit.algebra`); the results go back
-to vec coordinates, so a hermitian input has exactly hermitian averages.
-:func:`average_super` forms its matrix there too.
-The exponential is the package's own :func:`_expm`, scaling
-and squaring with Pade degrees 3 to 13 (A. H. Al-Mohy and N. J. Higham, "A
-new scaling and squaring algorithm for the matrix exponential", SIAM J.
-Matrix Anal. Appl. 31(3), 2009, Algorithm 5.1) with exact 1-norms in place
-of its norm estimates.  It works on the matrix and never diagonalises, so a
-defective generator still needs no fallback, and no run imports scipy.
+Every walk, flow average and averaging matrix is formed on the real
+generator matrices of the action (``SemigroupAction.real``) and on the real
+hermitian-basis coordinates of its input (see :mod:`neveukit.algebra`); the
+results go back to vec coordinates, so a hermitian input has exactly
+hermitian averages.  The exponential is the package's own :func:`_expm`,
+scaling and squaring with Pade degrees 3 to 13 (A. H. Al-Mohy and N. J.
+Higham, "A new scaling and squaring algorithm for the matrix exponential",
+SIAM J. Matrix Anal. Appl. 31(3), 2009, Algorithm 5.1) with exact 1-norms
+in place of its norm estimates.  It works on the matrix and never
+diagonalises, so a defective generator needs no fallback, and no run
+imports scipy.
 """
 
 from __future__ import annotations
@@ -114,51 +117,59 @@ class FolnerScheme:
             if self.d < 1:
                 raise ValueError("dimension d must be >= 1")
 
+    @property
+    def flow(self):
+        """Whether the axes are flows exp(t L_i), t >= 0 (``r-plus-cube``)."""
+        return self.kind == "r-plus-cube"
+
+    def side(self, a):
+        """The Foelner index ``a``, checked: a cube side > 0 (as a float)
+        for flows, an integer >= 1 otherwise."""
+        if self.flow:
+            if a <= 0:
+                raise ValueError("cube side a must be > 0")
+            return float(a)
+        a = int(a)
+        if a < 1:
+            raise ValueError("Foelner index a must be >= 1")
+        return a
+
+    def window(self, a):
+        """``(back, size)`` of a box axis at the index ``a``: its window is
+        k = -back, ..., size - back - 1, so (0, a) for ``zplus-box`` and
+        (a, 2a + 1) for ``z-symmetric-box``."""
+        a = self.side(a)
+        return (a, 2 * a + 1) if self.kind == "z-symmetric-box" else (0, a)
+
 
 def folner_set(scheme, a):
     """Enumerate K_a (boxes, groups) or describe it (continuous cubes)."""
-    if scheme.kind == "r-plus-cube":
-        if a <= 0:
-            raise ValueError("cube side must be > 0")
-        return {"kind": "cube", "d": scheme.d, "side": float(a)}
-    a = int(a)
-    if a < 1:
-        raise ValueError("Foelner index a must be >= 1")
-    if scheme.kind == "zplus-box":
-        return list(itertools.product(range(a), repeat=scheme.d))
-    if scheme.kind == "z-symmetric-box":
-        return list(itertools.product(range(-a, a + 1), repeat=scheme.d))
-    return list(range(scheme.order))
+    a = scheme.side(a)
+    if scheme.flow:
+        return {"kind": "cube", "d": scheme.d, "side": a}
+    if scheme.kind == "finite-group":
+        return list(range(scheme.order))
+    back, size = scheme.window(a)
+    return list(itertools.product(range(-back, size - back), repeat=scheme.d))
 
 
 def folner_ratio(scheme, a, g):
     """Exact |K_a Delta K_a g| / |K_a| for a generator step g.
 
     ``g`` is an axis index (one unit step along that axis); for
-    ``r-plus-cube`` it may also be ``(axis, t)`` for a shift by t > 0.
+    ``r-plus-cube`` it may also be ``(axis, t)`` for a shift by t >= 0.
     Finite groups are exactly invariant, so the ratio is 0.
     """
     if scheme.kind == "finite-group":
         return 0.0
-    if scheme.kind == "r-plus-cube":
-        t = 1.0
-        if isinstance(g, tuple):
-            g, t = g[0], float(g[1])
-        if not 0 <= g < scheme.d:
-            raise ValueError(f"axis {g} out of range")
-        if a <= 0 or t < 0:
-            raise ValueError("need a > 0 and t >= 0")
-        t = min(t, float(a))
-        return 2.0 * t / float(a)
-    a = int(a)
-    if a < 1:
-        raise ValueError("Foelner index a must be >= 1")
+    g, t = (g[0], float(g[1])) if scheme.flow and isinstance(g, tuple) else (g, 1.0)
     if not 0 <= g < scheme.d:
         raise ValueError(f"axis {g} out of range")
-    if scheme.kind == "zplus-box":
-        return 2.0 / a
-    # z-symmetric-box: |K| = (2a+1)^d, the shifted box drops/adds one slab
-    return 2.0 / (2 * a + 1)
+    if t < 0:
+        raise ValueError("shift t must be >= 0")
+    # the shifted window drops one slab of width t and adds another
+    size = scheme.side(a) if scheme.flow else scheme.window(a)[1]
+    return 2.0 * min(t, size) / size
 
 
 class GeneratorError(ValueError):
@@ -220,7 +231,7 @@ class SemigroupAction:
         if picture not in ("heisenberg", "schrodinger"):
             raise ValueError(f"unknown picture {picture!r}")
         gens = list(generators)
-        if scheme.kind == "r-plus-cube":
+        if scheme.flow:
             gens = [SuperOperator(algebra, L, source="flow-generator") for L in gens]
         for s in gens:
             if not isinstance(s, SuperOperator) or s.algebra != algebra:
@@ -247,7 +258,7 @@ class SemigroupAction:
         self.real, self.real_inverses, self._origin = tuple(real), invs, origin
         self.checks = checks
         self._lamperti = None
-        self._parts = parts
+        self._parts, self._scale = parts, None
 
     @property
     def matrices(self):
@@ -261,6 +272,17 @@ class SemigroupAction:
         if self.real_inverses is None:
             return None
         return tuple(_to_vec(self.algebra, m, matrix=True) for m in self.real_inverses)
+
+    @property
+    def conditions(self):
+        """The generator conditions G = S - 1 (L for a flow), the real
+        matrices whose joint kernel is the fixed space, formed on each read;
+        a finite group drops element 0, the identity, unless it is alone."""
+        if self.scheme.flow:
+            return list(self.real)
+        eye = np.eye(self.algebra.dim)
+        mats = self.real[1:] if self.scheme.kind == "finite-group" else self.real
+        return [m - eye for m in mats or self.real]
 
     # -- construction-time checks ------------------------------------------
 
@@ -287,18 +309,15 @@ class SemigroupAction:
         flow generator L is judged by L_h(1), read the same way
         (:func:`~neveukit.maps._flow_contraction_report`)."""
         reports, algebra, w = [], self.algebra, self.algebra.weight_vec
-        flow, one = self.scheme.kind == "r-plus-cube", self.algebra.identity()
+        flow, one = self.scheme.flow, self.algebra.identity()
         ones = _to_hermitian(algebra, one.vec()).real
-        for idx, (s, r) in enumerate(zip(self.generators, self.real)):
+        for idx, (s, r, scale) in enumerate(zip(self.generators, self.real, self._scales())):
             if self.picture == "heisenberg":
-                rep = _flow_contraction_report(s(one), r) if flow else check_contraction(s)
+                rep = _flow_contraction_report(s(one), scale) if flow else check_contraction(s)
             elif flow or s.positivity_certified:
                 unit = algebra.from_vec(_to_vec(algebra, r.T @ (w * ones) / w))
-                rep = (
-                    _flow_contraction_report(unit, r)
-                    if flow
-                    else _positive_contraction_report(unit)
-                )
+                rep = (_flow_contraction_report(unit, scale) if flow
+                       else _positive_contraction_report(unit))
             else:
                 rep = check_contraction(dual(s))
             reports.append((idx, rep.verdict))
@@ -391,6 +410,18 @@ class SemigroupAction:
             self._parts = self._scan_summands()
         return self._parts or [(slice(None), self)]
 
+    def _scales(self):
+        """The scale of each generator, cached: 1 for a step, max(1, ||L||_2)
+        for a flow L, with ||L||_2 the largest spectral norm of its pieces on
+        the uncoupled summands (that of the block-diagonal whole)."""
+        if self._scale is None:
+            self._scale = (1.0,) * len(self.real)
+            if self.scheme.flow:
+                pieces = zip(*(sub.real for _, sub in self._summands()))
+                norms = [[float(np.linalg.norm(p, 2)) for p in ps] for ps in pieces]
+                self._scale = tuple(max(1.0, *n) for n in norms)
+        return self._scale
+
     def _scan_summands(self):
         """The summands of :meth:`_summands`, or ``[]`` for one."""
         if self.algebra.n_blocks == 1:
@@ -449,7 +480,7 @@ class SemigroupAction:
     def lamperti_reports(self, trials=8, seed=11):
         """check_lamperti on every predual (L1-picture) map; cached."""
         if self._lamperti is None:
-            if self.scheme.kind == "r-plus-cube":
+            if self.scheme.flow:
                 raise PreconditionError(
                     "Lamperti attestation of a continuous flow is not supported; "
                     "attest the time-1 maps instead"
@@ -494,25 +525,63 @@ def _ascending(schedule):
     return schedule
 
 
-def _cesaro_walk(action, axis, v, schedule):
-    """Per-axis Cesaro means of the real hermitian-basis coordinates v (one
-    vector or columns) for every a of an ascending schedule: one running
-    sum over k = 0..a-1 (zplus-box, ascending k) or k = -a..a
-    (z-symmetric-box, S^k v then S^-k v for k = 1, 2, ...)."""
-    symmetric = action.scheme.kind == "z-symmetric-box"
+def _axis_means(action, axis, v, schedule):
+    """The Cesaro means along ``axis`` of the real hermitian-basis
+    coordinates v (one vector or columns) for every a of a checked ascending
+    schedule: one running sum over the window of a box axis (S^k v, then
+    S^-k v on a symmetric window, for k = 1, 2, ...), or one block
+    exponential per a on a flow axis."""
     s = action.real[axis]
+    if action.scheme.flow:
+        return [_flow_mean(s, v.reshape(len(v), -1), a) for a in schedule]
     acc, lo, hi, top = v.copy(), v, v, 0
     means = []
     for a in schedule:
-        while top < (a if symmetric else a - 1):
+        back, size = action.scheme.window(a)
+        while top < size - back - 1:
             top += 1
             hi = s @ hi
             acc += hi
-            if symmetric:
+            if back:
                 lo = action.real_inverses[axis] @ lo
                 acc += lo
-        means.append(acc / (2 * a + 1 if symmetric else a))
+        means.append(acc / size)
     return means
+
+
+def _axis_mean_matrix(action, axis, a, b=None):
+    """The Cesaro mean along ``axis`` at a checked ``a`` as a real
+    hermitian-basis matrix, applied from the left to ``b`` unless b is None:
+    S^-back sum_{k < size} S^k / size on a box axis, by doubling."""
+    s = action.real[axis]
+    if action.scheme.flow:
+        return _flow_mean(s, np.eye(len(s)) if b is None else b, a)
+    back, size = action.scheme.window(a)
+    total = _power_sum(s, size)
+    if back:
+        total = np.linalg.matrix_power(action.real_inverses[axis], back) @ total
+    mean = total / size
+    return mean if b is None else mean @ b
+
+
+def _axis_orbit(action, axis, cols, a):
+    """The orbit points along ``axis`` at a checked ``a`` of each column c
+    of ``cols``, column by column: S^k c for k = -back, ..., a on a box
+    axis, exp(t L) c on a 17-point grid of t in [0, a] on a flow axis."""
+    s = action.real[axis]
+    if action.scheme.flow:
+        flows = [_expm(t * s) for t in np.linspace(0.0, a, 17)]
+        return [f @ c for c in cols for f in flows]
+    back, _ = action.scheme.window(a)
+    out = []
+    for c in cols:
+        for _ in range(back):
+            c = action.real_inverses[axis] @ c
+        out.append(c)
+        for _ in range(a + back):
+            c = s @ c
+            out.append(c)
+    return out
 
 
 def _power_sum(s, n):
@@ -533,29 +602,14 @@ def _power_sum(s, n):
     return total
 
 
-def _axis_cesaro_super(action, axis, a):
-    """The per-axis Cesaro mean (1/|window|) sum of window powers as a real
-    hermitian-basis matrix."""
-    s = action.real[axis]
-    if action.scheme.kind == "zplus-box":
-        return _power_sum(s, a) / a
-    # z-symmetric-box: sum_{-a <= k <= a} S^k = S^{-a} sum_{k <= 2a} S^k
-    back = np.linalg.matrix_power(action.real_inverses[axis], a)
-    return back @ _power_sum(s, 2 * a + 1) / (2 * a + 1)
-
-
 def average(action, x, a):
     """The ergodic average A_a(x) over the scheme's Foelner set."""
     return averages(action, x, [a])[0]
 
 
 def averages(action, x, schedule):
-    """The ergodic averages A_a(x) for every a of a strictly ascending schedule.
-
-    Box schemes walk the per-axis Cesaro sums (only axis 0 is shared across
-    the schedule), finite groups average all element maps once, and cubes
-    integrate the flow applied to x alone, one exponential per axis and a.
-    """
+    """The ergodic averages A_a(x) for every a of a strictly ascending
+    schedule, one axis after another (:func:`_walk`)."""
     stacks = _average_stacks(action, x, schedule)
     return [action.algebra.operator(mats) for mats in zip(*stacks)]
 
@@ -585,63 +639,43 @@ def _average_stacks(action, x, schedule):
 def _walk(action, v, schedule):
     """The averages of :func:`averages` for the real hermitian-basis
     coordinates v (one vector or columns) of x."""
-    if action.scheme.kind == "r-plus-cube":
-        return [_flow_average(action, v.reshape(len(v), -1), a) for a in schedule]
-    schedule = [int(a) for a in schedule]
-    if schedule[0] < 1:
-        raise ValueError("Foelner index a must be >= 1")
+    schedule = [action.scheme.side(a) for a in schedule]
     action.require_commuting()
     if action.scheme.kind == "finite-group":
         return [sum(m @ v for m in action.real) / action.scheme.order] * len(schedule)
-    vecs = _cesaro_walk(action, 0, v, schedule)
+    vecs = _axis_means(action, 0, v, schedule)
     for axis in range(1, action.scheme.d):
-        vecs = [_cesaro_walk(action, axis, w, [a])[0] for w, a in zip(vecs, schedule)]
+        vecs = [_axis_means(action, axis, w, [a])[0] for w, a in zip(vecs, schedule)]
     return vecs
 
 
 def average_super(action, a):
     """The averaging operator A_a as a SuperOperator (usable in either
     picture), formed on the real generator matrices."""
-    if action.scheme.kind == "r-plus-cube":
-        mat = _flow_average(action, np.eye(action.algebra.dim), a)
+    a = action.scheme.side(a)
+    action.require_commuting()
+    if action.scheme.kind == "finite-group":
+        mat = sum(action.real) / action.scheme.order
     else:
-        a = int(a)
-        if a < 1:
-            raise ValueError("Foelner index a must be >= 1")
-        action.require_commuting()
-        if action.scheme.kind == "finite-group":
-            mat = sum(action.real) / action.scheme.order
-        else:
-            mat = _axis_cesaro_super(action, 0, a)
-            for axis in range(1, action.scheme.d):
-                mat = _axis_cesaro_super(action, axis, a) @ mat
+        mat = None
+        for axis in range(action.scheme.d):
+            mat = _axis_mean_matrix(action, axis, a, mat)
     return SuperOperator.from_hermitian(action.algebra, mat, source="composite")
 
 
-def _flow_average(action, b, a):
-    """(1/a^d) int_{[0,a]^d} exp(sum t_i L_i) dt applied to the columns of
-    b, real hermitian-basis coordinates.
-
-    Per axis, b <- top-right block of expm(a [[L_i, b], [0, 0]]) / a, with
-    L_i the real generator matrix; the augmented matrix has D + (number of
-    columns of b) rows.
-    """
-    a = float(a)
-    if a <= 0:
-        raise ValueError("cube side a must be > 0")
-    action.require_commuting()
-    dim = action.algebra.dim
+def _flow_mean(L, b, a):
+    """(1/a) int_0^a exp(t L) dt applied to the columns of b, real
+    hermitian-basis coordinates: the top-right block of expm(a [[L, b],
+    [0, 0]]) / a."""
+    dim = len(L)
     aug = np.zeros((dim + b.shape[1],) * 2)
-    for L in action.real:
-        aug[:dim, :dim] = L
-        aug[:dim, dim:] = b
-        b = _expm(a * aug)[:dim, dim:] / a
-    return b
+    aug[:dim, :dim], aug[:dim, dim:] = L, b
+    return _expm(a * aug)[:dim, dim:] / a
 
 
 def continuous_average_super(action, a):
     """The vec-coordinate matrix of (1/a^d) int_{[0,a]^d} exp(sum t_i L_i) dt."""
-    if action.scheme.kind != "r-plus-cube":
+    if not action.scheme.flow:
         raise ValueError("continuous averages require an r-plus-cube scheme")
     return average_super(action, a).matrix
 

@@ -458,14 +458,13 @@ def _positive_contraction_report(image):
     )
 
 
-def _flow_contraction_report(image, herm):
+def _flow_contraction_report(image, scale):
     """The contraction verdict of a flow generator L whose observable-picture
     image of the unit is ``image`` = L_h(1) = d/dt e^{tL_h}(1) at t = 0: a
     positive contraction semigroup has L_h(1) <= 0, so an eigenvalue above
-    the slack times the flow scale max(1, ||L||_2) of its hermitian-basis
-    matrix ``herm`` fails (the rounding of L_h(1) grows with ||L||);
-    positivity is not certified, so the verdict is at best "unknown"."""
-    scale = max(1.0, float(np.linalg.norm(herm, 2)))
+    the slack times the flow scale ``scale`` = max(1, ||L||_2) fails (the
+    rounding of L_h(1) grows with ||L||); positivity is not certified, so
+    the verdict is at best "unknown"."""
     top = max(float(lam[-1]) for lam, _ in image.eigh())
     verdict = "unknown" if top <= CONTRACTION_SLACK * scale else "fail"
     witness = None if verdict == "unknown" else (image.algebra.identity(),)

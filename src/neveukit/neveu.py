@@ -115,17 +115,6 @@ class MeanErgodicValidationError(ArithmeticError):
     group-inverse certificate (E - G singular, or kappa too large)."""
 
 
-def _stacked_generator_matrices(action):
-    mats = action.real
-    if action.scheme.kind == "r-plus-cube":
-        return list(mats)
-    if action.scheme.kind == "finite-group":
-        # element 0 is the identity; a trivial group keeps it
-        mats = mats[1:] or mats
-    eye = np.eye(action.algebra.dim)
-    return [m - eye for m in mats]
-
-
 def fixed_space(action, tol=1e-9):
     """tau-orthonormal basis of the joint fixed subspace of the action.
 
@@ -136,7 +125,7 @@ def fixed_space(action, tol=1e-9):
     """
     action.require_commuting()
     parts = action._summands()
-    stacks = [np.vstack(_stacked_generator_matrices(sub)) for _, sub in parts]
+    stacks = [np.vstack(sub.conditions) for _, sub in parts]
     algebra = action.algebra
     return _elements(algebra, _fixed_columns(algebra, parts, _null_spaces(stacks, tol)))
 
@@ -295,7 +284,7 @@ def mean_ergodic_projection(action, tol_fixed=1e-9):
     algebra = action.algebra
     dim = algebra.dim
     parts = action._summands()
-    conditions = [_stacked_generator_matrices(sub) for _, sub in parts]
+    conditions = [sub.conditions for _, sub in parts]
     joint = _null_spaces([np.vstack(c) for c in conditions], tol_fixed)
     # the basis is hermitian: x holds its real coordinates
     x = _fixed_columns(algebra, parts, joint)
@@ -339,7 +328,7 @@ def mean_ergodic_projection(action, tol_fixed=1e-9):
     # X X^T W is the tau-orthogonal projector onto the fixed space; this
     # holds only when range(E) is that space, not merely of its dimension
     f = x.T @ (w[:, None] * e)
-    gens = conditions[0] if len(parts) == 1 else _stacked_generator_matrices(action)
+    gens = conditions[0] if len(parts) == 1 else action.conditions
     residuals, factor_residual = _validated(action, gens, x, f, e)
     # tau(psi y) = F_i . y for y in the hermitian basis: psi_i is hermitian,
     # with the coordinates F_i / w
@@ -404,14 +393,13 @@ def _group_inverse(p, g, algebra):
 def _residual_bounds(action, gens, x, f, delta):
     """Upper bounds on the Frobenius residuals ``idempotency``
     (||E^2 - E||) and ``invariance`` (the largest ||G E|| and ||E G|| over
-    the whole generator conditions ``gens``, over max(1, ||L||_2) for a
-    flow) of E = X F + Delta with ||Delta||_F = ``delta``, from the fixed
-    basis columns ``x`` and the pairing rows ``f`` alone (see
-    :func:`mean_ergodic_projection`).  Each ||A M||_F of a tall A and a
-    wide M is ||R M||_F with R the triangular factor of a thin QR of A, so
-    no Gram matrix squares a condition number.  The flow scale ||L||_2 is
-    the largest spectral norm of the pieces of L on the uncoupled summands
-    of ``action``, which is that of the block-diagonal whole."""
+    the whole generator conditions ``gens``, each over the scale of its
+    generator, max(1, ||L||_2) for a flow) of E = X F + Delta with
+    ||Delta||_F = ``delta``, from the fixed basis columns ``x`` and the
+    pairing rows ``f`` alone (see :func:`mean_ergodic_projection`).  Each
+    ||A M||_F of a tall A and a wide M is ||R M||_F with R the triangular
+    factor of a thin QR of A, so no Gram matrix squares a condition number.
+    The scales are ``action._scales()``, all 1 for steps."""
     fro, qr = np.linalg.norm, lambda a: np.linalg.qr(a, mode="r")
     rx = qr(x)
     spread = delta + 1.0
@@ -427,12 +415,8 @@ def _residual_bounds(action, gens, x, f, delta):
     }
     # the flow scale stays spectral, since a larger divisor would loosen the
     # checks
-    scales = [1.0] * len(gens)
-    if action.scheme.kind == "r-plus-cube":
-        pieces = [_stacked_generator_matrices(sub) for _, sub in action._summands()]
-        scales = [max(1.0, *(np.linalg.norm(p, 2) for p in ps)) for ps in zip(*pieces)]
     inv = 0.0
-    for g, scale in zip(gens, scales):
+    for g, scale in zip(gens, action._scales()):
         slack = fro(g) * delta
         left = fro(qr(g @ x) @ f) + slack
         right = fro(rx @ (f @ g)) + slack
@@ -487,7 +471,7 @@ def _dual_projection(proj, heis):
     conserved = cols[:, r:] @ chol
     # tau(c y) = (w c) . y for a hermitian c and y in the hermitian basis
     f = (w[:, None] * conserved).T
-    gens = _stacked_generator_matrices(heis)
+    gens = heis.conditions
     residuals, factor_residual = _validated(heis, gens, fixed, f, sup.hermitian())
     elements = _elements(algebra, np.hstack([fixed, conserved]))
     return MeanErgodicProjection(
@@ -545,14 +529,12 @@ def _invariant_density(schr, phi0, projection):
 
 
 def _invariance_defect(schr, y):
-    """max ||G Y||_1 over the generator conditions G (over max(1, ||L||_2) for
-    a flow), applied in the hermitian basis, where the hermitian Y is real."""
+    """max ||G Y||_1 / scale over the generator conditions G and their scales
+    (``_scales``), in the hermitian basis, where the hermitian Y is real."""
     algebra = schr.algebra
     coords = _to_hermitian(algebra, y.vec()).real
-    continuous = schr.scheme.kind == "r-plus-cube"
     dev = 0.0
-    for g in _stacked_generator_matrices(schr):
-        scale = max(1.0, np.linalg.norm(g, 2)) if continuous else 1.0
+    for g, scale in zip(schr.conditions, schr._scales()):
         moved = algebra.from_vec(_to_vec(algebra, g @ coords))
         dev = max(dev, trace_norm(moved) / scale)
     return dev
@@ -611,8 +593,7 @@ def weakly_wandering_certificate(
     along a strictly ascending schedule.
     """
     schedule = _ascending(schedule if schedule is not None else DEFAULT_SCHEDULE)
-    if schedule[0] < 1:
-        raise ValueError("schedule must be nonempty with entries >= 1")
+    action.scheme.side(schedule[0])  # the ascending schedule's first index, checked
     if op_norm(x) == 0.0:
         return WanderingCertificate([], 0.0, None, "pass", {"note": "zero element"})
     avgs = _average_stacks(action.to_picture("heisenberg"), x, schedule)

@@ -333,10 +333,9 @@ def scenario_from_dict(doc, origin="<dict>"):
         raise ScenarioError(f"{origin}: algebra: {exc}") from exc
 
     act = doc["action"]
-    kind = act["scheme"]["kind"]
     try:
         scheme = FolnerScheme(
-            kind,
+            act["scheme"]["kind"],
             d=act["scheme"].get("d", 1),
             order=act["scheme"].get("order"),
             table=act["scheme"].get("table"),
@@ -350,7 +349,7 @@ def scenario_from_dict(doc, origin="<dict>"):
         where = f"action.generators[{idx}]"
         source, payload = spec["source"], spec["payload"]
         key = PAYLOAD_KEYS[source]
-        if (source == "flow-generator") != (kind == "r-plus-cube"):
+        if (source == "flow-generator") != scheme.flow:
             raise ScenarioError(
                 f"{origin}: {where}: r-plus-cube schemes take exactly the "
                 f"flow-generator sources"

@@ -518,6 +518,20 @@ def test_hull_finite_group_residual_zero():
     assert res.residual <= 1e-10
 
 
+@pytest.mark.parametrize("a", [0, -2])
+def test_hull_orbit_refuses_a_flow_side_that_is_not_positive(a):
+    """The orbit of a flow takes the same check of a as its averages: a cube
+    side a <= 0 raises (a = -2 walked exp(tL) over t in [-2, 0], and a = 0
+    gave 17 copies of x)."""
+    from neveukit.scenarios import gallery
+
+    (action,) = [sc.action for sc in gallery() if sc.name == "lindblad-rplus"]
+    x = action.algebra.identity()
+    for call in (convex_hull_residual, average, average_super):
+        with pytest.raises(ValueError, match="cube side a must be > 0"):
+            call(action, x, a) if call is not average_super else call(action, a)
+
+
 def random_unitary(n, rng):
     q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     return q * (np.diag(r) / abs(np.diag(r)))

@@ -9,6 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neveukit import convergence
 from neveukit.algebra import TracialAlgebra, _to_hermitian, _to_vec, op_norm, trace
 from neveukit.dynamics import (
     FolnerScheme,
@@ -103,13 +104,16 @@ def test_folner_ratio_cube_shift():
 
 
 def test_folner_counting_matches_ratio():
-    # |K_a \ (K_a + g)| + |(K_a + g) \ K_a| over |K_a|, brute force
-    scheme = FolnerScheme("zplus-box", d=2)
-    for a in (2, 3, 4):
-        box = set(folner_set(scheme, a))
-        shifted = {(k[0] + 1, k[1]) for k in box}
-        sym_diff = len(box ^ shifted)
-        assert folner_ratio(scheme, a, 0) == pytest.approx(sym_diff / len(box))
+    # |K_a \ (K_a + g)| + |(K_a + g) \ K_a| over |K_a|, brute force, on the
+    # square zplus box and the square z-symmetric box, along either axis
+    for kind in ("zplus-box", "z-symmetric-box"):
+        scheme = FolnerScheme(kind, d=2)
+        for a in (1, 2, 3, 4):
+            box = set(folner_set(scheme, a))
+            for axis in (0, 1):
+                shifted = {tuple(k + (i == axis) for i, k in enumerate(ks)) for ks in box}
+                sym_diff = len(box ^ shifted)
+                assert folner_ratio(scheme, a, axis) == pytest.approx(sym_diff / len(box))
 
 
 def test_scheme_rejects_unknown_kind():
@@ -251,24 +255,47 @@ def test_amplitude_damping_average_geometric_oracle():
     assert op_norm(average(action, e11, 10)) == pytest.approx(0.19980468750000002)
 
 
+def rotation(theta):
+    return np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+
+
+def box_actions_2d():
+    """``(action, steps, backs)`` for two 2-d box actions on M_2 with the maps
+    of one step forward and back along each axis: two amplitude dampings over
+    zplus boxes (no backward steps), and conjugations by the commuting
+    rotations through 2 pi / 5 and 2 pi / 7 over z-symmetric boxes."""
+    damping = [amplitude_damping(M2, 0.5), amplitude_damping(M2, 0.25)]
+    rotations = [rotation(2.0 * np.pi / 5.0), rotation(2.0 * np.pi / 7.0)]
+    turns = [from_conjugation(M2, [u]) for u in rotations]
+    backs = [from_conjugation(M2, [u.T]) for u in rotations]
+    scheme = FolnerScheme("z-symmetric-box", d=2)
+    return [
+        (zplus_action(*damping), damping, None),
+        (SemigroupAction(M2, "heisenberg", scheme, turns), turns, backs),
+    ]
+
+
 def test_average_matches_brute_force_box_sum_2d():
-    # direct enumeration of the box, exact to eigensolver precision
-    g1, g2 = amplitude_damping(M2, 0.5), amplitude_damping(M2, 0.25)
-    action = zplus_action(g1, g2)
+    # direct enumeration of the box, exact to eigensolver precision, for the
+    # walk and the averaging operator; the hull orbit is the inclusive box
+    # {0..a}^2 of a zplus action and the whole window of a z-symmetric one
     rng = np.random.default_rng(42)
-    x = random_herm(M2, rng)
-    for a in (1, 2, 3, 4):
-        box = folner_set(action.scheme, a)
-        acc = M2.zero()
-        for k1, k2 in box:
-            y = x
-            for _ in range(k1):
-                y = g1(y)
-            for _ in range(k2):
-                y = g2(y)
-            acc = acc + y
-        brute = (1.0 / len(box)) * acc
-        assert op_norm(average(action, x, a) - brute) <= 1e-12
+    for action, steps, backs in box_actions_2d():
+        x = random_herm(M2, rng)
+        for a in (1, 2, 3, 4):
+            box = folner_set(action.scheme, a)
+            acc = M2.zero()
+            for ks in box:
+                y = x
+                for k, step, back in zip(ks, steps, backs or steps):
+                    for _ in range(abs(k)):
+                        y = step(y) if k > 0 else back(y)
+                acc = acc + y
+            brute = (1.0 / len(box)) * acc
+            assert op_norm(average(action, x, a) - brute) <= 1e-12
+            assert op_norm(average_super(action, a)(x) - brute) <= 1e-12
+            orbit = convergence._orbit_vectors(action, x, a)
+            assert len(orbit) == (len(box) if backs else (a + 1) ** 2)
 
 
 def test_average_symmetric_box_walks_inverses():

@@ -324,7 +324,7 @@ def test_a_projector_that_does_not_preserve_adjoints_fails_its_residuals():
     w = algebra.weight_vec
     x = np.column_stack([_to_hermitian(algebra, b.vec()).real for b in schr.fixed_basis])
     e = noisy.hermitian()
-    gens = neveu._stacked_generator_matrices(action)
+    gens = action.conditions
     with pytest.raises(MeanErgodicValidationError, match="residuals"):
         neveu._validated(action, gens, x, x.T @ (w[:, None] * e), e)
 

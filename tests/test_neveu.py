@@ -204,7 +204,7 @@ def test_mean_projection_residuals_bound_spectral_norms(blocks, seed, kind):
     pieces = [e[neveu._square(coords)] for coords, _ in parts]
     idempotency = max(np.linalg.norm(b @ b - b, 2) for b in pieces)
     invariance = 0.0
-    for gs in zip(*(neveu._stacked_generator_matrices(sub) for _, sub in parts)):
+    for gs in zip(*(sub.conditions for _, sub in parts)):
         scale = max(1.0, *(np.linalg.norm(g, 2) for g in gs)) if kind == "flow" else 1.0
         for g, b in zip(gs, pieces):
             pair = (np.linalg.norm(g @ b, 2) / scale, np.linalg.norm(b @ g, 2) / scale)
@@ -871,7 +871,7 @@ def dense_residuals(action, e):
     slack: max ||G||_F (over the same scale) for the invariance."""
     flow = action.scheme.kind == "r-plus-cube"
     inv, slack = 0.0, 0.0
-    for g in neveu._stacked_generator_matrices(action):
+    for g in action.conditions:
         scale = max(1.0, np.linalg.norm(g, 2)) if flow else 1.0
         inv = max(inv, np.linalg.norm(g @ e) / scale, np.linalg.norm(e @ g) / scale)
         slack = max(slack, np.linalg.norm(g) / scale)
@@ -912,7 +912,7 @@ def test_projector_residuals_are_the_whole_matrix_norms(kind, blocks, seed, pict
     ).reshape(algebra.dim, -1)
     f = x.T @ (w[:, None] * e)
     delta = np.linalg.norm(x @ f - e)
-    gens = neveu._stacked_generator_matrices(action)
+    gens = action.conditions
     got = neveu._residual_bounds(action, gens, x, f, delta)
     dense, slack = dense_residuals(action, e)
     r = x.shape[1]
@@ -925,6 +925,83 @@ def test_projector_residuals_are_the_whole_matrix_norms(kind, blocks, seed, pict
         rounding = 1e-14 * (1.0 + dense[key] + terms[key])
         assert dense[key] <= bound + rounding, key
         assert bound - dense[key] <= 2.0 * terms[key] + rounding, key
+
+
+def spectral_norm_log(monkeypatch, *mats):
+    """Patch ``np.linalg.norm`` to log every spectral norm taken of one of
+    ``mats``, by its index there; returns the log."""
+    log, norm = [], np.linalg.norm
+
+    def logging(m, ord=None, *args, **kwargs):
+        if ord == 2:
+            log.extend(i for i, g in enumerate(mats) if np.shape(m) == g.shape and np.array_equal(m, g))
+        return norm(m, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", logging)
+    return log
+
+
+def test_one_flow_scale_per_generator_and_picture(monkeypatch):
+    """A density-picture flow on two uncoupled M_2 summands, amplitude
+    damping (||L||_2 = sqrt 2) beside dephasing at rate 3 (||L||_2 = 3): the
+    contraction report's generator_scale, the residual bounds and the
+    invariance defect all divide by one scale per generator and picture,
+    max(1, ||L||_2) of the whole hermitian-basis matrix, taken once from the
+    norms of its two pieces; the derived picture takes its own."""
+    import neveukit.dynamics as dynamics
+
+    damping = np.diag([0.0, -0.5, -0.5, -1.0])
+    damping[0, 3] = 1.0
+    gen = scipy.linalg.block_diag(damping, np.diag([0.0, -3.0, -3.0, 0.0]))
+    algebra = TracialAlgebra([2, 2], [0.25, 0.5])
+    herm = SuperOperator(algebra, gen).real_hermitian()
+    pieces = (herm[:4, :4], herm[4:, 4:])
+    assert [np.linalg.norm(p, 2) for p in pieces] == pytest.approx([np.sqrt(2.0), 3.0])
+    whole = max(1.0, np.linalg.norm(herm, 2))
+    reported = []
+    report = dynamics._flow_contraction_report
+
+    def recording(image, scale):
+        rep = report(image, scale)
+        reported.append(rep.detail["generator_scale"])
+        return rep
+
+    monkeypatch.setattr(dynamics, "_flow_contraction_report", recording)
+    log = spectral_norm_log(monkeypatch, herm, *pieces)
+    scheme = FolnerScheme("r-plus-cube", d=1)
+    action = SemigroupAction(algebra, "schrodinger", scheme, [gen])
+    assert len(action._summands()) == 2
+    dec = neveu_decompose(action, projection=mean_ergodic_projection(action))
+    assert sorted(log) == [1, 2]
+    assert action._scales() == tuple(reported) == pytest.approx((whole,), rel=1e-12)
+    # the residual bounds and the invariance defect read the same scale
+    monkeypatch.setattr(SemigroupAction, "_scales", lambda self: (2.0 * whole,))
+    doubled = neveu_decompose(action, projection=mean_ergodic_projection(action))
+    assert doubled.detail["invariance_defect"] == pytest.approx(
+        dec.detail["invariance_defect"] / 2.0, rel=1e-15
+    )
+    invariance = dec.detail["mean_residuals"]["invariance"]
+    assert doubled.detail["mean_residuals"]["invariance"] == pytest.approx(
+        invariance / 2.0, rel=1e-15
+    )
+    monkeypatch.undo()
+    heis = action.dual()
+    dual_whole = max(1.0, np.linalg.norm(heis.real[0], 2))
+    assert heis._scales() == pytest.approx((dual_whole,), rel=1e-12)
+
+
+def test_a_lindblad_run_takes_one_spectral_norm_of_its_generator(monkeypatch):
+    """Building and running the lindblad-rplus gallery scenario takes one
+    spectral norm of its generator, in either picture: the flow scale of the
+    contraction check, which the mean projection's residual bounds and the
+    invariance defect read again."""
+    from neveukit import scenarios
+
+    doc = scenarios._gallery_doc("lindblad-rplus")
+    action = scenarios.scenario_from_dict(doc).action
+    log = spectral_norm_log(monkeypatch, action.real[0], action.dual().real[0])
+    scenarios.run(scenarios.scenario_from_dict(doc))
+    assert len(log) == 1
 
 
 def nonzero_moduli(g):
@@ -957,7 +1034,7 @@ def test_gaps_bound_every_nonzero_generator_eigenvalue(kind, blocks, seed, pictu
     ]
     action = coupled_action(algebra, kind, groups, rng).to_picture(picture)
     proj = mean_ergodic_projection(action)
-    gens = neveu._stacked_generator_matrices(action)
+    gens = action.conditions
     assert len(proj.gaps) == len(gens)
     for gap, g in zip(proj.gaps, gens):
         assert 0.0 < gap <= nonzero_moduli(g).min(initial=np.inf) * (1.0 + 1e-9)
@@ -972,7 +1049,7 @@ def test_gaps_bound_every_gallery_generator_and_meet_amplitude_damping():
 
     for sc in gallery():
         gaps = run(sc).data["results"]["spectrum"]["gaps"]
-        gens = neveu._stacked_generator_matrices(sc.action)
+        gens = sc.action.conditions
         assert len(gaps) == len(sc.action.real), sc.name
         for gap, g in zip(gaps, gens):
             smallest = nonzero_moduli(g).min(initial=np.inf)

@@ -2,7 +2,9 @@
 """Author a scenario file, run it, and emit the deterministic artifacts.
 
 Everything a report contains is reproducible from the scenario document:
-rerunning yields byte-identical canonical JSON (wall clock excluded).
+rerunning yields byte-identical canonical JSON (wall clock excluded).  The
+report packs each matrix as base64 little-endian complex128 bytes; the demo
+decodes one block of e1.
 """
 
 import json
@@ -10,6 +12,7 @@ import pathlib
 import tempfile
 
 from neveukit import emit, load_scenario, run
+from neveukit.scenarios import _unpack
 
 DOC = {
     "schema_version": "1.0",
@@ -55,6 +58,8 @@ def main():
         print((tmp / "demo.decay.csv").read_text(encoding="utf-8"))
         payload = json.loads((tmp / "demo.report.json").read_text(encoding="utf-8"))
         print(f"report keys: {sorted(payload)}")
+        print(f"e1, block 0 (report schema {payload['schema_version']}):")
+        print(_unpack(payload["results"]["decompose"]["e1"][0]))
 
 
 if __name__ == "__main__":

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,16 +124,21 @@ class FolnerScheme:
         return self.kind == "r-plus-cube"
 
     def side(self, a):
-        """The Foelner index ``a``, checked: a cube side > 0 (as a float)
-        for flows, an integer >= 1 otherwise."""
+        """The Foelner index ``a``, checked: a finite cube side > 0 (as a
+        float) for flows, an integral number >= 1 otherwise (2.0 is 2); any
+        other index raises ValueError naming it, and is never truncated."""
+        whole = isinstance(a, numbers.Integral)
+        if not (whole or math.isfinite(a)):
+            raise ValueError(f"Foelner index a must be finite, got {a!r}")
         if self.flow:
             if a <= 0:
-                raise ValueError("cube side a must be > 0")
+                raise ValueError(f"cube side a must be > 0, got {a!r}")
             return float(a)
-        a = int(a)
+        if not (whole or float(a).is_integer()):
+            raise ValueError(f"Foelner index a must be an integer, got {a!r}")
         if a < 1:
-            raise ValueError("Foelner index a must be >= 1")
-        return a
+            raise ValueError(f"Foelner index a must be >= 1, got {a!r}")
+        return int(a)
 
     def window(self, a):
         """``(back, size)`` of a box axis at the index ``a``: its window is
@@ -307,10 +313,13 @@ class SemigroupAction:
         y -> tau(S(y)), read off W^-1 R^T W applied to the coordinates of 1
         (R the real matrix of S, W the trace weights) with no dual of S.  A
         flow generator L is judged by L_h(1), read the same way
-        (:func:`~neveukit.maps._flow_contraction_report`)."""
+        (:func:`~neveukit.maps._flow_contraction_report`); when every flow
+        generator passes, the detail keeps their ``max_eigenvalue_of_unit_image``
+        and ``generator_scale`` as lists in generator order."""
         reports, algebra, w = [], self.algebra, self.algebra.weight_vec
         flow, one = self.scheme.flow, self.algebra.identity()
         ones = _to_hermitian(algebra, one.vec()).real
+        margins = {"max_eigenvalue_of_unit_image": [], "generator_scale": []}
         for idx, (s, r, scale) in enumerate(zip(self.generators, self.real, self._scales())):
             if self.picture == "heisenberg":
                 rep = _flow_contraction_report(s(one), scale) if flow else check_contraction(s)
@@ -328,9 +337,13 @@ class SemigroupAction:
                     witness=(idx,),
                     detail={"per_generator": reports, **rep.detail},
                 )
+            if flow:
+                for key, values in margins.items():
+                    values.append(rep.detail[key])
         verdicts = {v for _, v in reports}
         verdict = "pass" if verdicts == {"pass"} else "unknown"
-        return CheckReport("contraction", verdict, detail={"per_generator": reports})
+        detail = {"per_generator": reports, **(margins if flow else {})}
+        return CheckReport("contraction", verdict, detail=detail)
 
     # -- guards --------------------------------------------------------------
 

@@ -3,9 +3,14 @@
 A scenario is a JSON document (conventionally ``*.scn``) describing an
 algebra, an action, and a task list; the schema ships with the package and
 is enforced on load by the package's own checker, which implements exactly
-the keywords the schema uses and reports jsonschema's messages.  Running a
-scenario produces a :class:`Report` whose payload is plain JSON: matrices
-appear as nested lists with complex scalars encoded ``[re, im]``.  A report
+the keywords the schema uses and reports jsonschema's messages.  A scenario
+writes its matrices as nested lists with complex scalars encoded ``[re,
+im]``.  Running a scenario produces a :class:`Report` whose payload is plain
+JSON.  Report schema 2.0 writes every matrix a report carries (each block of
+a result element, and each payload matrix of the echoed scenario) packed:
+``{"c16le": <base64 of its little-endian complex128 bytes, row-major>,
+"shape": [n, m]}`` (see :func:`_pack` and :func:`_unpack`); every scalar and
+every list of key numbers stays a JSON number.  A report
 records the seed, but no run draws from it yet: the seed changes only that
 field.  The wall-clock field is excluded from :meth:`Report.canonical_bytes`.
 Report schema 1.3 keeps the ``decay``, ``invariance`` and ``wandering``
@@ -36,6 +41,7 @@ Formats understood by :func:`render` and :func:`emit`:
 
 from __future__ import annotations
 
+import base64
 import cmath
 import functools
 import importlib.resources
@@ -76,7 +82,7 @@ __all__ = [
     "gallery_names",
 ]
 
-SCHEMA_VERSION = "1.4"
+SCHEMA_VERSION = "2.0"
 DEFAULT_TOLERANCES = {
     "eps": 0.25,
     "delta": 0.1,
@@ -243,13 +249,38 @@ def _encode_complex(z):
     return [float(z.real), float(z.imag)]
 
 
-def _encode_matrix(m):
-    m = np.asarray(m, dtype=complex)
-    return np.stack((m.real, m.imag), -1).tolist()
+def _pack(m):
+    """A matrix as a report writes it: ``{"c16le": ..., "shape": [n, m]}``,
+    the base64 of its little-endian complex128 bytes in row-major order, so
+    the entries are exact and cost no float repr each."""
+    m = np.ascontiguousarray(m, dtype="<c16")
+    return {"c16le": base64.b64encode(m).decode("ascii"), "shape": list(m.shape)}
 
 
-def _encode_element(x):
-    return [_encode_matrix(m) for m in x.block_mats]
+def _unpack(obj):
+    """The complex matrix of a packed ``obj`` (read-only, bitwise the one
+    packed); a blob that is not base64, a shape that is not two
+    non-negative ints, or a byte length that does not match the shape
+    raises ValueError."""
+    if not isinstance(obj, dict) or set(obj) != {"c16le", "shape"}:
+        raise ValueError(f"packed matrix: expected keys c16le and shape, got {obj!r:.80}")
+    shape, blob = obj["shape"], obj["c16le"]
+    if not (isinstance(shape, list) and len(shape) == 2
+            and all(type(n) is int and n >= 0 for n in shape)):
+        raise ValueError(f"packed matrix: shape must be two non-negative ints, got {shape!r}")
+    try:
+        data = base64.b64decode(blob, validate=True)
+    except (TypeError, ValueError) as exc:  # not a string, not ASCII, or binascii.Error
+        raise ValueError(f"packed matrix: c16le is not base64: {exc}") from exc
+    if len(data) != 16 * shape[0] * shape[1]:
+        raise ValueError(
+            f"packed matrix: {len(data)} bytes do not hold a complex {shape[0]} x {shape[1]} matrix"
+        )
+    return np.frombuffer(data, dtype="<c16").reshape(shape)
+
+
+def _pack_element(x):
+    return [_pack(m) for m in x.block_mats]
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +292,9 @@ def _encode_element(x):
 class Scenario:
     name: str
     raw: dict
+    # the document as a report echoes it: ``raw`` with each payload matrix
+    # packed (see _pack), sharing every other field with ``raw``
+    echo: dict
     algebra: TracialAlgebra
     action: SemigroupAction
     tasks: list
@@ -280,25 +314,28 @@ PAYLOAD_KEYS = {
 
 
 def _build_generator(algebra, picture, where, source, value):
+    """The generator of one source, and its payload value with each matrix
+    packed from the array decoded here."""
     try:
         if source == "classical-kernel":
             kernel = _decode_matrix(value, f"{where}.kernel")
             if np.abs(kernel.imag).max() > 0:
                 raise ScenarioError(f"{where}.kernel: kernel must be real")
-            return from_classical(algebra, kernel.real)
+            return from_classical(algebra, kernel.real), _pack(kernel)
         if source in ("matrix", "flow-generator"):
             mat = _decode_matrix(value, f"{where}.matrix")
-            return mat if source == "flow-generator" else from_matrix(algebra, mat)
+            gen = mat if source == "flow-generator" else from_matrix(algebra, mat)
+            return gen, _pack(mat)
         if source == "kraus":
             ops = [
                 _decode_element(algebra, o, f"{where}.operators[{k}]")
                 for k, o in enumerate(value)
             ]
-            s = from_kraus(algebra, ops)
+            s, packed = from_kraus(algebra, ops), [_pack_element(o) for o in ops]
         else:
             u = _decode_element(algebra, value, f"{where}.unitary")
-            s = from_conjugation(algebra, u)
-        return dual(s) if picture == "schrodinger" else s
+            s, packed = from_conjugation(algebra, u), _pack_element(u)
+        return (dual(s) if picture == "schrodinger" else s), packed
     except (ValueError, ArithmeticError) as exc:
         if isinstance(exc, ScenarioError):
             raise
@@ -344,7 +381,7 @@ def scenario_from_dict(doc, origin="<dict>"):
         raise ScenarioError(f"{origin}: scheme: {exc}") from exc
 
     picture = act["picture"]
-    gens = []
+    gens, echoed = [], []
     for idx, spec in enumerate(act["generators"]):
         where = f"action.generators[{idx}]"
         source, payload = spec["source"], spec["payload"]
@@ -359,7 +396,9 @@ def scenario_from_dict(doc, origin="<dict>"):
                 f"{origin}: {where}.payload: a {source} payload has exactly the "
                 f"key {key!r}, got {sorted(payload)}"
             )
-        gens.append(_build_generator(algebra, picture, where, source, payload[key]))
+        gen, packed = _build_generator(algebra, picture, where, source, payload[key])
+        gens.append(gen)
+        echoed.append({**spec, "payload": {key: packed}})
     try:
         action = SemigroupAction(algebra, picture, scheme, gens)
     except ValueError as exc:
@@ -380,6 +419,7 @@ def scenario_from_dict(doc, origin="<dict>"):
     return Scenario(
         name=doc["name"],
         raw=doc,
+        echo={**doc, "action": {**act, "generators": echoed}},
         algebra=algebra,
         action=action,
         tasks=list(doc["tasks"]),
@@ -417,6 +457,12 @@ class Report:
     report-json of :func:`render` encode each top-level field but ``meta``
     once, on first use, and keep its text, so ``data`` must not change once
     either has been taken.  Build a new report for other data.
+
+    ``data`` is plain JSON in report schema 2.0: each matrix it carries (a
+    block of a result element, a payload matrix of the echoed scenario) is
+    a packed ``{"c16le", "shape"}`` object, which :func:`_unpack` decodes
+    bitwise, so each costs one base64 string to encode, not a float repr
+    per entry.
 
     The kept texts save work only for a report that is both rendered as
     report-json and asked for its canonical bytes, as a caller that writes
@@ -457,9 +503,9 @@ def load_report(path):
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     version = str(data.get("schema_version", ""))
-    if not version.startswith("1."):
+    if not version.startswith("2."):
         raise ValueError(
-            f"report schema version {version!r} is not supported (need 1.x)"
+            f"report schema version {version!r} is not supported (need 2.x)"
         )
     return Report(data)
 
@@ -562,13 +608,13 @@ def _run_decompose(ctx, results):
         lam = np.concatenate([lam for lam, _ in dec.invariant_density.eigh()])
         results["spectrum"]["invariant_density"] = np.sort(lam).tolist()
     return {
-        "e1": _encode_element(dec.e1),
+        "e1": _pack_element(dec.e1),
         "e1_ranks": _plain(dec.e1.ranks),
-        "e2": _encode_element(dec.e2),
+        "e2": _pack_element(dec.e2),
         "e2_ranks": _plain(dec.e2.ranks),
         "invariant_density": (
             None if dec.invariant_density is None
-            else _encode_element(dec.invariant_density)
+            else _pack_element(dec.invariant_density)
         ),
         "decay": _plain(dec.decay),
         "slope": dec.slope,
@@ -586,8 +632,8 @@ def _run_mean(ctx, results):
         "rank": proj.rank,
         "residuals": proj.residuals,
         "cross_validation": proj.cross_validation,
-        "fixed_basis": [_encode_element(b) for b in proj.fixed_basis],
-        "dual_basis": [_encode_element(p) for p in proj.dual_basis],
+        "fixed_basis": [_pack_element(b) for b in proj.fixed_basis],
+        "dual_basis": [_pack_element(p) for p in proj.dual_basis],
         "factor_residual": proj.factor_residual,
     }, True
 
@@ -608,7 +654,7 @@ def _run_certify(ctx, results):
     return {
         "measure": _certificate_payload(mc),
         "bau": _bau_payload(bc),
-        "limit": _encode_element(target),
+        "limit": _pack_element(target),
     }, mc.passed and bc.passed
 
 
@@ -624,7 +670,7 @@ def _run_stochastic(ctx, results):
         lambda schedule: ctx.walk,
     )
     return {
-        "xbar": _encode_element(rep.xbar),
+        "xbar": _pack_element(rep.xbar),
         "burn_in": rep.burn_in,
         "rows": rep.rows,
         "bau": _bau_payload(rep.bau),
@@ -720,7 +766,7 @@ def run(scenario, seed=None, tolerances=None, schedule=None):
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "neveukit", "version": _version()},
         "scenario_name": scenario.name,
-        "scenario": scenario.raw,
+        "scenario": scenario.echo,
         "seed": eff_seed,
         "tolerances": _plain(eff_tol),
         "schedule": eff_schedule,
@@ -771,7 +817,9 @@ def render(report, fmt):
     The report-json text is the canonical JSON of the whole report,
     ``json.dumps(report.data, sort_keys=True, separators=(",", ":"))``, plus
     a final newline: the canonical bytes with ``meta.wall_clock_s``, joined
-    from the same encoded fields.  CSV numbers carry 17 significant digits;
+    from the same encoded fields.  Its matrices are packed base64
+    complex128 objects (see :class:`Report`), its scalars and key numbers
+    JSON numbers.  CSV numbers carry 17 significant digits;
     lines end in LF.
     """
     if fmt == "report-json":

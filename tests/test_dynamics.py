@@ -1036,3 +1036,75 @@ def test_average_super_is_the_single_walk_power_sum(monkeypatch, d):
             for m in mats[1:]:
                 want = (single_walk_power_sum(m, a) / a) @ want
             assert np.array_equal(average_super(sub, a).hermitian(), want)
+
+
+def gallery_action(name):
+    (sc,) = [sc for sc in gallery() if sc.name == name]
+    return sc.action
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda action, x, a: average(action, x, a),
+        lambda action, x, a: average_super(action, a),
+        lambda action, x, a: folner_set(action.scheme, a),
+    ],
+    ids=["average", "average_super", "folner_set"],
+)
+@pytest.mark.parametrize("a", [2.99, 1.2, math.inf, -math.inf, math.nan])
+def test_a_box_index_is_never_truncated(call, a):
+    """A box index that is not finite or not integral is refused with a
+    ValueError that names it; before, 2.99 gave A_2, the schedule
+    [1.2, 1.7, 2.9] gave A_1, A_1 and A_2, and inf raised OverflowError."""
+    action = gallery_action("amplitude-damping")
+    x = action.algebra.basis_element(0, 1, 1)
+    with pytest.raises(ValueError, match=f"Foelner index a must be .*got {a!r}"):
+        call(action, x, a)
+
+
+def test_a_schedule_of_box_indices_is_never_truncated():
+    action = gallery_action("amplitude-damping")
+    x = action.algebra.basis_element(0, 1, 1)
+    with pytest.raises(ValueError, match="must be an integer, got 1.2"):
+        averages(action, x, [1.2, 1.7, 2.9])
+
+
+def test_an_integral_index_of_any_type_is_the_int():
+    """2.0, np.int64(2) and np.float64(2.0) give bitwise the average at 2,
+    on a box and on a finite group."""
+    flip = M2.operator([np.array([[0, 1], [1, 0]])])
+    group = FolnerScheme("finite-group", order=2, table=((0, 1), (1, 0)))
+    for action in (
+        gallery_action("amplitude-damping"),
+        SemigroupAction(
+            M2, "heisenberg", group,
+            [from_conjugation(M2, M2.identity()), from_conjugation(M2, flip)],
+        ),
+    ):
+        x = action.algebra.basis_element(0, 0, 1)
+        want = average(action, x, 2).block_mats
+        for a in (2.0, np.int64(2), np.float64(2.0)):
+            assert action.scheme.side(a) == 2 and type(action.scheme.side(a)) is int
+            got = average(action, x, a).block_mats
+            assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+
+
+def test_a_group_index_is_integral():
+    scheme = FolnerScheme("finite-group", order=2, table=((0, 1), (1, 0)))
+    for a in (1.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"got {a!r}"):
+            scheme.side(a)
+
+
+@pytest.mark.parametrize("a", [math.inf, -math.inf, math.nan])
+def test_a_flow_side_is_finite(a):
+    """A non-finite cube side is refused by name before any exponential;
+    before, nan and inf passed the a <= 0 test and failed inside _expm with
+    a RuntimeWarning and "cannot convert float NaN to integer"."""
+    action = gallery_action("lindblad-rplus")
+    x = reference_density(action.algebra)
+    with pytest.raises(ValueError, match=f"Foelner index a must be finite, got {a!r}"):
+        average(action, x, a)
+    # a finite non-integral side is a flow's own
+    assert action.scheme.side(2.5) == 2.5

@@ -368,10 +368,20 @@ doc["tasks"] = ["mean"]
 sc = scenarios.scenario_from_dict(doc)
 mean = scenarios.run(sc).data["results"]["mean"]
 schr = neveu.mean_ergodic_projection(sc.action.to_picture("schrodinger"))
+
+
+def planes(blocks):
+    return [[m.tolist() for m in (b.real, b.imag)] for b in blocks]
+
+
+# the report's packed bases decoded, beside the density-picture projection's
 print(json.dumps({
-    "heisenberg": [mean["fixed_basis"], mean["dual_basis"]],
+    "heisenberg": [
+        planes([scenarios._unpack(x[0]) for x in mean[key]])
+        for key in ("fixed_basis", "dual_basis")
+    ],
     "schrodinger": [
-        [[m.tolist() for m in (b.block_mats[0].real, b.block_mats[0].imag)] for b in basis]
+        planes([x.block_mats[0] for x in basis])
         for basis in (schr.fixed_basis, schr.dual_basis)
     ],
 }))

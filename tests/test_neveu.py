@@ -948,8 +948,6 @@ def test_one_flow_scale_per_generator_and_picture(monkeypatch):
     invariance defect all divide by one scale per generator and picture,
     max(1, ||L||_2) of the whole hermitian-basis matrix, taken once from the
     norms of its two pieces; the derived picture takes its own."""
-    import neveukit.dynamics as dynamics
-
     damping = np.diag([0.0, -0.5, -0.5, -1.0])
     damping[0, 3] = 1.0
     gen = scipy.linalg.block_diag(damping, np.diag([0.0, -3.0, -3.0, 0.0]))
@@ -958,22 +956,17 @@ def test_one_flow_scale_per_generator_and_picture(monkeypatch):
     pieces = (herm[:4, :4], herm[4:, 4:])
     assert [np.linalg.norm(p, 2) for p in pieces] == pytest.approx([np.sqrt(2.0), 3.0])
     whole = max(1.0, np.linalg.norm(herm, 2))
-    reported = []
-    report = dynamics._flow_contraction_report
-
-    def recording(image, scale):
-        rep = report(image, scale)
-        reported.append(rep.detail["generator_scale"])
-        return rep
-
-    monkeypatch.setattr(dynamics, "_flow_contraction_report", recording)
     log = spectral_norm_log(monkeypatch, herm, *pieces)
     scheme = FolnerScheme("r-plus-cube", d=1)
     action = SemigroupAction(algebra, "schrodinger", scheme, [gen])
     assert len(action._summands()) == 2
     dec = neveu_decompose(action, projection=mean_ergodic_projection(action))
     assert sorted(log) == [1, 2]
-    assert action._scales() == tuple(reported) == pytest.approx((whole,), rel=1e-12)
+    # the contraction check of the passing flow keeps the scale it read
+    contraction = action.checks["contraction"]
+    assert contraction.verdict == "unknown"
+    reported = tuple(contraction.detail["generator_scale"])
+    assert action._scales() == reported == pytest.approx((whole,), rel=1e-12)
     # the residual bounds and the invariance defect read the same scale
     monkeypatch.setattr(SemigroupAction, "_scales", lambda self: (2.0 * whole,))
     doubled = neveu_decompose(action, projection=mean_ergodic_projection(action))

@@ -627,8 +627,7 @@ def test_emit_report_json_round_trips(tmp_path):
 
 
 def decode_element(algebra, blocks):
-    mats = [np.array(m, dtype=float) for m in blocks]
-    return algebra.operator([m[..., 0] + 1j * m[..., 1] for m in mats])
+    return algebra.operator([scenarios._unpack(m) for m in blocks])
 
 
 def test_emitted_mean_factors_rebuild_the_projector(tmp_path):
@@ -638,7 +637,7 @@ def test_emitted_mean_factors_rebuild_the_projector(tmp_path):
         out = tmp_path / f"{sc.name}.json"
         emit(run(sc), "report-json", out)
         report = load_report(out)
-        assert report.data["schema_version"] == "1.4"
+        assert report.data["schema_version"] == "2.0"
         mean = report.data["results"]["mean"]
         algebra = sc.algebra
         units = [algebra.from_vec(u) for u in np.eye(algebra.dim)]
@@ -954,9 +953,181 @@ def test_emit_unknown_format():
 
 def test_load_report_rejects_unknown_major_version(tmp_path):
     path = tmp_path / "r.json"
-    path.write_text(json.dumps({"schema_version": "2.0", "verdicts": {}}))
-    with pytest.raises(ValueError, match="2.0"):
+    path.write_text(json.dumps({"schema_version": "3.0", "verdicts": {}}))
+    with pytest.raises(ValueError, match="3.0"):
         load_report(path)
+
+
+# ---------------------------------------------------------------------------
+# packed matrices
+# ---------------------------------------------------------------------------
+
+# signed zeros, the smallest subnormals, a subnormal at half the normal
+# floor, and doubles near the top of the range
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.1125369292536007e-308, 1e300, -1e300]
+
+
+@st.composite
+def packable_matrices(draw):
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    entries = st.lists(
+        st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False)),
+        min_size=n * m, max_size=n * m,
+    )
+    re = np.array(draw(entries), dtype=float).reshape(n, m)
+    if not draw(st.booleans()):
+        return re
+    z = np.empty((n, m), dtype=complex)
+    z.real, z.imag = re, np.array(draw(entries), dtype=float).reshape(n, m)
+    return z
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(packable_matrices())
+def test_a_packed_matrix_unpacks_bitwise(m):
+    packed = json.loads(json.dumps(scenarios._pack(m)))
+    assert packed["shape"] == list(m.shape)
+    got = scenarios._unpack(packed)
+    assert got.dtype == np.complex128
+    assert same_bits(got, m.astype(complex))
+    if m.dtype == float:
+        assert same_bits(got.real, m) and not np.signbit(got.imag).any()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"c16le": "!!not base64!!", "shape": [1, 1]},
+        {"c16le": "AAAA", "shape": [1, 1]},  # 3 bytes
+        {"c16le": scenarios._pack(np.eye(2))["c16le"][:-8], "shape": [2, 2]},
+        {"c16le": scenarios._pack(np.eye(2))["c16le"], "shape": [2, 3]},
+        {"c16le": "", "shape": [2]},
+        {"c16le": "", "shape": [0, -1]},
+        {"c16le": "", "shape": [2.0, 0]},
+        {"c16le": "", "shape": [True, 0]},
+        {"c16le": "", "shape": "0x0"},
+        {"c16le": 0, "shape": [0, 0]},
+        {"shape": [1, 1]},
+        [[[1.0, 0.0]]],  # a block as rows of [re, im] pairs
+    ],
+)
+def test_unpack_refuses_a_malformed_blob(bad):
+    with pytest.raises(ValueError, match="packed matrix"):
+        scenarios._unpack(bad)
+
+
+def listed_scenario(echo):
+    """The scenario document of a report's echo: each packed payload matrix
+    back as rows of [re, im] pairs, every other field as it is."""
+
+    def rows(packed):
+        m = scenarios._unpack(packed)
+        return np.stack((m.real, m.imag), -1).tolist()
+
+    generators = []
+    for spec in echo["action"]["generators"]:
+        ((key, value),) = spec["payload"].items()
+        if spec["source"] == "kraus":
+            value = [[rows(b) for b in op] for op in value]
+        elif spec["source"] == "conjugation":
+            value = [rows(b) for b in value]
+        else:
+            value = rows(value)
+        generators.append({**spec, "payload": {key: value}})
+    return {**echo, "action": {**echo["action"], "generators": generators}}
+
+
+def reproducible_docs():
+    """The shipped gallery scenarios and the large-d documents at seed 1,
+    without the gallery-item task, which compares the raw document with
+    the shipped file."""
+    docs = [scenarios._gallery_doc(name) for name in GALLERY_NAMES]
+    docs += workloads().generated_docs("large-d", 1)
+    return [
+        {**doc, "tasks": [t for t in doc["tasks"] if t != "gallery-item"]} for doc in docs
+    ]
+
+
+@pytest.mark.parametrize("doc", reproducible_docs(), ids=lambda doc: doc["name"])
+def test_a_report_reproduces_its_run(doc):
+    """The echoed scenario of a report, decoded back to lists, runs to the
+    same canonical bytes."""
+    report = run(scenario_from_dict(doc))
+    echo = json.loads(report.canonical_bytes())["scenario"]
+    assert echo["action"]["generators"] != doc["action"]["generators"]
+    again = run(scenario_from_dict(listed_scenario(echo)))
+    assert again.canonical_bytes() == report.canonical_bytes()
+
+
+def test_packed_elements_are_the_runs_own_operators(monkeypatch):
+    """Every packed block of a result element decodes bitwise to the block
+    of the operator the run computed, and every packed payload block to the
+    array decoded from the scenario's lists."""
+    contexts, limits, xbars = [], [], []
+
+    class Recording(scenarios._RunContext):
+        def __init__(self, *args):
+            super().__init__(*args)
+            contexts.append(self)
+
+    certify, stochastic = scenarios.convergence._certify, scenarios.convergence._stochastic_run
+
+    def certify_recording(algebra, walk, target, *args):
+        limits.append(target)
+        return certify(algebra, walk, target, *args)
+
+    def stochastic_recording(*args):
+        rep = stochastic(*args)
+        xbars.append(rep.xbar)
+        return rep
+
+    monkeypatch.setattr(scenarios, "_RunContext", Recording)
+    monkeypatch.setattr(scenarios.convergence, "_certify", certify_recording)
+    monkeypatch.setattr(scenarios.convergence, "_stochastic_run", stochastic_recording)
+
+    def same(packed, x):
+        assert len(packed) == len(x.block_mats)
+        return all(same_bits(scenarios._unpack(p), m) for p, m in zip(packed, x.block_mats))
+
+    docs = [two_summand_star_doc()] + [scenarios._gallery_doc(name) for name in GALLERY_NAMES]
+    for doc in docs:
+        for kept in (contexts, limits, xbars):
+            kept.clear()
+        results = run(scenario_from_dict(doc)).data["results"]
+        (ctx,) = contexts
+        if "decompose" in results:
+            dec, got = ctx.decomposition, results["decompose"]
+            assert same(got["e1"], dec.e1) and same(got["e2"], dec.e2), doc["name"]
+            if dec.invariant_density is not None:
+                assert same(got["invariant_density"], dec.invariant_density)
+        if "mean" in results:
+            heisenberg = doc["action"]["picture"] == "heisenberg"
+            proj = ctx.heisenberg_projection if heisenberg else ctx.projection
+            for key in ("fixed_basis", "dual_basis"):
+                packed, want = results["mean"][key], getattr(proj, key)
+                assert len(packed) == len(want)
+                assert all(same(p, x) for p, x in zip(packed, want)), (doc["name"], key)
+        if "certify" in results:
+            assert same(results["certify"]["limit"], limits[0]), doc["name"]
+        if "stochastic" in results:
+            assert same(results["stochastic"]["xbar"], xbars[0]), doc["name"]
+        for spec, raw in zip(
+            ctx.scenario.echo["action"]["generators"], doc["action"]["generators"], strict=True
+        ):
+            ((key, value),) = spec["payload"].items()
+            raw = raw["payload"][key]
+            if spec["source"] in ("kraus", "conjugation"):
+                ops = value if spec["source"] == "kraus" else [value]
+                raws = raw if spec["source"] == "kraus" else [raw]
+                pairs = [(p, r) for op, rop in zip(ops, raws) for p, r in zip(op, rop)]
+            else:
+                pairs = [(value, raw)]
+            for p, r in pairs:
+                assert same_bits(scenarios._unpack(p), scenarios._decode_matrix(r, "payload"))
 
 
 # ---------------------------------------------------------------------------
@@ -1491,8 +1662,13 @@ THREAD_ATOL = 1e-12
 
 def same_but_floats(one, two, where="report"):
     """Fields equal in type and shape, non-floats exactly, floats within
-    THREAD_RTOL / THREAD_ATOL."""
+    THREAD_RTOL / THREAD_ATOL; a packed matrix is decoded first, and its
+    real and imaginary parts are floats."""
     assert type(one) is type(two), where
+    if isinstance(one, dict) and "c16le" in one:
+        one, two = (scenarios._unpack(m) for m in (one, two))
+        assert one.shape == two.shape, where
+        one, two = (m.view(float).ravel().tolist() for m in (one, two))
     if isinstance(one, dict):
         assert one.keys() == two.keys(), where
         for key in one:
